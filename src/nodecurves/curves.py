@@ -220,11 +220,19 @@ class RationalParam:
         return node(ev(self.x_num) / xd, ev(self.y_num) / yd)
 
     def points(self) -> Iterator[Node]:
+        """Points in parameter order; more than SAMPLER_BUDGET parameters
+        hitting a denominator root raise BudgetExceeded."""
+        skipped = 0
         for t in rational_sequence():
             try:
-                yield self.point_at(t)
+                p = self.point_at(t)
             except ZeroDivisionError:
+                skipped += 1
+                if skipped > SAMPLER_BUDGET:
+                    raise BudgetExceeded(
+                        "sampler parameters keep hitting a denominator root")
                 continue
+            yield p
 
 
 def is_maximal_curve(q: Curve, xs: NodeSet, n: int) -> bool:
@@ -251,7 +259,10 @@ def node_uses(a, xs: NodeSet, n: int, q: Curve) -> bool:
     """
     a = _nodes._coerce(a)
     idx = xs.index(a)
-    if fundamental_missing(a, xs, n):
+    others = RankTracker(space_dim(n))
+    for p in xs.without(a):
+        others.add(_nodes._monomial_row(p, n))
+    if not others.would_grow(_nodes._monomial_row(a, n)):
         raise ValueError("node has no fundamental polynomial")
     if q.degree > n:
         raise ValueError("curve degree exceeds n")
@@ -265,12 +276,6 @@ def node_uses(a, xs: NodeSet, n: int, q: Curve) -> bool:
         rhs.append(linalg.ONE if i == idx else linalg.ZERO)
     sol = linalg.solve(Matrix.from_rows(rows), rhs)
     return sol is not None
-
-
-def fundamental_missing(a, xs: NodeSet, n: int) -> bool:
-    # a's row is spanned by the other rows iff removing it keeps the rank
-    others = xs.without(a)
-    return _nodes.hilbert_function(xs, n) == _nodes.hilbert_function(others, n)
 
 
 def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
@@ -289,12 +294,8 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
         raise ValueError("set larger than the on-curve maximum")
     if any(not q.contains(p) for p in xs):
         raise ValueError("set must lie on the curve")
-    if not _nodes.is_independent(xs, n):
-        raise ValueError("set is not independent at this degree")
+    tracker = _nodes._independent_tracker(xs, n)
     found = list(xs)
-    tracker = RankTracker(space_dim(n))
-    for p in found:
-        tracker.add(_nodes._monomial_row(p, n))
     stream = sampler.points()
     for count in range(SAMPLER_BUDGET):
         if tracker.rank == target:

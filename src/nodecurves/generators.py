@@ -183,9 +183,7 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     union = LineUnion.of(lines)
     mu = union.curve()
     on_curve = _curves.extend_on_curve(NodeSet(), union, mu, n)
-    tracker = RankTracker(space_dim(n))
-    for p in on_curve:
-        tracker.add(_nodes._monomial_row(p, n))
+    tracker = _nodes._independent_tracker(on_curve, n)
     outlier = None
     for count, cand in enumerate(_nodes.integer_spiral()):
         if count >= PLACEMENT_BUDGET:

@@ -1,28 +1,33 @@
 """Exact dense linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries and makes exact
-decisions; no floating point is involved.  The canonical forms matter to the
-rest of the package and are fixed:
+Every decision is exact; no floating point is involved.  One elimination
+kernel, :class:`RankTracker`, does all the work, and ``rank``, ``rref``,
+``nullspace``, ``solve`` and ``solve_columns`` read its result.  The
+canonical forms matter to the rest of the package and are fixed:
 
-* ``rref`` uses first-nonzero pivoting (the first row at or below the pivot
-  row with a nonzero entry in the pivot column), scales pivots to 1 and
-  eliminates above and below, so equal row spaces give equal RREFs.
+* ``rref`` scales pivots to 1 with zeros above and below, so equal row
+  spaces give equal RREFs.
 * ``nullspace`` returns the RREF-derived basis: one vector per free column,
   with 1 in that free column and 0 in every other free column.
 * ``solve`` returns the particular solution with all free variables 0, and
   ``None`` (not an error) when the system is inconsistent.
 
-Rank-only queries go through :class:`RankTracker`, which clears denominators
-and eliminates with integer cross-multiplication plus gcd normalization.
-That path never builds a Fraction during elimination and is what the greedy
-node-search loops use.
+The kernel scales each row to integers and keeps ``D`` times the RREF of
+the rows added so far: each kept row has ``D`` in its own pivot column and
+0 in every other one.  Reducing a row ``w`` is ``D*w - sum(w[p_i] * R_i)``,
+with no division.  A new pivot clears its column in the kept rows; then all
+rows and ``D`` are divided by their common gcd, so ``D`` stays the least
+common denominator of the RREF.  Bareiss elimination divides by the
+previous pivot instead, which leaves a leading minor in place of ``D``: a
+multiple of it, often far larger, and slower on this package's searches.
+Fractions appear only when a reader normalizes the kept rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Rational = Fraction
@@ -35,7 +40,7 @@ def frac(value) -> Fraction:
     """Coerce an int, string like "3/4", or Fraction to a Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"not a rational value: {value!r}")
 
@@ -60,15 +65,6 @@ class Matrix:
             raise ValueError("ragged rows")
         flat = tuple(v for row in rows for v in row)
         return Matrix(len(rows), ncols, flat)
-
-    @staticmethod
-    def zeros(nrows: int, ncols: int) -> "Matrix":
-        return Matrix(nrows, ncols, (ZERO,) * (nrows * ncols))
-
-    @staticmethod
-    def identity(size: int) -> "Matrix":
-        return Matrix(size, size, tuple(
-            ONE if i == j else ZERO for i in range(size) for j in range(size)))
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.ncols + j]
@@ -100,43 +96,101 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def _eliminate(rows: list[list[Fraction]], pivot_limit: int) -> list[int]:
-    """Gauss-Jordan in place; pivots are searched in columns < pivot_limit.
+class RankTracker:
+    """Incremental exact elimination of a growing row set, kept as
+    ``D`` times its RREF in insertion order (see the module docstring).
 
-    Returns the pivot column list.  Columns at or past pivot_limit are
-    carried along (augmented part) but never chosen as pivots.
+    Pivots are chosen in columns below ``_limit``; ``solve_columns`` lowers
+    it to carry right-hand sides along as extra columns.
     """
-    pivots: list[int] = []
-    prow = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(min(pivot_limit, ncols)):
-        hit = next((r for r in range(prow, len(rows)) if rows[r][col] != 0), None)
-        if hit is None:
-            continue
-        rows[prow], rows[hit] = rows[hit], rows[prow]
-        lead = rows[prow][col]
-        if lead != 1:
-            rows[prow] = [v / lead for v in rows[prow]]
-        pivot_row = rows[prow]
-        for r in range(len(rows)):
-            if r == prow:
-                continue
-            factor = rows[r][col]
-            if factor != 0:
-                row = rows[r]
-                rows[r] = [row[j] - factor * pivot_row[j] for j in range(ncols)]
-        pivots.append(col)
-        prow += 1
-        if prow == len(rows):
-            break
-    return pivots
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self._limit = ncols
+        self._den = 1
+        self._rows: list[list[int]] = []
+        self._pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, row: Sequence[Fraction]) -> list[int]:
+        """``D*w - sum(w[p_i] * R_i)`` for the row ``w`` scaled to integers;
+        it is 0 in every pivot column."""
+        scale = lcm(*[v.denominator for v in row])
+        w = [v.numerator * (scale // v.denominator) for v in row]
+        den = self._den
+        out = [den * v for v in w] if den != 1 else w
+        for pivot, base in zip(self._pivots, self._rows):
+            f = w[pivot]
+            if f:
+                out = [o - f * b for o, b in zip(out, base)]
+        return out
+
+    def _lead(self, w: list[int]) -> Optional[int]:
+        return next((j for j in range(self._limit) if w[j]), None)
+
+    def _push(self, w: list[int], col: int) -> None:
+        """Make col a pivot, given a reduced row w with w[col] != 0."""
+        g = gcd(*w)
+        w = [v // g for v in w] if w[col] > 0 else [-v // g for v in w]
+        lead = w[col]
+        rows = self._rows
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f:
+                rows[i] = [lead * r - f * v for r, v in zip(row, w)]
+            elif lead != 1:
+                rows[i] = [lead * r for r in row]
+        rows.append([self._den * v for v in w] if self._den != 1 else w)
+        self._pivots.append(col)
+        den = self._den * lead
+        g = den
+        for row in rows:
+            if g == 1:
+                break
+            g = gcd(g, *row)
+        if g != 1:
+            self._rows = [[v // g for v in row] for row in rows]
+            den //= g
+        self._den = den
+
+    def would_grow(self, row: Sequence[Fraction]) -> bool:
+        """True iff adding this row would increase the rank."""
+        return self._lead(self._reduce(row)) is not None
+
+    def add(self, row: Sequence[Fraction]) -> bool:
+        """Add a row; returns True iff the rank grew."""
+        w = self._reduce(row)
+        col = self._lead(w)
+        if col is None:
+            return False
+        self._push(w, col)
+        return True
+
+
+def _tracker(m: Matrix) -> RankTracker:
+    tracker = RankTracker(m.ncols)
+    for i in range(m.nrows):
+        tracker.add(m.row(i))
+    return tracker
+
+
+def rank(m: Matrix) -> int:
+    """Number of linearly independent rows."""
+    return _tracker(m).rank
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form with first-nonzero pivoting."""
-    rows = [list(m.row(i)) for i in range(m.nrows)]
-    pivots = _eliminate(rows, m.ncols)
-    return RrefResult(Matrix.from_rows(rows) if rows else m, tuple(pivots), len(pivots))
+    """Reduced row echelon form; zero rows come last."""
+    tracker = _tracker(m)
+    den = tracker._den
+    kept = sorted(zip(tracker._pivots, tracker._rows))
+    rows = [[Fraction(v, den) for v in row] for _, row in kept]
+    rows += [[ZERO] * m.ncols for _ in range(m.nrows - tracker.rank)]
+    red = Matrix.from_rows(rows) if rows else m
+    return RrefResult(red, tuple(p for p, _ in kept), tracker.rank)
 
 
 def nullspace(m: Matrix) -> Matrix:
@@ -146,15 +200,16 @@ def nullspace(m: Matrix) -> Matrix:
     columns, and -R[r][f] at each pivot column; free columns are taken in
     increasing index order.  An injective matrix yields a (ncols x 0) result.
     """
-    red, pivots, rank = rref(m)
-    pivot_set = set(pivots)
+    tracker = _tracker(m)
+    den = tracker._den
+    pivot_set = set(tracker._pivots)
     free = [j for j in range(m.ncols) if j not in pivot_set]
     basis: list[list[Fraction]] = []
     for f in free:
         vec = [ZERO] * m.ncols
         vec[f] = ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -red.at(r, f)
+        for p, row in zip(tracker._pivots, tracker._rows):
+            vec[p] = Fraction(-row[f], den)
         basis.append(vec)
     flat = tuple(basis[j][i] for i in range(m.ncols) for j in range(len(free)))
     return Matrix(m.ncols, len(free), flat)
@@ -162,8 +217,7 @@ def nullspace(m: Matrix) -> Matrix:
 
 def solve(m: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     """Particular solution of m x = b with free variables 0; None if none."""
-    sols = solve_columns(m, [b])
-    return sols[0]
+    return solve_columns(m, [b])[0]
 
 
 def solve_columns(m: Matrix, columns: Sequence[Sequence]) -> list[Optional[tuple[Fraction, ...]]]:
@@ -177,102 +231,31 @@ def solve_columns(m: Matrix, columns: Sequence[Sequence]) -> list[Optional[tuple
     rhs = [[frac(v) for v in col] for col in columns]
     if any(len(col) != m.nrows for col in rhs):
         raise ValueError("right-hand side length does not match row count")
-    k = len(rhs)
-    rows = [list(m.row(i)) + [rhs[c][i] for c in range(k)] for i in range(m.nrows)]
-    if not rows:
-        return [(ZERO,) * ncols for _ in range(k)]
-    pivots = _eliminate(rows, ncols)
-    rank = len(pivots)
+    # each right-hand side gets its own integer scale: one scale per row
+    # would be the lcm of unrelated denominators across all the columns
+    scales = [lcm(*[v.denominator for v in col]) for col in rhs]
+    scaled = [[v.numerator * (t // v.denominator) for v in col]
+              for col, t in zip(rhs, scales)]
+    tracker = RankTracker(ncols + len(rhs))
+    tracker._limit = ncols
+    consistent = [True] * len(rhs)
+    for i in range(m.nrows):
+        w = tracker._reduce(m.row(i) + tuple(b[i] for b in scaled))
+        col = tracker._lead(w)
+        if col is not None:
+            tracker._push(w, col)
+            continue
+        for c in range(len(rhs)):
+            if w[ncols + c]:
+                consistent[c] = False
     out: list[Optional[tuple[Fraction, ...]]] = []
-    for c in range(k):
-        aug = ncols + c
-        if any(rows[r][aug] != 0 for r in range(rank, len(rows))):
+    for c, scale in enumerate(scales):
+        if not consistent[c]:
             out.append(None)
             continue
         x = [ZERO] * ncols
-        for r, p in enumerate(pivots):
-            x[p] = rows[r][aug]
+        scale *= tracker._den
+        for p, row in zip(tracker._pivots, tracker._rows):
+            x[p] = Fraction(row[ncols + c], scale)
         out.append(tuple(x))
     return out
-
-
-def _int_rows(row: Sequence[Fraction]) -> list[int]:
-    # scale a rational row to integers; rank is unchanged
-    mult = 1
-    for v in row:
-        d = v.denominator
-        mult = mult // gcd(mult, d) * d
-    return [int(v * mult) for v in row]
-
-
-class RankTracker:
-    """Incremental rank of a growing row set, fraction-free.
-
-    Rows are scaled to integers and kept in echelon form (sorted by pivot
-    column).  New rows are reduced by cross-multiplication, so elimination
-    stays in integer arithmetic; each surviving row is divided by its gcd to
-    keep entries small.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._rows: list[list[int]] = []   # echelon rows, pivot cols ascending
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, row: Sequence[Fraction]) -> Optional[tuple[int, list[int]]]:
-        work = _int_rows(row)
-        for pivot, base in zip(self._pivots, self._rows):
-            lead = work[pivot]
-            if lead == 0:
-                continue
-            blead = base[pivot]
-            work = [blead * w - lead * b for w, b in zip(work, base)]
-        lead_col = next((j for j, v in enumerate(work) if v != 0), None)
-        if lead_col is None:
-            return None
-        g = 0
-        for v in work:
-            g = gcd(g, v)
-        if work[lead_col] < 0:
-            g = -g
-        return lead_col, [v // g for v in work]
-
-    def would_grow(self, row: Sequence[Fraction]) -> bool:
-        """True iff adding this row would increase the rank."""
-        return self._reduce(row) is not None
-
-    def add(self, row: Sequence[Fraction]) -> bool:
-        """Add a row; returns True iff the rank grew."""
-        reduced = self._reduce(row)
-        if reduced is None:
-            return False
-        lead_col, work = reduced
-        # keep every pivot column zero in all other rows, so _reduce stays
-        # sound when rows arrive out of pivot order
-        for i, base in enumerate(self._rows):
-            coef = base[lead_col]
-            if coef != 0:
-                merged = [work[lead_col] * b - coef * w for b, w in zip(base, work)]
-                g = 0
-                for v in merged:
-                    g = gcd(g, v)
-                if merged[self._pivots[i]] < 0:
-                    g = -g
-                self._rows[i] = [v // g for v in merged]
-        at = next((i for i, p in enumerate(self._pivots) if p > lead_col),
-                  len(self._pivots))
-        self._pivots.insert(at, lead_col)
-        self._rows.insert(at, work)
-        return True
-
-
-def rank(m: Matrix) -> int:
-    """Rank via the integer fraction-free path."""
-    tracker = RankTracker(m.ncols)
-    for i in range(m.nrows):
-        tracker.add(m.row(i))
-    return tracker.rank

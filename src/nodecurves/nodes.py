@@ -15,11 +15,14 @@ that matrix exactly:
   is absent exactly when the node's row is spanned by the others.
 
 Search routines (``extend_to_poised`` and friends) walk a fixed enumeration
-of integer points, so their output is reproducible everywhere.
+of integer points, so their output is reproducible everywhere.  They test
+each point against one growing elimination, in a single pass: a point whose
+row is spanned stays spanned as the set grows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -225,36 +228,40 @@ def integer_spiral() -> Iterator[Node]:
         radius += 1
 
 
+def _independent_tracker(xs: NodeSet, n: int) -> RankTracker:
+    tracker = RankTracker(space_dim(n))
+    if not all(tracker.add(_monomial_row(p, n)) for p in xs):
+        raise ValueError("set is not independent at this degree")
+    return tracker
+
+
+def _spiral_search(tracker: RankTracker, n: int) -> Iterator[Node]:
+    """Spiral points whose rows grow the tracker, each added when found;
+    at most SEARCH_BUDGET points are read."""
+    for count, cand in enumerate(integer_spiral(), 1):
+        if count > SEARCH_BUDGET:
+            raise BudgetExceeded("no independent node found within budget")
+        if tracker.add(_monomial_row(cand, n)):
+            yield cand
+
+
 def next_independent_node(xs: NodeSet, n: int) -> Node:
-    """First spiral point where some current vanishing-basis element is
-    nonzero; adding it keeps the set n-independent.
+    """First spiral point where some degree-n polynomial vanishing on xs is
+    nonzero, i.e. whose row grows the rank; adding it keeps xs independent.
 
     Requires an n-independent xs with fewer than space_dim(n) nodes.
     """
-    if not is_independent(xs, n):
-        raise ValueError("set is not independent at this degree")
+    tracker = _independent_tracker(xs, n)
     if len(xs) >= space_dim(n):
         raise ValueError("set already has full size")
-    space = vanishing_basis(xs, n)
-    count = 0
-    for cand in integer_spiral():
-        count += 1
-        if count > SEARCH_BUDGET:
-            raise BudgetExceeded("no independent node found within budget")
-        if cand in xs:
-            continue
-        if any(q.eval(cand.x, cand.y) != 0 for q in space.basis):
-            return cand
-    raise BudgetExceeded("unreachable")
+    return next(_spiral_search(tracker, n))
 
 
 def extend_to_poised(xs: NodeSet, n: int) -> NodeSet:
-    """Deterministically grow an independent set to an n-poised superset."""
-    if not is_independent(xs, n):
-        raise ValueError("set is not independent at this degree")
+    """Deterministically grow an independent set to an n-poised superset,
+    adding next_independent_node's picks in one pass over the spiral."""
+    tracker = _independent_tracker(xs, n)
     if len(xs) > space_dim(n):
         raise ValueError("set larger than the space dimension")
-    out = xs
-    while len(out) < space_dim(n):
-        out = out.with_node(next_independent_node(out, n))
-    return out
+    found = itertools.islice(_spiral_search(tracker, n), space_dim(n) - len(xs))
+    return NodeSet(list(xs) + list(found))

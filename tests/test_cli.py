@@ -41,6 +41,15 @@ def test_basis_dimension(capsys):
     assert len(data["basis"]) == 2
 
 
+def test_indep_rejects_json_booleans(capsys):
+    # bool is an int subclass; true/false must not pass as coordinates
+    code, out, err = run(capsys, "indep", "-n", "1",
+                         '{"nodes": [[true, 0], [0, false]]}')
+    assert code == 1
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 def test_fund_polynomial_and_null(capsys):
     code, out, _ = run(capsys, "fund", "-n", "1", "--node", "0",
                        '{"nodes": [["0","0"],["1","0"],["0","1"]]}')

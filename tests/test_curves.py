@@ -5,6 +5,7 @@ import pytest
 
 from nodecurves import curves, nodes, poly
 from nodecurves.curves import Curve, LineForm, LineUnion, RationalParam
+from nodecurves.errors import BudgetExceeded
 from nodecurves.nodes import NodeSet, node
 from nodecurves.poly import Poly
 
@@ -100,6 +101,16 @@ def test_rational_param_skips_denominator_roots():
     assert all(p.x * p.y == 1 for p in pts)
     params = [t for t in itertools.islice(curves.rational_sequence(), 7) if t != 0]
     assert [p.y for p in pts] == params[:6]
+
+
+def test_rational_param_with_zero_denominator_is_bounded(monkeypatch):
+    # x_den is the zero polynomial, so every parameter is skipped; a small
+    # budget keeps the test fast, the real one takes the same path
+    monkeypatch.setattr(curves, "SAMPLER_BUDGET", 100)
+    never = RationalParam.of([0, 1], [0], [0, 1], [1])
+    diagonal = Curve.from_poly(poly.linear(1, -1, 0))
+    with pytest.raises(BudgetExceeded):
+        curves.extend_on_curve(NodeSet(), never, diagonal, 2)
 
 
 def test_is_maximal_curve_line_cases():

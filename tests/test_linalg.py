@@ -167,3 +167,158 @@ def test_tracker_rank_agrees_with_fraction_path(m):
     for i in range(m.nrows):
         tracker.add(m.row(i))
     assert tracker.rank == linalg.rref(m).rank
+
+
+# Slow reference: Fraction Gauss-Jordan with first-nonzero pivoting, the
+# package's elimination before the integer kernel replaced it.
+
+def _eliminate(rows: list[list[Fraction]], pivot_limit: int) -> list[int]:
+    """Gauss-Jordan in place; pivots are searched in columns < pivot_limit.
+
+    Returns the pivot column list.  Columns at or past pivot_limit are
+    carried along (augmented part) but never chosen as pivots.
+    """
+    pivots: list[int] = []
+    prow = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(min(pivot_limit, ncols)):
+        hit = next((r for r in range(prow, len(rows)) if rows[r][col] != 0), None)
+        if hit is None:
+            continue
+        rows[prow], rows[hit] = rows[hit], rows[prow]
+        lead = rows[prow][col]
+        if lead != 1:
+            rows[prow] = [v / lead for v in rows[prow]]
+        pivot_row = rows[prow]
+        for r in range(len(rows)):
+            if r == prow:
+                continue
+            factor = rows[r][col]
+            if factor != 0:
+                row = rows[r]
+                rows[r] = [row[j] - factor * pivot_row[j] for j in range(ncols)]
+        pivots.append(col)
+        prow += 1
+        if prow == len(rows):
+            break
+    return pivots
+
+
+def ref_rref(m):
+    rows = [list(m.row(i)) for i in range(m.nrows)]
+    pivots = _eliminate(rows, m.ncols)
+    return [tuple(r) for r in rows], tuple(pivots)
+
+
+def ref_nullspace(m):
+    rows, pivots = ref_rref(m)
+    basis = []
+    for f in (j for j in range(m.ncols) if j not in pivots):
+        vec = [F(0)] * m.ncols
+        vec[f] = F(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -rows[r][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def ref_solve_columns(m, columns):
+    k = len(columns)
+    rows = [list(m.row(i)) + [F(columns[c][i]) for c in range(k)]
+            for i in range(m.nrows)]
+    pivots = _eliminate(rows, m.ncols)
+    out = []
+    for c in range(k):
+        aug = m.ncols + c
+        if any(rows[r][aug] != 0 for r in range(len(pivots), len(rows))):
+            out.append(None)
+            continue
+        x = [F(0)] * m.ncols
+        for r, p in enumerate(pivots):
+            x[p] = rows[r][aug]
+        out.append(tuple(x))
+    return out
+
+
+@st.composite
+def awkward_matrices(draw, max_rows=7, max_cols=6):
+    """Rows with staggered leading zeros in shuffled order, so pivots arrive
+    out of column order, mixed with zero rows, duplicate rows and
+    combinations of earlier rows."""
+    ncols = draw(st.integers(1, max_cols))
+    rows: list[list[Fraction]] = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        kind = draw(st.sampled_from(["fresh", "zero", "duplicate", "combination"]))
+        if kind == "zero" or (kind != "fresh" and not rows):
+            rows.append([F(0)] * ncols)
+        elif kind == "fresh":
+            skip = draw(st.integers(0, ncols - 1))
+            tail = draw(st.lists(small_fracs, min_size=ncols - skip,
+                                 max_size=ncols - skip))
+            rows.append([F(0)] * skip + tail)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(small_fracs), draw(small_fracs)
+            rows.append([s * u + t * v for u, v in zip(a, b)])
+    return Matrix.from_rows(draw(st.permutations(rows)))
+
+
+def any_matrices():
+    return st.one_of(matrices(), awkward_matrices())
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_matrices())
+def test_rref_and_rank_match_reference(m):
+    rows, pivots = ref_rref(m)
+    got = linalg.rref(m)
+    assert got.matrix.rows() == rows
+    assert got.pivots == pivots
+    assert got.rank == len(pivots) == linalg.rank(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_matrices())
+def test_nullspace_matches_reference(m):
+    ns = linalg.nullspace(m)
+    assert [ns.column(j) for j in range(ns.ncols)] == ref_nullspace(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_matrices())
+def test_tracker_incremental_matches_reference(m):
+    tracker = RankTracker(m.ncols)
+    for i in range(m.nrows):
+        row = m.row(i)
+        before = tracker.rank
+        grows = tracker.would_grow(row)
+        assert tracker.rank == before
+        _, pivots = ref_rref(Matrix.from_rows(m.rows()[:i + 1]))
+        assert tracker.add(row) == grows == (len(pivots) > before)
+        assert tracker.rank == len(pivots)
+        assert not tracker.would_grow(row)
+
+
+# each right-hand side has its own denominators, unrelated to the others'
+unrelated_denominators = st.lists(
+    st.sampled_from([1, 3, 7, 11, 13, 17, 19, 23, 29, 31]), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_matrices(), unrelated_denominators, st.data())
+def test_solve_columns_matches_reference(m, dens, data):
+    columns = []
+    for den in dens:
+        numerators = st.integers(-40, 40)
+        if data.draw(st.booleans()):
+            # consistent by construction: b = m x
+            x = [Fraction(data.draw(numerators), den) for _ in range(m.ncols)]
+            columns.append(m.mul_vec(x))
+        else:
+            columns.append([Fraction(data.draw(numerators), den)
+                            for _ in range(m.nrows)])
+    got = linalg.solve_columns(m, columns)
+    assert got == ref_solve_columns(m, columns)
+    assert [linalg.solve(m, b) for b in columns] == got
