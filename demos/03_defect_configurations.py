@@ -16,7 +16,6 @@ from nodecurves import (
     NodeSet,
     characterize_defect,
     curve_through_extra_node,
-    curves_through,
     defect_config,
     extend_to_poised,
     same_curve,
@@ -32,13 +31,10 @@ print("  planted curve mu:", cfg.mu.poly)
 print("  planted outlier: "
       f"({cfg.outlier.x}, {cfg.outlier.y}) at index {cfg.outlier_index}")
 
-# The degree-k curves through ALL nodes form a 2-dimensional space -- that
-# is the defect.
-space = curves_through(cfg.nodes, k)
-print("  dim of degree-k curve space:", space.dimension)
-
-# Recover the structure from the node list alone.
+# Recover the structure from the node list alone.  The degree-k curves
+# through ALL nodes form a 2-dimensional space -- that is the defect.
 report = characterize_defect(cfg.nodes, n, k)
+print("dim of degree-k curve space:", report.curve_space_dim)
 print("recovered outlier index:", report.outlier_index)
 print("recovered mu equals planted mu (up to scale):",
       same_curve(report.mu, cfg.mu))
@@ -46,14 +42,14 @@ print("recovered mu equals planted mu (up to scale):",
 # With dimension >= 2 one can always pass a degree-k curve through the whole
 # set AND any extra point: combine two basis curves.
 extra = (5, 7)
-curve = curve_through_extra_node(cfg.nodes, k, extra)
+two = curve_through_extra_node(cfg.nodes, k, extra)
 print("curve through all nodes and", extra, "vanishes there:",
-      curve.poly.eval(5, 7) == 0)
+      two.curve.poly.eval(5, 7) == 0)
 
 # One more independent node kills the defect: the curve space collapses to
-# dimension <= 1.
+# dimension <= 1 (a larger one would raise TheoremViolation).
 grown = cfg.nodes.with_node(next_independent_node(cfg.nodes, n))
-print("after adding one independent node, at most one curve:",
+print("after adding one independent node, curve-space dim:",
       verify_uniqueness(grown, n, k))
 
 # A generic independent set of the same size shows no defect at all.

@@ -6,6 +6,8 @@ Take a poised set and a line passing through exactly 3 of its nodes.  A node
 off the line "uses" it when the line divides that node's fundamental
 polynomial.  The counting law: such a line is used by exactly one node or by
 exactly three, never two, never four -- and three users are never collinear.
+line_usage_reports checks both and raises TheoremViolation on a breach, so
+every report it returns obeys them.
 
 Triangular-scheme sets (n+1 nodes on one line, n on a second, and so on)
 are a natural hunting ground, since they are poised by construction and full
@@ -22,8 +24,6 @@ for n in (3, 4):
         line = report.line
         print(f"  line {line.a}*x + {line.b}*y + {line.c} = 0:"
               f" {len(report.users)} user(s)")
-        if len(report.users) == 3:
-            print("    noncollinear:", report.noncollinear_users)
 
 # Random poised sets rarely have 3 nodes on a line at all; an empty list is
 # a perfectly good answer.

@@ -54,10 +54,6 @@ def _nodes_arg(args) -> tuple[NodeSet, int]:
     return xs, n
 
 
-def _nodes_json(xs: NodeSet) -> list:
-    return [[str(p.x), str(p.y)] for p in xs]
-
-
 def _lines_arg(data) -> list[LineForm]:
     if isinstance(data, dict):
         data = [data]
@@ -152,9 +148,10 @@ def _cmd_extend(args) -> str:
 
 def _report(theorem: str, params: dict, dim: Optional[int],
             outlier_index: Optional[int], mu: Optional[dict],
-            ok: bool, **extra) -> str:
+            **extra) -> str:
+    # a failed check raises TheoremViolation (exit 2), so a report is ok
     data = {"theorem": theorem, "params": params, "dim": dim,
-            "outlier_index": outlier_index, "mu": mu, "ok": ok}
+            "outlier_index": outlier_index, "mu": mu, "ok": True}
     data.update(extra)
     return _dumps(data)
 
@@ -164,9 +161,8 @@ def _cmd_verify(args) -> str:
         xs, n = _nodes_arg(args)
         if args.k is None:
             raise ValueError("verify uniqueness requires -k")
-        ok = verify.verify_uniqueness(xs, n, args.k)
-        dim = verify.curves_through(xs, args.k).dimension
-        return _report("uniqueness", {"n": n, "k": args.k}, dim, None, None, ok)
+        dim = verify.verify_uniqueness(xs, n, args.k)
+        return _report("uniqueness", {"n": n, "k": args.k}, dim, None, None)
     if args.theorem == "defect":
         xs, n = _nodes_arg(args)
         if args.k is None:
@@ -174,16 +170,16 @@ def _cmd_verify(args) -> str:
         rep = verify.characterize_defect(xs, n, args.k)
         mu = rep.mu.to_json() if rep.mu is not None else None
         return _report("defect", {"n": n, "k": args.k}, rep.curve_space_dim,
-                       rep.outlier_index, mu, rep.consistent)
+                       rep.outlier_index, mu)
     if args.theorem == "lineusage":
         xs, n = _nodes_arg(args)
         reports = verify.line_usage_reports(xs, n)
-        return _report("lineusage", {"n": n}, None, None, None, True, reports=[
+        return _report("lineusage", {"n": n}, None, None, None, reports=[
             {
                 "line": r.line.to_json(),
-                "nodes_on_line": _nodes_json(r.nodes_on_line),
-                "users": _nodes_json(r.users),
-                "noncollinear_users": r.noncollinear_users,
+                "nodes_on_line": r.nodes_on_line.to_json()["nodes"],
+                "users": r.users.to_json()["nodes"],
+                "noncollinear_users": True,
             }
             for r in reports
         ])
@@ -197,10 +193,9 @@ def _cmd_verify(args) -> str:
     if len(parts) != 2:
         raise ValueError("--at expects two comma-separated rationals")
     a = nodes.node(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
-    dim = verify.curves_through(xs, args.k).dimension
-    curve = verify.curve_through_extra_node(xs, args.k, a)
+    rep = verify.curve_through_extra_node(xs, args.k, a)
     return _report("twocurves", {"k": args.k, "at": [str(a.x), str(a.y)]},
-                   dim, None, None, True, curve=curve.to_json())
+                   rep.curve_space_dim, None, None, curve=rep.curve.to_json())
 
 
 def _cmd_render(args) -> str:

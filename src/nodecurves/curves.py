@@ -78,7 +78,8 @@ class Curve:
 
     @staticmethod
     def from_json(data: dict) -> "Curve":
-        return Curve(Poly.from_json(data["poly"]), int(data["degree"]))
+        return Curve(Poly.from_json(data["poly"]),
+                     _poly.json_int(data["degree"], "degree"))
 
 
 def same_curve(a: Curve, b: Curve) -> bool:

@@ -82,13 +82,6 @@ class Matrix:
         return Matrix(self.ncols, self.nrows, tuple(
             self.at(i, j) for j in range(self.ncols) for i in range(self.nrows)))
 
-    def mul_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(v) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        return tuple(
-            sum((self.at(i, j) * v[j] for j in range(self.ncols)), ZERO)
-            for i in range(self.nrows))
-
 
 class RrefResult(NamedTuple):
     matrix: Matrix

@@ -111,7 +111,7 @@ class NodeSet:
     def from_json(data: dict) -> tuple["NodeSet", Optional[int]]:
         nodes = NodeSet(data["nodes"])
         n = data.get("n")
-        return nodes, (int(n) if n is not None else None)
+        return nodes, (_poly.json_int(n, "n") if n is not None else None)
 
 
 def _monomial_row(p: Node, n: int) -> list[Fraction]:

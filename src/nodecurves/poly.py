@@ -214,7 +214,14 @@ class Poly:
 
     @staticmethod
     def from_json(data: dict) -> "Poly":
-        return Poly.from_coeffs(data["coeffs"], int(data["n"]))
+        return Poly.from_coeffs(data["coeffs"], json_int(data["n"], "n"))
+
+
+def json_int(value, name: str) -> int:
+    """A JSON integer field; floats, strings and bools are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{name} must be an integer, not {value!r}")
 
 
 def linear(a, b, c) -> Poly:

@@ -18,8 +18,8 @@ facts checked:
   that divides any fundamental polynomial divides either exactly 1 or
   exactly 3 of them, and 3 users are never collinear.
 
-A violation is a hard error, not a False return: these routines exist to
-catch implementation bugs, so an inconsistent answer must stop the run.
+A violation raises, never a False return or a report flag: these routines
+catch implementation bugs.  What they return is what the CLI prints.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from typing import Optional
 from . import curves as _curves, linalg, nodes as _nodes, poly as _poly
 from .curves import Curve, LineForm
 from .errors import TheoremViolation
-from .linalg import Matrix
 from .nodes import Node, NodeSet, VanishingSpace
-from .poly import Poly, space_dim
+from .poly import Poly
 
 
 def curves_through(xs: NodeSet, k: int) -> VanishingSpace:
@@ -41,10 +40,11 @@ def curves_through(xs: NodeSet, k: int) -> VanishingSpace:
     return _nodes.vanishing_basis(xs, k)
 
 
-def verify_uniqueness(xs: NodeSet, n: int, k: int) -> bool:
-    """True iff at most one degree-k curve passes through the set.
+def verify_uniqueness(xs: NodeSet, n: int, k: int) -> int:
+    """Dimension (0 or 1) of the degree-k curve space through the set.
 
     The set must be n-independent of size exactly uniqueness_threshold(n, k).
+    Two or more independent degree-k curves are a TheoremViolation.
     """
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n")
@@ -52,7 +52,10 @@ def verify_uniqueness(xs: NodeSet, n: int, k: int) -> bool:
         raise ValueError("set size must equal the uniqueness threshold")
     if not _nodes.is_independent(xs, n):
         raise ValueError("set is not independent at this degree")
-    return curves_through(xs, k).dimension <= 1
+    dim = curves_through(xs, k).dimension
+    if dim > 1:
+        raise TheoremViolation(f"{dim} independent curves at the threshold")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,6 @@ class DefectReport:
     mu: Optional[Curve]
     outlier: Optional[Node]
     outlier_index: Optional[int]
-    consistent: bool
 
 
 def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
@@ -88,7 +90,7 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
         raise ValueError("set is not independent at this degree")
     dim = curves_through(xs, k).dimension
     if dim <= 1:
-        return DefectReport(dim, None, None, None, True)
+        return DefectReport(dim, None, None, None)
 
     # Removing node i frees a degree-(k-1) curve iff the rank of the
     # collocation matrix drops, i.e. iff every dependency among its rows
@@ -113,10 +115,18 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
     idx, mu = hits[0]
     if mu.degree != k - 1:
         raise TheoremViolation("curve through the rest has the wrong degree")
-    return DefectReport(dim, Curve.from_poly(mu), xs[idx], idx, True)
+    return DefectReport(dim, Curve.from_poly(mu), xs[idx], idx)
 
 
-def curve_through_extra_node(xs: NodeSet, k: int, a) -> Curve:
+@dataclass(frozen=True)
+class TwoCurveReport:
+    """Outcome of curve_through_extra_node; curve_space_dim is >= 2."""
+
+    curve_space_dim: int
+    curve: Curve
+
+
+def curve_through_extra_node(xs: NodeSet, k: int, a) -> TwoCurveReport:
     """Nonzero combination of the first two degree-k curves through xs
     that also vanishes at a.
 
@@ -144,7 +154,7 @@ def curve_through_extra_node(xs: NodeSet, k: int, a) -> Curve:
             raise TheoremViolation("combination misses a node of the set")
     if out.eval(a.x, a.y) != 0:
         raise TheoremViolation("combination misses the extra node")
-    return Curve.from_poly(out)
+    return TwoCurveReport(space.dimension, Curve.from_poly(out))
 
 
 @dataclass(frozen=True)
@@ -154,12 +164,6 @@ class UsageReport:
     line: LineForm
     nodes_on_line: NodeSet
     users: NodeSet
-    noncollinear_users: bool
-
-
-def _collinear(points: list[Node]) -> bool:
-    rows = [[p.x, p.y, 1] for p in points]
-    return linalg.rank(Matrix.from_rows(rows)) < 3
 
 
 def line_usage_reports(xs: NodeSet, n: int) -> list[UsageReport]:
@@ -175,18 +179,17 @@ def line_usage_reports(xs: NodeSet, n: int) -> list[UsageReport]:
     if not _nodes.is_poised(xs, n):
         raise ValueError("set is not poised at this degree")
     fps = _nodes.fundamental_polynomials(xs, n)
-    seen: set[LineForm] = set()
-    reports: list[UsageReport] = []
+    # group nodes by line; dict order is the order pairs first reach a line
+    on_line: dict[LineForm, set[int]] = {}
     for i, j in itertools.combinations(range(len(xs)), 2):
         line = LineForm.through(xs[i], xs[j]).canonical()
-        if line in seen:
-            continue
-        seen.add(line)
-        on = [idx for idx, p in enumerate(xs) if line.eval(p.x, p.y) == 0]
-        if len(on) != 3:
+        on_line.setdefault(line, set()).update((i, j))
+    reports: list[UsageReport] = []
+    for line, indices in on_line.items():
+        if len(indices) != 3:
             continue
         mult = _poly.multiplication_matrix(line.poly(), n)
-        off = [idx for idx in range(len(xs)) if idx not in on]
+        off = [idx for idx in range(len(xs)) if idx not in indices]
         sols = linalg.solve_columns(mult, [fps[idx].coeffs for idx in off])
         users = [idx for idx, sol in zip(off, sols) if sol is not None]
         if not users:
@@ -194,10 +197,10 @@ def line_usage_reports(xs: NodeSet, n: int) -> list[UsageReport]:
         if len(users) not in (1, 3):
             raise TheoremViolation(
                 f"3-node line with {len(users)} users")
-        noncollinear = True
         if len(users) == 3:
-            if _collinear([xs[idx] for idx in users]):
+            a, b, c = (xs[idx] for idx in users)
+            if LineForm.through(a, b).eval(c.x, c.y) == 0:
                 raise TheoremViolation("3 users of a line are collinear")
         reports.append(UsageReport(
-            line, xs.subset(on), xs.subset(users), noncollinear))
+            line, xs.subset(sorted(indices)), xs.subset(users)))
     return reports

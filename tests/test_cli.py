@@ -1,7 +1,12 @@
+import hashlib
 import io
 import json
 
+import pytest
+
+from nodecurves import verify
 from nodecurves.cli import main
+from nodecurves.nodes import NodeSet
 
 SQUARE = '{"nodes": [["0","0"],["1","0"],["0","1"],["1","1"]]}'
 FOUR = '{"nodes": [["0","0"],["1","0"],["2","0"],["0","1"]]}'
@@ -45,6 +50,22 @@ def test_indep_rejects_json_booleans(capsys):
     # bool is an int subclass; true/false must not pass as coordinates
     code, out, err = run(capsys, "indep", "-n", "1",
                          '{"nodes": [[true, 0], [0, false]]}')
+    assert code == 1
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("args", [
+    # int() used to truncate 2.5 to 2 and read true as 1
+    ["indep", '{"n": 2.5, "nodes": [[0,0],[1,0],[0,1]]}'],
+    ["indep", '{"n": true, "nodes": [[0,0],[1,0],[0,1]]}'],
+    ["indep", '{"n": "2", "nodes": [[0,0],[1,0],[0,1]]}'],
+    ["render", FOUR, "--curve", '{"n": 1.0, "coeffs": ["0", "1", "0"]}'],
+    ["render", FOUR, "--curve",
+     '{"degree": true, "poly": {"n": 1, "coeffs": ["0", "1", "0"]}}'],
+])
+def test_non_integer_json_fields_are_refused(capsys, args):
+    code, out, err = run(capsys, *args)
     assert code == 1
     assert out == ""
     assert "error" in json.loads(err)
@@ -163,6 +184,20 @@ def test_verify_uniqueness_size_precondition(capsys):
     assert "error" in json.loads(err)
 
 
+def test_verify_uniqueness_surplus_curve_is_exit_2(capsys, monkeypatch):
+    # the verifier sees the 2-dimensional conic space of FOUR
+    generic = '{"nodes": [[0,0],[1,0],[0,1],[1,1],[2,3]]}'
+    four = NodeSet([(0, 0), (1, 0), (2, 0), (0, 1)])
+    real = verify.curves_through
+    monkeypatch.setattr(verify, "curves_through",
+                        lambda _xs, k: real(four, k))
+    code, out, err = run(capsys, "verify", "uniqueness", "-n", "2", "-k",
+                         "2", generic)
+    assert code == 2
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 def test_verify_defect_inconsistency_is_exit_2(capsys):
     # dimension 2 without any single off-curve node: a loud failure
     code, _, err = run(capsys, "verify", "defect", "-n", "2", "-k", "2",
@@ -239,3 +274,30 @@ def test_render_accepts_line_and_curve_objects(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_verify_output_bytes_are_pinned(capsys):
+    # verify reports are a documented format: pin the sha256 of stdout
+    _, br, _ = run(capsys, "gen", "br", "-n", "3", "--seed", "5")
+    _, spiral, _ = run(capsys, "extend", "-n", "3", '{"nodes": []}')
+    _, defect, _ = run(capsys, "gen", "defect", "-n", "3", "-k", "2",
+                       "--seed", "19")
+    threshold = ('{"nodes": [["0","0"],["7","17/3"],["-7","-17/3"],'
+                 '["14","34/3"],["1","0"],["0","1"]]}')
+    cases = [
+        (["uniqueness", "-n", "3", "-k", "2", threshold],
+         "f93fb0d6f965a4f942d7ce51c7810ddae2a4352c67549fe6996b5f547cbac3a4"),
+        (["defect", "-n", "3", "-k", "2", defect],
+         "b6ed4f16d5f5c9792c5c682fdf8d66a8033445fd68a073c9c7a609220a915ea0"),
+        (["lineusage", "-n", "3", br],
+         "703dfdfce682035cc4b5f28a8ddd164c13a840f4cadf6f0bc8a014c6988d4a4d"),
+        # four 3-node lines, with 1 and with 3 users
+        (["lineusage", "-n", "3", spiral],
+         "46a64ebbcd1c33c3f3816dc36da499ad86f45e675413db9d8b8711948bc2960b"),
+        (["twocurves", "-k", "2", "--at=1,1", FOUR],
+         "47c15f0fd2cdbafbc2d75785060d42fa5c9e8fa048c543b7e56e74bc5b8e65b4"),
+    ]
+    for args, digest in cases:
+        code, out, _ = run(capsys, "verify", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args[0]

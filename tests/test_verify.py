@@ -22,7 +22,7 @@ def test_curves_through_dimensions():
 def test_verify_uniqueness_generic_five():
     xs = NodeSet([(0, 0), (1, 0), (0, 1), (1, 1), (2, 3)])
     assert len(xs) == curves.uniqueness_threshold(2, 2)
-    assert verify.verify_uniqueness(xs, 2, 2)
+    assert verify.verify_uniqueness(xs, 2, 2) == 1
 
 
 def test_verify_uniqueness_precondition_breach():
@@ -37,7 +37,17 @@ def test_verify_uniqueness_precondition_breach():
 def test_verify_uniqueness_after_extension():
     cfg = generators.defect_config(3, 2, 21)
     extended = cfg.nodes.with_node(nodes.next_independent_node(cfg.nodes, 3))
-    assert verify.verify_uniqueness(extended, 3, 2)
+    assert verify.verify_uniqueness(extended, 3, 2) == 1
+
+
+def test_verify_uniqueness_surplus_curve_is_violation(monkeypatch):
+    # a 2-dimensional curve space at the threshold breaks the theorem
+    xs = NodeSet([(0, 0), (1, 0), (0, 1), (1, 1), (2, 3)])
+    real = verify.curves_through
+    monkeypatch.setattr(verify, "curves_through",
+                        lambda _xs, k: real(FOUR, k))
+    with pytest.raises(TheoremViolation):
+        verify.verify_uniqueness(xs, 2, 2)
 
 
 def test_characterize_defect_round_trip():
@@ -45,7 +55,6 @@ def test_characterize_defect_round_trip():
         cfg = generators.defect_config(n, k, seed)
         report = verify.characterize_defect(cfg.nodes, n, k)
         assert report.curve_space_dim == 2
-        assert report.consistent
         assert report.outlier == cfg.outlier
         assert report.outlier_index == cfg.outlier_index
         assert curves.same_curve(report.mu, cfg.mu)
@@ -58,7 +67,6 @@ def test_characterize_defect_generic_set_has_no_defect():
     report = verify.characterize_defect(xs, 3, 2)
     assert report.curve_space_dim <= 1
     assert report.mu is None and report.outlier is None
-    assert report.consistent
 
 
 def test_characterize_defect_aborts_outside_theorem_range():
@@ -90,19 +98,20 @@ def test_characterize_defect_four_node_example():
 
 def test_combination_hand_example():
     got = verify.curve_through_extra_node(FOUR, 2, (1, 1))
+    assert got.curve_space_dim == 2
     want = Poly.from_terms({(0, 2): 1, (0, 1): -1}, 2)
-    assert got.poly.equals(want)
+    assert got.curve.poly.equals(want)
 
 
 def test_combination_first_basis_element_when_it_fits():
     # (0, 2) is a zero of the first basis element x*y already
     got = verify.curve_through_extra_node(FOUR, 2, (0, 2))
-    assert got.poly.equals(Poly.from_terms({(1, 1): 1}, 2))
+    assert got.curve.poly.equals(Poly.from_terms({(1, 1): 1}, 2))
 
 
 def test_combination_generic_point_vanishes_everywhere_needed():
     a = (3, 5)
-    got = verify.curve_through_extra_node(FOUR, 2, a)
+    got = verify.curve_through_extra_node(FOUR, 2, a).curve
     assert got.poly.eval(3, 5) == 0
     for p in FOUR:
         assert got.poly.eval(p.x, p.y) == 0
@@ -123,7 +132,24 @@ def test_line_usage_on_engineered_set():
     for rep in reports:
         assert len(rep.nodes_on_line) == 3
         assert len(rep.users) in (1, 3)
-        assert rep.noncollinear_users
+
+
+def test_line_usage_collinear_users_is_violation(monkeypatch):
+    # pretend the line divides exactly the fundamentals of three collinear
+    # nodes (on y = 0); the first 3-node line, y = x, misses all three
+    xs = nodes.extend_to_poised(NodeSet(), 3)
+    fps = nodes.fundamental_polynomials(xs, 3)
+    fake_users = {fps[xs.index(p)].coeffs for p in [(-1, 0), (1, 0), (2, 0)]}
+
+    def solve_columns(_mult, rhs):
+        hit = fake_users <= {tuple(b) for b in rhs}
+        return [() if hit and tuple(b) in fake_users else None for b in rhs]
+
+    # solve_columns also computes the fundamentals, so pin them first
+    monkeypatch.setattr(nodes, "fundamental_polynomials", lambda _xs, _n: fps)
+    monkeypatch.setattr(verify.linalg, "solve_columns", solve_columns)
+    with pytest.raises(TheoremViolation, match="collinear"):
+        verify.line_usage_reports(xs, 3)
 
 
 def test_line_usage_preconditions():
