@@ -13,6 +13,7 @@ one-line JSON object {"error": ...} to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -204,6 +205,7 @@ def _cmd_render(args) -> str:
     return render_svg(xs, polys)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nodecurves",

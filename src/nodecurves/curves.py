@@ -59,6 +59,7 @@ class Curve:
     degree: int
 
     def __post_init__(self):
+        _poly.json_int(self.degree, "degree")
         if self.poly.degree != self.degree or self.degree < 1:
             raise ValueError("declared degree must match and be >= 1")
 
@@ -78,8 +79,7 @@ class Curve:
 
     @staticmethod
     def from_json(data: dict) -> "Curve":
-        return Curve(Poly.from_json(data["poly"]),
-                     _poly.json_int(data["degree"], "degree"))
+        return Curve(Poly.from_json(data["poly"]), data["degree"])
 
 
 def same_curve(a: Curve, b: Curve) -> bool:
@@ -267,15 +267,14 @@ def node_uses(a, xs: NodeSet, n: int, q: Curve) -> bool:
         raise ValueError("node has no fundamental polynomial")
     if q.degree > n:
         raise ValueError("curve degree exceeds n")
-    src_dim = space_dim(n - q.degree)
+    # each row and its right-hand side may be scaled by its own nonzero
+    # number without changing whether the system is consistent
     rows = []
-    rhs = []
     for i, p in enumerate(xs):
-        value = q.poly.eval(p.x, p.y)
+        value = q.poly.eval(p.x, p.y).numerator
         row = [value * v for v in _nodes._monomial_row(p, n - q.degree)]
-        rows.append(row)
-        rhs.append(linalg.ONE if i == idx else linalg.ZERO)
-    sol = linalg.solve(Matrix.from_rows(rows), rhs)
+        rows.append(row + [1 if i == idx else 0])
+    sol = linalg.solve_rows(rows, space_dim(n - q.degree), 1)[0]
     return sol is not None
 
 
@@ -288,6 +287,12 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
     The sampler must emit points of q (checked); xs must lie on q and be
     n-independent.
     """
+    return _extend_on_curve(xs, sampler, q, n)[0]
+
+
+def _extend_on_curve(xs: NodeSet, sampler, q: Curve,
+                     n: int) -> tuple[NodeSet, RankTracker]:
+    """extend_on_curve, also returning the tracker of the result's rows."""
     if q.degree > n:
         raise ValueError("curve degree exceeds n")
     target = max_nodes_on_curve(n, q.degree)
@@ -300,7 +305,7 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
     stream = sampler.points()
     for count in range(SAMPLER_BUDGET):
         if tracker.rank == target:
-            return NodeSet(found)
+            return NodeSet(found), tracker
         try:
             cand = next(stream)
         except StopIteration:
@@ -310,7 +315,7 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
         if tracker.add(_nodes._monomial_row(cand, n)):
             found.append(cand)
     if tracker.rank == target:
-        return NodeSet(found)
+        return NodeSet(found), tracker
     raise BudgetExceeded("curve sampler exhausted before reaching the maximum")
 
 
@@ -327,7 +332,8 @@ def space_divisible_by(space: _nodes.VanishingSpace, q: Curve) -> bool:
     mult = _poly.multiplication_matrix(q.poly, n)
     tracker = RankTracker(space_dim(n))
     for j in range(mult.ncols):
-        tracker.add(mult.column(j))
+        tracker.add(linalg.integer_row(mult.column(j))[0])
     base = tracker.rank
-    return all(not tracker.would_grow(p.coeffs) for p in space.basis) and \
+    return all(not tracker.would_grow(linalg.integer_row(p.coeffs)[0])
+               for p in space.basis) and \
         base == space_dim(n - q.degree)

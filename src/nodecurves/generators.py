@@ -182,8 +182,7 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     lines = random_lines(rng, k - 1)
     union = LineUnion.of(lines)
     mu = union.curve()
-    on_curve = _curves.extend_on_curve(NodeSet(), union, mu, n)
-    tracker = _nodes._independent_tracker(on_curve, n)
+    on_curve, tracker = _curves._extend_on_curve(NodeSet(), union, mu, n)
     outlier = None
     for count, cand in enumerate(_nodes.integer_spiral()):
         if count >= PLACEMENT_BUDGET:

@@ -12,15 +12,22 @@ canonical forms matter to the rest of the package and are fixed:
 * ``solve`` returns the particular solution with all free variables 0, and
   ``None`` (not an error) when the system is inconsistent.
 
-The kernel scales each row to integers and keeps ``D`` times the RREF of
-the rows added so far: each kept row has ``D`` in its own pivot column and
-0 in every other one.  Reducing a row ``w`` is ``D*w - sum(w[p_i] * R_i)``,
+The kernel takes integer rows and keeps ``D`` times the RREF of the rows
+added so far: each kept row has ``D`` in its own pivot column and 0 in
+every other one.  Reducing a row ``w`` is ``D*w - sum(w[p_i] * R_i)``,
 with no division.  A new pivot clears its column in the kept rows; then all
 rows and ``D`` are divided by their common gcd, so ``D`` stays the least
 common denominator of the RREF.  Bareiss elimination divides by the
 previous pivot instead, which leaves a leading minor in place of ``D``: a
 multiple of it, often far larger, and slower on this package's searches.
-Fractions appear only when a reader normalizes the kept rows.
+
+Scaling a row by a nonzero number changes neither the rank nor the
+nullspace, so callers that build rows pass integer multiples straight in:
+the collocation rows of ``nodes`` are integer homogeneous rows (see
+``poly.homogeneous_row``).  A solve scales its right-hand side by the same
+factor as its row (``solve_rows``).  ``Fraction`` rows are scaled to
+integers once, where a ``Matrix`` enters the kernel (``integer_row``), and
+Fractions appear only in results, when a reader normalizes the kept rows.
 """
 
 from __future__ import annotations
@@ -78,10 +85,6 @@ class Matrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.at(i, j) for i in range(self.nrows))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ncols, self.nrows, tuple(
-            self.at(i, j) for j in range(self.ncols) for i in range(self.nrows)))
-
 
 class RrefResult(NamedTuple):
     matrix: Matrix
@@ -89,11 +92,17 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-class RankTracker:
-    """Incremental exact elimination of a growing row set, kept as
-    ``D`` times its RREF in insertion order (see the module docstring).
+def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    scale = lcm(*[v.denominator for v in row])
+    return [v.numerator * (scale // v.denominator) for v in row], scale
 
-    Pivots are chosen in columns below ``_limit``; ``solve_columns`` lowers
+
+class RankTracker:
+    """Incremental exact elimination of a growing set of integer rows, kept
+    as ``D`` times its RREF in insertion order (see the module docstring).
+
+    Pivots are chosen in columns below ``_limit``; ``solve_rows`` lowers
     it to carry right-hand sides along as extra columns.
     """
 
@@ -108,11 +117,8 @@ class RankTracker:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, row: Sequence[Fraction]) -> list[int]:
-        """``D*w - sum(w[p_i] * R_i)`` for the row ``w`` scaled to integers;
-        it is 0 in every pivot column."""
-        scale = lcm(*[v.denominator for v in row])
-        w = [v.numerator * (scale // v.denominator) for v in row]
+    def _reduce(self, w: Sequence[int]) -> Sequence[int]:
+        """``D*w - sum(w[p_i] * R_i)``; it is 0 in every pivot column."""
         den = self._den
         out = [den * v for v in w] if den != 1 else w
         for pivot, base in zip(self._pivots, self._rows):
@@ -121,10 +127,10 @@ class RankTracker:
                 out = [o - f * b for o, b in zip(out, base)]
         return out
 
-    def _lead(self, w: list[int]) -> Optional[int]:
+    def _lead(self, w: Sequence[int]) -> Optional[int]:
         return next((j for j in range(self._limit) if w[j]), None)
 
-    def _push(self, w: list[int], col: int) -> None:
+    def _push(self, w: Sequence[int], col: int) -> None:
         """Make col a pivot, given a reduced row w with w[col] != 0."""
         g = gcd(*w)
         w = [v // g for v in w] if w[col] > 0 else [-v // g for v in w]
@@ -149,11 +155,11 @@ class RankTracker:
             den //= g
         self._den = den
 
-    def would_grow(self, row: Sequence[Fraction]) -> bool:
+    def would_grow(self, row: Sequence[int]) -> bool:
         """True iff adding this row would increase the rank."""
         return self._lead(self._reduce(row)) is not None
 
-    def add(self, row: Sequence[Fraction]) -> bool:
+    def add(self, row: Sequence[int]) -> bool:
         """Add a row; returns True iff the rank grew."""
         w = self._reduce(row)
         col = self._lead(w)
@@ -162,11 +168,27 @@ class RankTracker:
         self._push(w, col)
         return True
 
+    def nullspace(self) -> list[tuple[Fraction, ...]]:
+        """Canonical basis of the vectors orthogonal to every row added,
+        one per free column (the basis ``nullspace`` describes)."""
+        den = self._den
+        pivot_set = set(self._pivots)
+        basis: list[tuple[Fraction, ...]] = []
+        for f in range(self.ncols):
+            if f in pivot_set:
+                continue
+            vec = [ZERO] * self.ncols
+            vec[f] = ONE
+            for p, row in zip(self._pivots, self._rows):
+                vec[p] = Fraction(-row[f], den)
+            basis.append(tuple(vec))
+        return basis
+
 
 def _tracker(m: Matrix) -> RankTracker:
     tracker = RankTracker(m.ncols)
     for i in range(m.nrows):
-        tracker.add(m.row(i))
+        tracker.add(integer_row(m.row(i))[0])
     return tracker
 
 
@@ -193,19 +215,9 @@ def nullspace(m: Matrix) -> Matrix:
     columns, and -R[r][f] at each pivot column; free columns are taken in
     increasing index order.  An injective matrix yields a (ncols x 0) result.
     """
-    tracker = _tracker(m)
-    den = tracker._den
-    pivot_set = set(tracker._pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    basis: list[list[Fraction]] = []
-    for f in free:
-        vec = [ZERO] * m.ncols
-        vec[f] = ONE
-        for p, row in zip(tracker._pivots, tracker._rows):
-            vec[p] = Fraction(-row[f], den)
-        basis.append(vec)
-    flat = tuple(basis[j][i] for i in range(m.ncols) for j in range(len(free)))
-    return Matrix(m.ncols, len(free), flat)
+    basis = _tracker(m).nullspace()
+    flat = tuple(v[i] for i in range(m.ncols) for v in basis)
+    return Matrix(m.ncols, len(basis), flat)
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -220,34 +232,46 @@ def solve_columns(m: Matrix, columns: Sequence[Sequence]) -> list[Optional[tuple
     Returns, per column, the canonical free-variables-zero solution or None
     when that column is inconsistent.
     """
-    ncols = m.ncols
     rhs = [[frac(v) for v in col] for col in columns]
     if any(len(col) != m.nrows for col in rhs):
         raise ValueError("right-hand side length does not match row count")
     # each right-hand side gets its own integer scale: one scale per row
     # would be the lcm of unrelated denominators across all the columns
-    scales = [lcm(*[v.denominator for v in col]) for col in rhs]
-    scaled = [[v.numerator * (t // v.denominator) for v in col]
-              for col, t in zip(rhs, scales)]
-    tracker = RankTracker(ncols + len(rhs))
+    scaled = [integer_row(col) for col in rhs]
+    rows = (integer_row(m.row(i) + tuple(b[i] for b, _ in scaled))[0]
+            for i in range(m.nrows))
+    return solve_rows(rows, m.ncols, len(rhs), [t for _, t in scaled])
+
+
+def solve_rows(rows: Iterable[Sequence[int]], ncols: int, nrhs: int,
+               divisors: Optional[Sequence[int]] = None,
+               ) -> list[Optional[tuple[Fraction, ...]]]:
+    """Solve A x = b for nrhs right-hand sides with one elimination.
+
+    Each row is an integer row of A followed by that row's entry of every
+    right-hand side.  Returns, per right-hand side, the canonical
+    free-variables-zero solution divided by its divisor (1 by default), or
+    None when that right-hand side is inconsistent.
+    """
+    tracker = RankTracker(ncols + nrhs)
     tracker._limit = ncols
-    consistent = [True] * len(rhs)
-    for i in range(m.nrows):
-        w = tracker._reduce(m.row(i) + tuple(b[i] for b in scaled))
+    consistent = [True] * nrhs
+    for row in rows:
+        w = tracker._reduce(row)
         col = tracker._lead(w)
         if col is not None:
             tracker._push(w, col)
             continue
-        for c in range(len(rhs)):
+        for c in range(nrhs):
             if w[ncols + c]:
                 consistent[c] = False
     out: list[Optional[tuple[Fraction, ...]]] = []
-    for c, scale in enumerate(scales):
+    for c in range(nrhs):
         if not consistent[c]:
             out.append(None)
             continue
         x = [ZERO] * ncols
-        scale *= tracker._den
+        scale = tracker._den * (divisors[c] if divisors else 1)
         for p, row in zip(tracker._pivots, tracker._rows):
             x[p] = Fraction(row[ncols + c], scale)
         out.append(tuple(x))

@@ -14,6 +14,13 @@ that matrix exactly:
   canonical solution of the collocation system against a unit vector, and
   is absent exactly when the node's row is spanned by the others.
 
+The kernel reads integer rows: a node's row is ``poly.homogeneous_row``,
+the monomials scaled by e^n, where e is the common denominator of the
+node's coordinates.  That scale changes no rank and no vanishing space; a
+fundamental polynomial's solve puts it on the right-hand side instead of
+1.  ``collocation_matrix`` alone divides it out, and Fractions appear only
+in results.
+
 Search routines (``extend_to_poised`` and friends) walk a fixed enumeration
 of integer points, so their output is reproducible everywhere.  They test
 each point against one growing elimination, in a single pass: a point whose
@@ -114,25 +121,18 @@ class NodeSet:
         return nodes, (_poly.json_int(n, "n") if n is not None else None)
 
 
-def _monomial_row(p: Node, n: int) -> list[Fraction]:
-    xs = [linalg.ONE]
-    ys = [linalg.ONE]
-    for _ in range(n):
-        xs.append(xs[-1] * p.x)
-        ys.append(ys[-1] * p.y)
-    row = []
-    for idx in range(space_dim(n)):
-        i, j = _poly.monomial_exponents(idx)
-        row.append(xs[i] * ys[j])
-    return row
+def _monomial_row(p: Node, n: int) -> list[int]:
+    """The node's collocation row times its scale, in integers."""
+    return _poly.homogeneous_row(p.x, p.y, n)[0]
 
 
 def collocation_matrix(xs: NodeSet, n: int) -> Matrix:
     """One row per node, evaluating the degree-n monomial basis there."""
-    rows = [_monomial_row(p, n) for p in xs]
-    if not rows:
-        return Matrix(0, space_dim(n), ())
-    return Matrix.from_rows(rows)
+    entries = []
+    for p in xs:
+        row, scale = _poly.homogeneous_row(p.x, p.y, n)
+        entries += [Fraction(v, scale) for v in row]
+    return Matrix(len(xs), space_dim(n), tuple(entries))
 
 
 def hilbert_function(xs: NodeSet, n: int) -> int:
@@ -173,27 +173,33 @@ class VanishingSpace:
 
 
 def vanishing_basis(xs: NodeSet, n: int) -> VanishingSpace:
-    ns = linalg.nullspace(collocation_matrix(xs, n))
-    basis = tuple(Poly(n, ns.column(j)) for j in range(ns.ncols))
-    return VanishingSpace(n, basis)
+    tracker = RankTracker(space_dim(n))
+    for p in xs:
+        tracker.add(_monomial_row(p, n))
+    return VanishingSpace(n, tuple(Poly(n, v) for v in tracker.nullspace()))
+
+
+def _fundamentals(xs: NodeSet, n: int,
+                  targets: list[int]) -> list[Optional[Poly]]:
+    """Fundamental polynomials of the nodes at the target indices, with one
+    elimination; a row scaled by s asks for the value s at its target."""
+    rows = []
+    for i, p in enumerate(xs):
+        row, scale = _poly.homogeneous_row(p.x, p.y, n)
+        rows.append(row + [scale if i == t else 0 for t in targets])
+    sols = linalg.solve_rows(rows, space_dim(n), len(targets))
+    return [None if s is None else Poly(n, s) for s in sols]
 
 
 def fundamental_polynomial(a, xs: NodeSet, n: int) -> Optional[Poly]:
     """Canonical p with p(a) = 1 and p = 0 on the rest of xs, or None."""
-    a = _coerce(a)
-    idx = xs.index(a)  # raises ValueError if a is not a node of xs
-    target = [linalg.ONE if i == idx else linalg.ZERO for i in range(len(xs))]
-    sol = linalg.solve(collocation_matrix(xs, n), target)
-    return None if sol is None else Poly(n, sol)
+    idx = xs.index(_coerce(a))  # raises ValueError if a is not a node of xs
+    return _fundamentals(xs, n, [idx])[0]
 
 
 def fundamental_polynomials(xs: NodeSet, n: int) -> list[Optional[Poly]]:
     """All fundamental polynomials with a single elimination."""
-    size = len(xs)
-    columns = [[linalg.ONE if i == idx else linalg.ZERO for i in range(size)]
-               for idx in range(size)]
-    sols = linalg.solve_columns(collocation_matrix(xs, n), columns)
-    return [None if s is None else Poly(n, s) for s in sols]
+    return _fundamentals(xs, n, list(range(len(xs))))
 
 
 def integer_spiral() -> Iterator[Node]:
@@ -204,28 +210,29 @@ def integer_spiral() -> Iterator[Node]:
     counterclockwise from the positive x-axis; all comparisons are exact.
     """
     yield node(0, 0)
-    radius = 1
-    while True:
-        ring = []
-        for x in range(-radius, radius + 1):
-            for y in range(-radius, radius + 1):
-                if max(abs(x), abs(y)) == radius:
-                    ring.append((x, y))
-
-        def angle_key(pt):
-            x, y = pt
-            if x > 0 and y >= 0:
-                return (0, Fraction(y, x))
-            if x <= 0 and y > 0:
-                return (1, Fraction(-x, y))
-            if x < 0 and y <= 0:
-                return (2, Fraction(-y, -x))
-            return (3, Fraction(x, -y))
-
-        ring.sort(key=lambda pt: (abs(pt[0]) + abs(pt[1]), angle_key(pt)))
+    for radius in itertools.count(1):
+        side = range(-radius, radius + 1)
+        ring = [(x, y) for x in (-radius, radius) for y in side]
+        ring += [(x, y) for y in (-radius, radius) for x in side[1:-1]]
+        ring.sort(key=_spiral_key)
         for x, y in ring:
             yield node(x, y)
-        radius += 1
+
+
+def _spiral_key(pt: tuple[int, int]) -> tuple[int, int, int]:
+    """(|x|+|y|, quadrant, position in the quadrant).  On a ring with fixed
+    |x|+|y|, the angle's tangent within a quadrant grows with one
+    coordinate, so that coordinate orders the sweep."""
+    x, y = pt
+    if x > 0 and y >= 0:
+        quadrant = 0
+    elif x <= 0 and y > 0:
+        quadrant = 1
+    elif x < 0 and y <= 0:
+        quadrant = 2
+    else:
+        quadrant = 3
+    return abs(x) + abs(y), quadrant, (y, -x, -y, x)[quadrant]
 
 
 def _independent_tracker(xs: NodeSet, n: int) -> RankTracker:

@@ -10,17 +10,27 @@ so the monomial x^i y^j with t = i + j sits at index t(t+1)/2 + (t - i).
 The degree bound is bookkeeping only; the effective degree of a polynomial
 is the largest total degree with a nonzero coefficient, and the zero
 polynomial has no degree (reported as None).
+
+Evaluation is integer arithmetic.  ``homogeneous_row`` writes a point as
+(A/e, C/e) over a common denominator e and returns the monomials at it as
+the integers A^i C^j e^(n-i-j), with the scale e^n they were multiplied
+by.  The same rows feed the elimination kernel (see ``linalg``); a
+``Poly`` keeps its coefficients as integers over one denominator, so
+``eval`` is an integer dot product and builds a single ``Fraction``, the
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
+from operator import mul
 from typing import Iterator, Optional
 
 from . import linalg
-from .linalg import Matrix, ZERO, ONE, frac
+from .linalg import Matrix, ZERO, frac
 
 
 def space_dim(n: int) -> int:
@@ -45,6 +55,28 @@ def monomial_exponents(index: int) -> tuple[int, int]:
     t = (isqrt(8 * index + 1) - 1) // 2
     offset = index - t * (t + 1) // 2
     return t - offset, offset
+
+
+def homogeneous_row(x, y, n: int) -> tuple[list[int], int]:
+    """Degree-n monomials at (x, y) times ``scale``, as integers.
+
+    With x = A/e and y = C/e over e = lcm(den x, den y), the entry of
+    x^i y^j is A^i C^j e^(n-i-j) and ``scale`` is e^n, the lcm of the
+    denominators of all entries.  Order is graded-lex, as for coefficients.
+    """
+    e = lcm(x.denominator, y.denominator)
+    a = x.numerator * (e // x.denominator)
+    c = y.numerator * (e // y.denominator)
+    a_pows, c_pows, e_pows = [1], [1], [1]
+    for _ in range(n):
+        a_pows.append(a_pows[-1] * a)
+        c_pows.append(c_pows[-1] * c)
+        e_pows.append(e_pows[-1] * e)
+    row: list[int] = []
+    for t in range(n + 1):
+        et = e_pows[n - t]
+        row += [a_pows[i] * c_pows[t - i] * et for i in range(t, -1, -1)]
+    return row, e_pows[n]
 
 
 @dataclass(frozen=True)
@@ -118,19 +150,15 @@ class Poly:
                 i, j = monomial_exponents(idx)
                 yield i, j, c
 
+    @cached_property
+    def _integer_coeffs(self) -> tuple[list[int], int]:
+        """Coefficients times their common denominator d, and d."""
+        return linalg.integer_row(self.coeffs)
+
     def eval(self, x, y) -> Fraction:
-        x, y = frac(x), frac(y)
-        xs = [ONE]
-        ys = [ONE]
-        for _ in range(self.bound):
-            xs.append(xs[-1] * x)
-            ys.append(ys[-1] * y)
-        total = ZERO
-        for idx, c in enumerate(self.coeffs):
-            if c != 0:
-                i, j = monomial_exponents(idx)
-                total += c * xs[i] * ys[j]
-        return total
+        row, scale = homogeneous_row(frac(x), frac(y), self.bound)
+        coeffs, den = self._integer_coeffs
+        return Fraction(sum(map(mul, coeffs, row)), den * scale)
 
     def eval_float(self, x: float, y: float) -> float:
         # float path for rendering only; decisions always use eval()

@@ -94,12 +94,14 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
 
     # Removing node i frees a degree-(k-1) curve iff the rank of the
     # collocation matrix drops, i.e. iff every dependency among its rows
-    # has coefficient 0 at i.
-    m = _nodes.collocation_matrix(xs, k - 1)
-    dependencies = linalg.nullspace(m.transpose())
+    # has coefficient 0 at i.  Scaling the rows keeps that zero pattern.
+    rows = [_nodes._monomial_row(p, k - 1) for p in xs]
+    transpose = linalg.RankTracker(len(xs))
+    for column in zip(*rows):
+        transpose.add(column)
+    dependencies = transpose.nullspace()
     candidates = [i for i in range(len(xs))
-                  if all(dependencies.at(i, j) == 0
-                         for j in range(dependencies.ncols))]
+                  if all(dep[i] == 0 for dep in dependencies)]
     hits: list[tuple[int, Poly]] = []
     for i in candidates:
         space = _nodes.vanishing_basis(xs.without(xs[i]), k - 1)
@@ -178,16 +180,18 @@ def line_usage_reports(xs: NodeSet, n: int) -> list[UsageReport]:
         raise ValueError("need n >= 3")
     if not _nodes.is_poised(xs, n):
         raise ValueError("set is not poised at this degree")
-    fps = _nodes.fundamental_polynomials(xs, n)
     # group nodes by line; dict order is the order pairs first reach a line
     on_line: dict[LineForm, set[int]] = {}
     for i, j in itertools.combinations(range(len(xs)), 2):
         line = LineForm.through(xs[i], xs[j]).canonical()
         on_line.setdefault(line, set()).update((i, j))
+    three = [(line, indices) for line, indices in on_line.items()
+             if len(indices) == 3]
+    if not three:
+        return []
+    fps = _nodes.fundamental_polynomials(xs, n)
     reports: list[UsageReport] = []
-    for line, indices in on_line.items():
-        if len(indices) != 3:
-            continue
+    for line, indices in three:
         mult = _poly.multiplication_matrix(line.poly(), n)
         off = [idx for idx in range(len(xs)) if idx not in indices]
         sols = linalg.solve_columns(mult, [fps[idx].coeffs for idx in off])

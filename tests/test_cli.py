@@ -225,6 +225,20 @@ def test_invalid_arguments_exit_1(capsys):
     assert code == 1
 
 
+def test_reused_parser_keeps_no_state(capsys):
+    # one parser serves every call in a process; a flag or an error seen
+    # by an earlier call must not leak into a later one
+    with_n = '{"n": 2, "nodes": [["0","0"],["1","0"],["2","0"]]}'
+    first = run(capsys, "indep", with_n)
+    assert first[0] == 0
+    run(capsys, "indep", "-n", "1", with_n)
+    run(capsys, "dstar", "-n", "5")
+    run(capsys, "verify", "twocurves", "-k", "2", "--at=1,1", FOUR)
+    assert run(capsys, "indep", with_n) == first
+    code, _, _ = run(capsys, "verify", "twocurves", "-k", "2", FOUR)
+    assert code == 1
+
+
 def test_file_and_stdin_inputs(tmp_path, capsys, monkeypatch):
     path = tmp_path / "nodes.json"
     path.write_text(FOUR)

@@ -41,6 +41,9 @@ def test_curve_validation():
         Curve(Poly.constant(3), 0)
     with pytest.raises(ValueError):
         Curve(poly.linear(1, 0, 0), 2)
+    for degree in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            Curve(poly.linear(1, 0, 0), degree)
     c = Curve.from_poly(poly.linear(1, 1, -1))
     assert c.degree == 1
     assert c.contains((1, 0)) and not c.contains((1, 1))

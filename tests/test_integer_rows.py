@@ -1,0 +1,101 @@
+"""The integer homogeneous rows against plain Fraction arithmetic.
+
+Collocation rows, evaluation and the solves behind fundamental
+polynomials, vanishing spaces and ``node_uses`` run on integer rows scaled
+by e^n, where e is the common denominator of a node's coordinates.  Each
+test recomputes the same value with Fractions and the Matrix readers and
+compares exactly.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nodecurves import curves, linalg, nodes, poly
+from nodecurves.curves import Curve
+from nodecurves.linalg import Matrix
+from nodecurves.nodes import NodeSet, node
+from nodecurves.poly import Poly
+
+# zero and negative numerators, and denominators sharing no factor
+coords = st.builds(Fraction, st.integers(-9, 9),
+                   st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11]))
+points = st.tuples(coords, coords).map(lambda p: node(*p))
+
+
+def node_sets(max_size=7):
+    return st.lists(st.tuples(coords, coords), max_size=max_size,
+                    unique=True).map(NodeSet)
+
+
+def fraction_row(p, n):
+    return [p.x ** i * p.y ** j
+            for i, j in map(poly.monomial_exponents, range(poly.space_dim(n)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(points, st.integers(0, 6))
+def test_monomial_row_is_scaled_fraction_row(p, n):
+    scale = lcm(p.x.denominator, p.y.denominator) ** n
+    want = fraction_row(p, n)
+    got = nodes._monomial_row(p, n)
+    assert all(type(v) is int for v in got)
+    assert got == [scale * v for v in want]
+    assert poly.homogeneous_row(p.x, p.y, n) == (got, scale)
+    assert nodes.collocation_matrix(NodeSet([p]), n).row(0) == tuple(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.lists(coords, min_size=poly.space_dim(n),
+                       max_size=poly.space_dim(n)).map(
+        lambda cs: Poly.from_coeffs(cs, n))), points)
+def test_eval_matches_fraction_sum(p, a):
+    want = sum((c * a.x ** i * a.y ** j for i, j, c in p.terms()),
+               Fraction(0))
+    assert p.eval(a.x, a.y) == want
+    # a second call reads the cached integer coefficients
+    assert p.eval(a.x, a.y) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(node_sets(), st.integers(0, 3))
+def test_fundamental_polynomials_match_fraction_solves(xs, n):
+    m = nodes.collocation_matrix(xs, n)
+    want = []
+    for idx in range(len(xs)):
+        target = [Fraction(int(i == idx)) for i in range(len(xs))]
+        sol = linalg.solve(m, target)
+        want.append(None if sol is None else Poly(n, sol))
+    assert nodes.fundamental_polynomials(xs, n) == want
+    for idx, p in enumerate(xs):
+        assert nodes.fundamental_polynomial(p, xs, n) == want[idx]
+
+
+@settings(max_examples=60, deadline=None)
+@given(node_sets(), st.integers(0, 3))
+def test_vanishing_basis_matches_fraction_nullspace(xs, n):
+    ns = linalg.nullspace(nodes.collocation_matrix(xs, n))
+    want = tuple(Poly(n, ns.column(j)) for j in range(ns.ncols))
+    assert nodes.vanishing_basis(xs, n).basis == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(node_sets().filter(len), st.integers(1, 3), coords, coords, coords)
+def test_node_uses_matches_fraction_solve(xs, n, a, b, c):
+    assume(a != 0 or b != 0)
+    q = Curve.from_poly(poly.linear(a, b, c))
+    first = xs[0]
+    if nodes.fundamental_polynomial(first, xs, n) is None:
+        with pytest.raises(ValueError):
+            curves.node_uses(first, xs, n, q)
+        return
+    # p = q*r with p(first) = 1 and p = 0 on the other nodes
+    rows = [[q.poly.eval(p.x, p.y) * v for v in fraction_row(p, n - 1)]
+            for p in xs]
+    target = [Fraction(int(i == 0)) for i in range(len(xs))]
+    want = linalg.solve(Matrix.from_rows(rows), target) is not None
+    assert curves.node_uses(first, xs, n, q) == want

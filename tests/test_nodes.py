@@ -109,6 +109,37 @@ def test_integer_spiral_prefix():
                    node(-1, 0), node(0, -1), node(1, 1)]
 
 
+def _spiral_by_fraction_angle():
+    # the spiral as first written: scan the square, sort by Fraction slopes
+    yield node(0, 0)
+    radius = 1
+    while True:
+        ring = [(x, y) for x in range(-radius, radius + 1)
+                for y in range(-radius, radius + 1)
+                if max(abs(x), abs(y)) == radius]
+
+        def angle_key(pt):
+            x, y = pt
+            if x > 0 and y >= 0:
+                return (0, Fraction(y, x))
+            if x <= 0 and y > 0:
+                return (1, Fraction(-x, y))
+            if x < 0 and y <= 0:
+                return (2, Fraction(-y, -x))
+            return (3, Fraction(x, -y))
+
+        ring.sort(key=lambda pt: (abs(pt[0]) + abs(pt[1]), angle_key(pt)))
+        for x, y in ring:
+            yield node(x, y)
+        radius += 1
+
+
+def test_integer_spiral_matches_fraction_angle_order():
+    count = 10_000
+    got = list(itertools.islice(nodes.integer_spiral(), count))
+    assert got == list(itertools.islice(_spiral_by_fraction_angle(), count))
+
+
 def test_extend_to_poised_from_empty_degree_one():
     got = nodes.extend_to_poised(NodeSet(), 1)
     assert got == NodeSet([(0, 0), (1, 0), (0, 1)])

@@ -145,7 +145,7 @@ def test_line_usage_collinear_users_is_violation(monkeypatch):
         hit = fake_users <= {tuple(b) for b in rhs}
         return [() if hit and tuple(b) in fake_users else None for b in rhs]
 
-    # solve_columns also computes the fundamentals, so pin them first
+    # pin the fundamentals whose coefficients the fake solve recognizes
     monkeypatch.setattr(nodes, "fundamental_polynomials", lambda _xs, _n: fps)
     monkeypatch.setattr(verify.linalg, "solve_columns", solve_columns)
     with pytest.raises(TheoremViolation, match="collinear"):
@@ -174,3 +174,15 @@ def test_line_usage_no_three_node_lines_is_empty():
     else:
         reports = verify.line_usage_reports(xs, 3)
         assert all(len(r.users) in (1, 3) for r in reports)
+
+
+def test_line_usage_without_three_node_lines_skips_fundamentals(monkeypatch):
+    # no line through 3 nodes of this set: nothing to audit, nothing to solve
+    xs = generators.random_poised(4, 1)
+
+    def fundamental_polynomials(_xs, _n):
+        raise AssertionError("fundamental polynomials were computed")
+
+    monkeypatch.setattr(nodes, "fundamental_polynomials",
+                        fundamental_polynomials)
+    assert verify.line_usage_reports(xs, 4) == []
