@@ -65,6 +65,8 @@ def _lines_arg(data) -> list[LineForm]:
 
 def _curve_poly(data) -> Poly:
     # accept a curve, a bare polynomial, or a line coefficient object
+    if not isinstance(data, dict):
+        raise ValueError("a curve must be a JSON object")
     if "poly" in data:
         return Curve.from_json(data).poly
     if "coeffs" in data:

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 from . import linalg, nodes as _nodes, poly as _poly
 from .errors import BudgetExceeded
-from .linalg import Matrix, RankTracker, frac
+from .linalg import RankTracker, frac
 from .nodes import Node, NodeSet, node
 from .poly import Poly, space_dim
 
@@ -83,13 +83,8 @@ class Curve:
 
 
 def same_curve(a: Curve, b: Curve) -> bool:
-    """Equality up to a nonzero scalar, as a rank-1 check on coefficients."""
-    bound = max(a.poly.bound, b.poly.bound)
-    stacked = Matrix.from_rows([
-        a.poly.with_bound(bound).coeffs,
-        b.poly.with_bound(bound).coeffs,
-    ])
-    return linalg.rank(stacked) == 1
+    """Equality up to a nonzero scalar."""
+    return a.poly.normalized().equals(b.poly.normalized())
 
 
 def rational_sequence() -> Iterator[Fraction]:
@@ -319,21 +314,28 @@ def _extend_on_curve(xs: NodeSet, sampler, q: Curve,
     raise BudgetExceeded("curve sampler exhausted before reaching the maximum")
 
 
+def _multiples(q: Poly, n: int) -> RankTracker:
+    """Tracker spanned by q times every monomial of degree <= n - deg q.
+
+    A polynomial p of bound n is divisible by q iff its coefficient row
+    lies in that span, that is, iff the row does not grow the tracker.
+    """
+    mult = _poly.multiplication_matrix(q, n)
+    tracker = RankTracker(space_dim(n))
+    for j in range(mult.ncols):
+        tracker.add(linalg.integer_row(mult.column(j))[0])
+    return tracker
+
+
 def space_divisible_by(space: _nodes.VanishingSpace, q: Curve) -> bool:
     """Is every polynomial of the space divisible by q?
 
-    Equivalent to span containment in q * (polynomials of degree
-    <= n - deg q), checked with one rank computation instead of a solve per
-    basis element.
+    Decided by span membership in q * (polynomials of degree <= n - deg q),
+    one tracker for the whole basis instead of a solve per element.
     """
     n = space.n
     if q.degree > n:
         return all(p.is_zero for p in space.basis)
-    mult = _poly.multiplication_matrix(q.poly, n)
-    tracker = RankTracker(space_dim(n))
-    for j in range(mult.ncols):
-        tracker.add(linalg.integer_row(mult.column(j))[0])
-    base = tracker.rank
-    return all(not tracker.would_grow(linalg.integer_row(p.coeffs)[0])
-               for p in space.basis) and \
-        base == space_dim(n - q.degree)
+    multiples = _multiples(q.poly, n)
+    return all(not multiples.would_grow(p._integer_coeffs[0])
+               for p in space.basis)

@@ -1,12 +1,10 @@
 """Exact dense linear algebra over the rationals.
 
 Every decision is exact; no floating point is involved.  One elimination
-kernel, :class:`RankTracker`, does all the work, and ``rank``, ``rref``,
+kernel, :class:`RankTracker`, does all the work, and ``rank``,
 ``nullspace``, ``solve`` and ``solve_columns`` read its result.  The
 canonical forms matter to the rest of the package and are fixed:
 
-* ``rref`` scales pivots to 1 with zeros above and below, so equal row
-  spaces give equal RREFs.
 * ``nullspace`` returns the RREF-derived basis: one vector per free column,
   with 1 in that free column and 0 in every other free column.
 * ``solve`` returns the particular solution with all free variables 0, and
@@ -14,7 +12,9 @@ canonical forms matter to the rest of the package and are fixed:
 
 The kernel takes integer rows and keeps ``D`` times the RREF of the rows
 added so far: each kept row has ``D`` in its own pivot column and 0 in
-every other one.  Reducing a row ``w`` is ``D*w - sum(w[p_i] * R_i)``,
+every other one.  ``RankTracker(ncols)`` chooses pivots only in the first
+``ncols`` columns; a longer row carries its right-hand sides along in the
+columns after them.  Reducing a row ``w`` is ``D*w - sum(w[p_i] * R_i)``,
 with no division.  A new pivot clears its column in the kept rows; then all
 rows and ``D`` are divided by their common gcd, so ``D`` stays the least
 common denominator of the RREF.  Bareiss elimination divides by the
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
 
@@ -86,12 +86,6 @@ class Matrix:
         return tuple(self.at(i, j) for i in range(self.nrows))
 
 
-class RrefResult(NamedTuple):
-    matrix: Matrix
-    pivots: tuple[int, ...]
-    rank: int
-
-
 def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """The row times the lcm of its denominators, and that lcm."""
     scale = lcm(*[v.denominator for v in row])
@@ -102,13 +96,12 @@ class RankTracker:
     """Incremental exact elimination of a growing set of integer rows, kept
     as ``D`` times its RREF in insertion order (see the module docstring).
 
-    Pivots are chosen in columns below ``_limit``; ``solve_rows`` lowers
-    it to carry right-hand sides along as extra columns.
+    Pivots are chosen in the first ``ncols`` columns; entries past them
+    are right-hand sides, carried along.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._limit = ncols
         self._den = 1
         self._rows: list[list[int]] = []
         self._pivots: list[int] = []
@@ -128,7 +121,7 @@ class RankTracker:
         return out
 
     def _lead(self, w: Sequence[int]) -> Optional[int]:
-        return next((j for j in range(self._limit) if w[j]), None)
+        return next((j for j in range(self.ncols) if w[j]), None)
 
     def _push(self, w: Sequence[int], col: int) -> None:
         """Make col a pivot, given a reduced row w with w[col] != 0."""
@@ -197,17 +190,6 @@ def rank(m: Matrix) -> int:
     return _tracker(m).rank
 
 
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form; zero rows come last."""
-    tracker = _tracker(m)
-    den = tracker._den
-    kept = sorted(zip(tracker._pivots, tracker._rows))
-    rows = [[Fraction(v, den) for v in row] for _, row in kept]
-    rows += [[ZERO] * m.ncols for _ in range(m.nrows - tracker.rank)]
-    red = Matrix.from_rows(rows) if rows else m
-    return RrefResult(red, tuple(p for p, _ in kept), tracker.rank)
-
-
 def nullspace(m: Matrix) -> Matrix:
     """Canonical nullspace basis, one column per free variable.
 
@@ -240,21 +222,21 @@ def solve_columns(m: Matrix, columns: Sequence[Sequence]) -> list[Optional[tuple
     scaled = [integer_row(col) for col in rhs]
     rows = (integer_row(m.row(i) + tuple(b[i] for b, _ in scaled))[0]
             for i in range(m.nrows))
-    return solve_rows(rows, m.ncols, len(rhs), [t for _, t in scaled])
+    sols = solve_rows(rows, m.ncols, len(rhs))
+    return [None if x is None else tuple(v / t for v in x)
+            for x, (_, t) in zip(sols, scaled)]
 
 
-def solve_rows(rows: Iterable[Sequence[int]], ncols: int, nrhs: int,
-               divisors: Optional[Sequence[int]] = None,
-               ) -> list[Optional[tuple[Fraction, ...]]]:
+def solve_rows(rows: Iterable[Sequence[int]], ncols: int,
+               nrhs: int) -> list[Optional[tuple[Fraction, ...]]]:
     """Solve A x = b for nrhs right-hand sides with one elimination.
 
     Each row is an integer row of A followed by that row's entry of every
     right-hand side.  Returns, per right-hand side, the canonical
-    free-variables-zero solution divided by its divisor (1 by default), or
-    None when that right-hand side is inconsistent.
+    free-variables-zero solution, or None when that right-hand side is
+    inconsistent.
     """
-    tracker = RankTracker(ncols + nrhs)
-    tracker._limit = ncols
+    tracker = RankTracker(ncols)
     consistent = [True] * nrhs
     for row in rows:
         w = tracker._reduce(row)
@@ -271,8 +253,7 @@ def solve_rows(rows: Iterable[Sequence[int]], ncols: int, nrhs: int,
             out.append(None)
             continue
         x = [ZERO] * ncols
-        scale = tracker._den * (divisors[c] if divisors else 1)
         for p, row in zip(tracker._pivots, tracker._rows):
-            x[p] = Fraction(row[ncols + c], scale)
+            x[p] = Fraction(row[ncols + c], tracker._den)
         out.append(tuple(x))
     return out

@@ -153,13 +153,6 @@ def is_poised(xs: NodeSet, n: int) -> bool:
     return len(xs) == space_dim(n) and is_independent(xs, n)
 
 
-def maximal_independent_subset(xs: NodeSet, n: int) -> NodeSet:
-    """Greedy scan in set order, keeping nodes that add a new condition."""
-    tracker = RankTracker(space_dim(n))
-    kept = [p for p in xs if tracker.add(_monomial_row(p, n))]
-    return NodeSet(kept)
-
-
 @dataclass(frozen=True)
 class VanishingSpace:
     """Basis of the degree-n polynomials vanishing on a node set."""

@@ -18,6 +18,10 @@ by.  The same rows feed the elimination kernel (see ``linalg``); a
 ``Poly`` keeps its coefficients as integers over one denominator, so
 ``eval`` is an integer dot product and builds a single ``Fraction``, the
 result.
+
+``multiplication_matrix`` maps a polynomial r to q*r.  Its columns, the
+multiples of q by the monomials, span everything q divides at a degree
+bound; ``curves`` decides divisibility by membership in that span.
 """
 
 from __future__ import annotations
@@ -279,24 +283,3 @@ def multiplication_matrix(q: Poly, n: int) -> Matrix:
         cols.append(col)
     flat = tuple(cols[j][i] for i in range(dst_dim) for j in range(src_dim))
     return Matrix(dst_dim, src_dim, flat)
-
-
-def quotient(p: Poly, q: Poly, n: int) -> Optional[Poly]:
-    """Exact quotient r with p = q * r and deg(r) <= n - deg(q), else None.
-
-    Decided by solving the linear system given by the multiplication matrix
-    of q; there is no polynomial division loop, so the answer is exact for
-    any q including reducible ones.  Raises if q is zero or a degree exceeds
-    n.
-    """
-    if q.is_zero:
-        raise ValueError("division by the zero polynomial")
-    pdeg = p.degree
-    if pdeg is not None and pdeg > n:
-        raise ValueError("dividend degree exceeds bound")
-    m = multiplication_matrix(q, n)
-    target = p.with_bound(n).coeffs
-    sol = linalg.solve(m, target)
-    if sol is None:
-        return None
-    return Poly(n - q.degree, sol)

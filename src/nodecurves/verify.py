@@ -16,7 +16,9 @@ facts checked:
   prescribed extra node;
 * line usage: in an n-poised set (n >= 3), a line through exactly 3 nodes
   that divides any fundamental polynomial divides either exactly 1 or
-  exactly 3 of them, and 3 users are never collinear.
+  exactly 3 of them, and 3 users are never collinear.  The line divides a
+  fundamental polynomial iff its coefficients lie in the span of the
+  line's multiples at degree n (``curves._multiples``), one span per line.
 
 A violation raises, never a False return or a report flag: these routines
 catch implementation bugs.  What they return is what the CLI prints.
@@ -28,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from . import curves as _curves, linalg, nodes as _nodes, poly as _poly
+from . import curves as _curves, linalg, nodes as _nodes
 from .curves import Curve, LineForm
 from .errors import TheoremViolation
 from .nodes import Node, NodeSet, VanishingSpace
@@ -192,10 +194,9 @@ def line_usage_reports(xs: NodeSet, n: int) -> list[UsageReport]:
     fps = _nodes.fundamental_polynomials(xs, n)
     reports: list[UsageReport] = []
     for line, indices in three:
-        mult = _poly.multiplication_matrix(line.poly(), n)
-        off = [idx for idx in range(len(xs)) if idx not in indices]
-        sols = linalg.solve_columns(mult, [fps[idx].coeffs for idx in off])
-        users = [idx for idx, sol in zip(off, sols) if sol is not None]
+        multiples = _curves._multiples(line.poly(), n)
+        users = [idx for idx in range(len(xs)) if idx not in indices
+                 and not multiples.would_grow(fps[idx]._integer_coeffs[0])]
         if not users:
             continue
         if len(users) not in (1, 3):

@@ -285,6 +285,15 @@ def test_render_accepts_line_and_curve_objects(tmp_path, capsys):
     assert target.read_text().count("<path") == 2
 
 
+@pytest.mark.parametrize("curve", ['[1, 2]', '[]'])
+def test_render_refuses_a_curve_that_is_not_an_object(capsys, curve):
+    code, out, err = run(capsys, "render", '{"nodes": [["0","0"]]}',
+                         "--curve", curve)
+    assert code == 1
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -40,6 +40,8 @@ def test_curve_validation():
     with pytest.raises(ValueError):
         Curve(Poly.constant(3), 0)
     with pytest.raises(ValueError):
+        Curve.from_poly(Poly.zero(1))
+    with pytest.raises(ValueError):
         Curve(poly.linear(1, 0, 0), 2)
     for degree in (True, 1.0, "1"):
         with pytest.raises(TypeError):
@@ -55,6 +57,10 @@ def test_same_curve_proportionality():
     c = Curve.from_poly(poly.linear(1, 2, -1))
     assert curves.same_curve(a, b)
     assert not curves.same_curve(a, c)
+    # the degree bound a polynomial is stored with plays no part
+    wide = Curve.from_poly(poly.linear(3, 3, -3).with_bound(4))
+    assert curves.same_curve(a, wide) and curves.same_curve(wide, b)
+    assert not curves.same_curve(wide, c)
 
 
 def test_rational_sequence_prefix():
@@ -208,8 +214,18 @@ def test_space_divisible_by_line():
     axis = Curve.from_poly(poly.linear(0, 1, 0))
     space = nodes.vanishing_basis(xs, 2)
     assert curves.space_divisible_by(space, axis)
-    # agreement with the per-element quotient route
+    # each basis element on its own is divisible too
     for q in space.basis:
-        assert poly.quotient(q, axis.poly, 2) is not None
+        assert curves.space_divisible_by(nodes.VanishingSpace(2, (q,)), axis)
     off = nodes.vanishing_basis(NodeSet([(0, 1)]), 2)
     assert not curves.space_divisible_by(off, axis)
+
+
+def test_multiples_span_has_full_rank():
+    # multiplication by a nonzero q is injective, so the multiples of q at
+    # bound n span a space of dimension space_dim(n - deg q)
+    conic = Poly.from_terms({(2, 0): 1, (0, 2): 1, (0, 0): -1}, 2)
+    three = LineUnion.of([line(1, 0, 0), line(0, 1, 0), line(1, 1, -1)])
+    for q, n in [(line(1, -2, 3).poly(), 4), (conic, 4), (three.poly(), 5)]:
+        assert curves._multiples(q, n).rank == \
+            poly.space_dim(n - q.degree)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from nodecurves import curves, generators, nodes, poly, verify
@@ -139,15 +141,15 @@ def test_line_usage_collinear_users_is_violation(monkeypatch):
     # nodes (on y = 0); the first 3-node line, y = x, misses all three
     xs = nodes.extend_to_poised(NodeSet(), 3)
     fps = nodes.fundamental_polynomials(xs, 3)
-    fake_users = {fps[xs.index(p)].coeffs for p in [(-1, 0), (1, 0), (2, 0)]}
+    fake_users = {tuple(fps[xs.index(p)]._integer_coeffs[0])
+                  for p in [(-1, 0), (1, 0), (2, 0)]}
 
-    def solve_columns(_mult, rhs):
-        hit = fake_users <= {tuple(b) for b in rhs}
-        return [() if hit and tuple(b) in fake_users else None for b in rhs]
+    class FakeMultiples:
+        # every line "divides" exactly the three fake users' fundamentals
+        def would_grow(self, row):
+            return tuple(row) not in fake_users
 
-    # pin the fundamentals whose coefficients the fake solve recognizes
-    monkeypatch.setattr(nodes, "fundamental_polynomials", lambda _xs, _n: fps)
-    monkeypatch.setattr(verify.linalg, "solve_columns", solve_columns)
+    monkeypatch.setattr(curves, "_multiples", lambda _q, _n: FakeMultiples())
     with pytest.raises(TheoremViolation, match="collinear"):
         verify.line_usage_reports(xs, 3)
 
@@ -186,3 +188,34 @@ def test_line_usage_without_three_node_lines_skips_fundamentals(monkeypatch):
     monkeypatch.setattr(nodes, "fundamental_polynomials",
                         fundamental_polynomials)
     assert verify.line_usage_reports(xs, 4) == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_line_usage_users_match_node_uses(n):
+    # in a poised set each fundamental polynomial is unique, so "the line
+    # divides a's fundamental" (span membership) and "some fundamental of
+    # a has the line as a factor" (node_uses' solve) must agree
+    sets = [nodes.extend_to_poised(NodeSet(), n)]
+    sets += [generators.berzolari_radon(n, seed).nodes for seed in (1, 2, 3)]
+    audited = 0
+    for xs in sets:
+        users = {rep.line: set(rep.users)
+                 for rep in verify.line_usage_reports(xs, n)}
+        for line, on_line in _three_node_lines(xs):
+            q = Curve.from_poly(line.poly())
+            want = {p for p in xs if p not in on_line
+                    and curves.node_uses(p, xs, n, q)}
+            assert users.get(line, set()) == want
+            audited += 1
+    assert audited > 0
+
+
+def _three_node_lines(xs):
+    """(canonical line, its nodes) for every line through exactly 3 nodes,
+    found by testing every node against every pair's line."""
+    lines = {}
+    for a, b in itertools.combinations(xs, 2):
+        line = curves.LineForm.through(a, b).canonical()
+        if line not in lines:
+            lines[line] = {p for p in xs if line.eval(p.x, p.y) == 0}
+    return [(line, on) for line, on in lines.items() if len(on) == 3]
