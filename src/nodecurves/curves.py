@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 from . import linalg, nodes as _nodes, poly as _poly
 from .errors import BudgetExceeded
-from .linalg import RankTracker, frac
+from .linalg import IndependenceTracker, RankTracker, frac
 from .nodes import Node, NodeSet, node
 from .poly import Poly, space_dim
 
@@ -90,8 +90,7 @@ def same_curve(a: Curve, b: Curve) -> bool:
 def rational_sequence() -> Iterator[Fraction]:
     """Every rational exactly once: p/q read off integer spiral points
     (p, q) with q > 0 and gcd(p, q) = 1, so 0, 1, -1, 2, 1/2, -1/2, -2, ..."""
-    for pt in _nodes.integer_spiral():
-        p, q = int(pt.x), int(pt.y)
+    for p, q in _nodes._spiral_pairs():
         if q > 0 and gcd(p, q) == 1:
             yield Fraction(p, q)
 
@@ -286,7 +285,7 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
 
 
 def _extend_on_curve(xs: NodeSet, sampler, q: Curve,
-                     n: int) -> tuple[NodeSet, RankTracker]:
+                     n: int) -> tuple[NodeSet, IndependenceTracker]:
     """extend_on_curve, also returning the tracker of the result's rows."""
     if q.degree > n:
         raise ValueError("curve degree exceeds n")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import curves as _curves, nodes as _nodes
 from .curves import Curve, LineForm, LineUnion, proportional
 from .errors import BudgetExceeded
-from .linalg import Fraction, RankTracker
+from .linalg import Fraction, IndependenceTracker
 from .nodes import Node, NodeSet, node
 from .poly import space_dim
 
@@ -140,7 +140,7 @@ def random_poised(n: int, seed: int) -> NodeSet:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     rng = SplitMix64(seed)
-    tracker = RankTracker(space_dim(n))
+    tracker = IndependenceTracker(space_dim(n))
     out: list[Node] = []
     for _ in range(PLACEMENT_BUDGET):
         if len(out) == space_dim(n):

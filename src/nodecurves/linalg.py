@@ -1,8 +1,8 @@
 """Exact dense linear algebra over the rationals.
 
-Every decision is exact; no floating point is involved.  One elimination
-kernel, :class:`RankTracker`, does all the work, and ``rank``,
-``nullspace``, ``solve`` and ``solve_columns`` read its result.  The
+Every decision is exact; no floating point is involved.  One exact
+elimination kernel, :class:`RankTracker`, does all the exact work, and
+``rank``, ``nullspace``, ``solve`` and ``solve_columns`` read its result.  The
 canonical forms matter to the rest of the package and are fixed:
 
 * ``nullspace`` returns the RREF-derived basis: one vector per free column,
@@ -28,10 +28,28 @@ the collocation rows of ``nodes`` are integer homogeneous rows (see
 factor as its row (``solve_rows``).  ``Fraction`` rows are scaled to
 integers once, where a ``Matrix`` enters the kernel (``integer_row``), and
 Fractions appear only in results, when a reader normalizes the kept rows.
+
+Independence decisions, which only ask whether a row grows the rank, run
+through :class:`IndependenceTracker`, which works modulo the prime ``P``
+first.  Every minor of integer rows, reduced mod ``P``, is the same minor
+of the rows reduced mod ``P``, so rows independent mod ``P`` are
+independent over Q: rank mod ``P`` never exceeds the rank over Q.  As long
+as every accepted row grew the mod-``P`` echelon form, a new row that grows
+it also grows the exact rank, and is accepted with no exact work.  A row the prime rejects may still be independent over
+Q (``P`` can divide a minor), so it goes to an exact ``RankTracker``, built
+on first need from the accepted rows.  Once that tracker accepts a row the
+prime rejected, the mod-``P`` form no longer certifies anything, and every
+later row is decided exactly.  Two rejections need no elimination at all:
+a row equal to an accepted row, and any row once the rank equals the
+column count.  ``P`` is the largest prime below 2**30, so a residue fits in
+one 30-bit CPython digit and a product of two residues in two digits; a
+61-bit prime needs three digits for a residue and five for a product,
+which makes the elimination slower.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -41,6 +59,8 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+P = 1073741789  # the largest prime below 2**30
 
 
 def frac(value) -> Fraction:
@@ -149,8 +169,16 @@ class RankTracker:
         self._den = den
 
     def would_grow(self, row: Sequence[int]) -> bool:
-        """True iff adding this row would increase the rank."""
-        return self._lead(self._reduce(row)) is not None
+        """True iff adding this row would increase the rank.
+
+        Only the free columns are reduced: a reduced row is 0 in every
+        pivot column, and nonzero somewhere iff the row grows the rank."""
+        den = self._den
+        terms = [(row[p], base) for p, base in zip(self._pivots, self._rows)
+                 if row[p]]
+        pivots = set(self._pivots)
+        return any(den * row[j] != sum(f * base[j] for f, base in terms)
+                   for j in range(self.ncols) if j not in pivots)
 
     def add(self, row: Sequence[int]) -> bool:
         """Add a row; returns True iff the rank grew."""
@@ -176,6 +204,67 @@ class RankTracker:
                 vec[p] = Fraction(-row[f], den)
             basis.append(tuple(vec))
         return basis
+
+
+class IndependenceTracker:
+    """Rank of a growing set of integer rows of length ``ncols``, decided
+    modulo ``P`` while that certifies growth and exactly otherwise (see
+    the module docstring).
+
+    The mod-``P`` rows are kept in echelon form in insertion order, each
+    scaled to -1 at its pivot, so reducing a row only adds multiples of
+    them and the residues stay nonnegative until one final ``% P``.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self._accepted: dict[tuple[int, ...], None] = {}  # insertion order
+        self._mod_rows: list[list[int]] = []
+        self._mod_pivots: list[int] = []
+        self._exact: Optional[RankTracker] = None
+        self._certified = True
+
+    @property
+    def rank(self) -> int:
+        return len(self._accepted)
+
+    def _grows_mod_p(self, row: Sequence[int]) -> bool:
+        """Reduce the row mod P; if it is not 0, keep it and return True."""
+        w = [v % P for v in row]
+        for pivot, base in zip(self._mod_pivots, self._mod_rows):
+            f = w[pivot] % P
+            if f:
+                w = [a + f * b for a, b in zip(w, base)]
+        w = [v % P for v in w]
+        col = next((j for j, v in enumerate(w) if v), None)
+        if col is None:
+            return False
+        scale = P - pow(w[col], -1, P)
+        self._mod_rows.append([v * scale % P for v in w])
+        self._mod_pivots.append(col)
+        return True
+
+    def _grows_exact(self, row: Sequence[int]) -> bool:
+        if self._exact is None:
+            self._exact = RankTracker(self.ncols)
+        exact = self._exact
+        # accepted rows are independent, so the exact tracker holds the
+        # first exact.rank of them
+        for accepted in itertools.islice(self._accepted, exact.rank, None):
+            exact.add(accepted)
+        return exact.add(row)
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Add a row; returns True iff the rank grew."""
+        row = tuple(row)
+        if len(self._accepted) == self.ncols or row in self._accepted:
+            return False
+        if not (self._certified and self._grows_mod_p(row)):
+            if not self._grows_exact(row):
+                return False
+            self._certified = False
+        self._accepted[row] = None
+        return True
 
 
 def _tracker(m: Matrix) -> RankTracker:

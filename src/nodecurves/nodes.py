@@ -21,9 +21,15 @@ fundamental polynomial's solve puts it on the right-hand side instead of
 1.  ``collocation_matrix`` alone divides it out, and Fractions appear only
 in results.
 
+Rank decisions (``hilbert_function``, ``is_independent``, ``is_poised``)
+and the searches run through ``linalg.IndependenceTracker``: a row that
+grows the rank modulo a prime is accepted with no exact work, and only the
+rows the prime rejects are decided exactly.  Vanishing spaces and
+fundamental polynomials read the exact ``RankTracker``.
+
 Search routines (``extend_to_poised`` and friends) walk a fixed enumeration
 of integer points, so their output is reproducible everywhere.  They test
-each point against one growing elimination, in a single pass: a point whose
+each point against one growing tracker, in a single pass: a point whose
 row is spanned stays spanned as the set grows.
 """
 
@@ -37,7 +43,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from . import linalg
 from . import poly as _poly
 from .errors import BudgetExceeded
-from .linalg import Matrix, RankTracker, frac
+from .linalg import IndependenceTracker, Matrix, RankTracker, frac
 from .poly import Poly, space_dim
 
 SEARCH_BUDGET = 10_000
@@ -137,7 +143,7 @@ def collocation_matrix(xs: NodeSet, n: int) -> Matrix:
 
 def hilbert_function(xs: NodeSet, n: int) -> int:
     """Number of independent interpolation conditions the set imposes."""
-    tracker = RankTracker(space_dim(n))
+    tracker = IndependenceTracker(space_dim(n))
     for p in xs:
         tracker.add(_monomial_row(p, n))
     return tracker.rank
@@ -145,7 +151,8 @@ def hilbert_function(xs: NodeSet, n: int) -> int:
 
 def is_independent(xs: NodeSet, n: int) -> bool:
     """True iff every node admits a degree-n fundamental polynomial."""
-    return hilbert_function(xs, n) == len(xs)
+    tracker = IndependenceTracker(space_dim(n))
+    return all(tracker.add(_monomial_row(p, n)) for p in xs)
 
 
 def is_poised(xs: NodeSet, n: int) -> bool:
@@ -202,14 +209,19 @@ def integer_spiral() -> Iterator[Node]:
     Points are grouped by max(|x|,|y|), then by |x|+|y|, then swept
     counterclockwise from the positive x-axis; all comparisons are exact.
     """
-    yield node(0, 0)
+    for x, y in _spiral_pairs():
+        yield Node(Fraction(x), Fraction(y))
+
+
+def _spiral_pairs() -> Iterator[tuple[int, int]]:
+    """The integer spiral's points as pairs of ints."""
+    yield 0, 0
     for radius in itertools.count(1):
         side = range(-radius, radius + 1)
         ring = [(x, y) for x in (-radius, radius) for y in side]
         ring += [(x, y) for y in (-radius, radius) for x in side[1:-1]]
         ring.sort(key=_spiral_key)
-        for x, y in ring:
-            yield node(x, y)
+        yield from ring
 
 
 def _spiral_key(pt: tuple[int, int]) -> tuple[int, int, int]:
@@ -228,14 +240,14 @@ def _spiral_key(pt: tuple[int, int]) -> tuple[int, int, int]:
     return abs(x) + abs(y), quadrant, (y, -x, -y, x)[quadrant]
 
 
-def _independent_tracker(xs: NodeSet, n: int) -> RankTracker:
-    tracker = RankTracker(space_dim(n))
+def _independent_tracker(xs: NodeSet, n: int) -> IndependenceTracker:
+    tracker = IndependenceTracker(space_dim(n))
     if not all(tracker.add(_monomial_row(p, n)) for p in xs):
         raise ValueError("set is not independent at this degree")
     return tracker
 
 
-def _spiral_search(tracker: RankTracker, n: int) -> Iterator[Node]:
+def _spiral_search(tracker: IndependenceTracker, n: int) -> Iterator[Node]:
     """Spiral points whose rows grow the tracker, each added when found;
     at most SEARCH_BUDGET points are read."""
     for count, cand in enumerate(integer_spiral(), 1):

@@ -7,10 +7,13 @@ facts checked:
 
 * uniqueness: an n-independent set of size uniqueness_threshold(n, k)
   admits at most one degree-k curve;
-* defect characterization: when an n-independent set one node larger than
-  max_nodes_on_curve(n, k-1) admits two or more degree-k curves, the set
-  splits as a maximal degree-(k-1) curve plus a single outlier off it, and
-  the curve space has dimension exactly 2;
+* defect characterization, for 2 <= k <= n-1: when an n-independent set
+  one node larger than max_nodes_on_curve(n, k-1) admits two or more
+  degree-k curves, the set splits as a maximal degree-(k-1) curve plus a
+  single outlier off it, and the curve space has dimension exactly 2.  At
+  k = n every such set has a curve space of dimension exactly 2, so the
+  surplus says nothing about its shape: a set may split (then into exactly
+  one outlier) or not split at all;
 * two-curve combination: with at least two degree-k curves available, some
   nonzero combination of the first two basis curves also vanishes at any
   prescribed extra node;
@@ -64,8 +67,10 @@ def verify_uniqueness(xs: NodeSet, n: int, k: int) -> int:
 class DefectReport:
     """Outcome of characterize_defect.
 
-    When the degree-k curve space has dimension >= 2, ``mu`` and
-    ``outlier`` describe the forced split; otherwise both are None.
+    When the set splits into a maximal degree-(k-1) curve plus one
+    outlier, ``mu`` and ``outlier`` describe the split; otherwise they and
+    ``outlier_index`` are None.  Below k = n a split exists exactly when
+    the dimension is >= 2.
     """
 
     curve_space_dim: int
@@ -83,6 +88,8 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
     leaves a degree-(k-1) curve through everything else (missing A) is
     located; anything other than exactly one such node, a one-dimensional
     curve space behind it, or a clean degree k-1 is a TheoremViolation.
+    At k = n the dimension must be exactly 2 and the set may have no such
+    node, which gives the report without a split; more than one raises.
     """
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n")
@@ -91,6 +98,9 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
     if not _nodes.is_independent(xs, n):
         raise ValueError("set is not independent at this degree")
     dim = curves_through(xs, k).dimension
+    if k == n and dim != 2:
+        raise TheoremViolation(
+            f"curve space of dimension {dim} at k = n, expected 2")
     if dim <= 1:
         return DefectReport(dim, None, None, None)
 
@@ -113,6 +123,8 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
         if mu.eval(xs[i].x, xs[i].y) == 0:
             raise TheoremViolation("freed curve passes through the outlier")
         hits.append((i, mu))
+    if not hits and k == n:
+        return DefectReport(dim, None, None, None)
     if len(hits) != 1:
         raise TheoremViolation(
             f"expected exactly one outlier, found {len(hits)}")

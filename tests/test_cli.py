@@ -198,12 +198,14 @@ def test_verify_uniqueness_surplus_curve_is_exit_2(capsys, monkeypatch):
     assert "error" in json.loads(err)
 
 
-def test_verify_defect_inconsistency_is_exit_2(capsys):
-    # dimension 2 without any single off-curve node: a loud failure
-    code, _, err = run(capsys, "verify", "defect", "-n", "2", "-k", "2",
+def test_verify_defect_square_is_no_split_exit_0(capsys):
+    # at k = n dimension 2 without any single off-curve node is legal
+    code, out, _ = run(capsys, "verify", "defect", "-n", "2", "-k", "2",
                        SQUARE)
-    assert code == 2
-    assert "error" in json.loads(err)
+    assert code == 0
+    assert json.loads(out) == {
+        "theorem": "defect", "params": {"n": 2, "k": 2}, "dim": 2,
+        "outlier_index": None, "mu": None, "ok": True}
 
 
 def test_verify_lineusage(capsys):

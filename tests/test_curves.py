@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -67,6 +68,21 @@ def test_rational_sequence_prefix():
     got = list(itertools.islice(curves.rational_sequence(), 7))
     assert got == [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                    Fraction(1, 2), Fraction(-1, 2), Fraction(-2)]
+
+
+def _rational_sequence_from_nodes():
+    # rational_sequence as first written: read back the spiral's Fractions
+    for pt in nodes.integer_spiral():
+        p, q = int(pt.x), int(pt.y)
+        if q > 0 and gcd(p, q) == 1:
+            yield Fraction(p, q)
+
+
+def test_rational_sequence_matches_spiral_nodes():
+    count = 1000
+    got = list(itertools.islice(curves.rational_sequence(), count))
+    assert got == list(itertools.islice(_rational_sequence_from_nodes(), count))
+    assert len(set(got)) == count
 
 
 def test_line_points_stay_on_line_and_distinct():

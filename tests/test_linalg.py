@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodecurves import linalg
-from nodecurves.linalg import Matrix, RankTracker
+from nodecurves.linalg import IndependenceTracker, Matrix, P, RankTracker
 
 
 def F(v):
@@ -298,3 +298,68 @@ def test_solve_columns_matches_reference(m, dens, data):
     got = linalg.solve_columns(m, columns)
     assert got == ref_solve_columns(m, columns)
     assert [linalg.solve(m, b) for b in columns] == got
+
+
+# IndependenceTracker against the exact RankTracker: rows the prime P
+# cannot tell apart from earlier rows ("multiple_of_p" is 0 mod P,
+# "shifted" equals an earlier row mod P) must reach the exact path.
+small_ints = st.integers(-5, 5)
+row_entries = st.one_of(small_ints, st.integers(-2**70, 2**70))
+
+
+@st.composite
+def integer_row_streams(draw, max_rows=9, max_cols=5):
+    ncols = draw(st.integers(1, max_cols))
+    entries = st.lists(row_entries, min_size=ncols, max_size=ncols)
+    rows: list[list[int]] = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        kind = draw(st.sampled_from(["fresh", "multiple_of_p", "zero",
+                                     "duplicate", "combination", "shifted"]))
+        if kind == "zero" or (kind not in ("fresh", "multiple_of_p")
+                              and not rows):
+            rows.append([0] * ncols)
+        elif kind == "fresh":
+            rows.append(draw(entries))
+        elif kind == "multiple_of_p":
+            rows.append([P * v for v in draw(entries)])
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(small_ints), draw(small_ints)
+            rows.append([s * u + t * v for u, v in zip(a, b)])
+        else:
+            a = draw(st.sampled_from(rows))
+            shift = draw(st.lists(small_ints, min_size=ncols, max_size=ncols))
+            rows.append([u + P * v for u, v in zip(a, shift)])
+    return ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_row_streams())
+def test_independence_tracker_matches_rank_tracker(stream):
+    ncols, rows = stream
+    fast, exact = IndependenceTracker(ncols), RankTracker(ncols)
+    for row in rows:
+        assert fast.add(row) == exact.add(row)
+        assert fast.rank == exact.rank
+
+
+def test_independence_tracker_drops_certificate_after_exact_accept():
+    tracker = IndependenceTracker(2)
+    assert tracker.add([1, 0])
+    # 0 mod P, so only the exact path sees that it grows the rank
+    assert tracker.add([0, P])
+    # grows the mod-P form, which no longer certifies anything
+    assert not tracker.add([0, 1])
+    assert tracker.rank == 2
+
+
+def test_independence_tracker_shortcuts_need_no_exact_tracker():
+    tracker = IndependenceTracker(2)
+    assert tracker.add([1, 2])
+    assert not tracker.add([1, 2])
+    assert tracker.add([3, 4])
+    assert not tracker.add([5, 6])
+    assert tracker.rank == 2
+    assert tracker._exact is None

@@ -71,10 +71,19 @@ def test_characterize_defect_generic_set_has_no_defect():
     assert report.mu is None and report.outlier is None
 
 
-def test_characterize_defect_aborts_outside_theorem_range():
-    # at k = n the curve surplus is automatic for any valid input, so a set
-    # with no 3-collinear split must abort loudly instead of reporting junk
+def test_characterize_defect_square_has_no_split():
+    # at k = n two curves pass through every valid input; the square has
+    # no 3 collinear nodes, so it carries no curve-plus-outlier split
     square = NodeSet([(0, 0), (1, 0), (0, 1), (1, 1)])
+    report = verify.characterize_defect(square, 2, 2)
+    assert report == verify.DefectReport(2, None, None, None)
+
+
+def test_characterize_defect_at_k_equal_n_needs_dimension_two(monkeypatch):
+    square = NodeSet([(0, 0), (1, 0), (0, 1), (1, 1)])
+    real = verify.curves_through
+    wide = lambda xs, k: real(NodeSet([(0, 0), (1, 0), (0, 1)]), k)
+    monkeypatch.setattr(verify, "curves_through", wide)
     with pytest.raises(TheoremViolation):
         verify.characterize_defect(square, 2, 2)
 
