@@ -254,10 +254,10 @@ def node_uses(a, xs: NodeSet, n: int, q: Curve) -> bool:
     """
     a = _nodes._coerce(a)
     idx = xs.index(a)
-    others = RankTracker(space_dim(n))
+    tracker = IndependenceTracker(space_dim(n))
     for p in xs.without(a):
-        others.add(_nodes._monomial_row(p, n))
-    if not others.would_grow(_nodes._monomial_row(a, n)):
+        tracker.add(_nodes._monomial_row(p, n))
+    if not tracker.add(_nodes._monomial_row(a, n)):
         raise ValueError("node has no fundamental polynomial")
     if q.degree > n:
         raise ValueError("curve degree exceeds n")

@@ -179,6 +179,28 @@ def vanishing_basis(xs: NodeSet, n: int) -> VanishingSpace:
     return VanishingSpace(n, tuple(Poly(n, v) for v in tracker.nullspace()))
 
 
+def _dependency_rows(xs: NodeSet, n: int) -> list[list[int]]:
+    """Each node's coordinates in the canonical basis of the dependencies
+    among the set's degree-n rows, times that basis's denominator ``D``.
+
+    The dependencies are the vectors c with sum(c_i * row_i) = 0, one basis
+    vector per free column of the transposed rows (see
+    ``RankTracker.nullspace``): a free node gets ``D`` in its own basis
+    vector and 0 in the others.  Node i's row of the result is 0 iff every
+    dependency has coefficient 0 at i.
+    """
+    transpose = RankTracker(len(xs))
+    for column in zip(*(_monomial_row(p, n) for p in xs)):
+        transpose.add(column)
+    pivots = set(transpose._pivots)
+    free = [f for f in range(len(xs)) if f not in pivots]
+    den = transpose._den
+    deps = [[den if f == i else 0 for f in free] for i in range(len(xs))]
+    for p, row in zip(transpose._pivots, transpose._rows):
+        deps[p] = [-row[f] for f in free]
+    return deps
+
+
 def _fundamentals(xs: NodeSet, n: int,
                   targets: list[int]) -> list[Optional[Poly]]:
     """Fundamental polynomials of the nodes at the target indices, with one

@@ -17,11 +17,17 @@ facts checked:
 * two-curve combination: with at least two degree-k curves available, some
   nonzero combination of the first two basis curves also vanishes at any
   prescribed extra node;
-* line usage: in an n-poised set (n >= 3), a line through exactly 3 nodes
-  that divides any fundamental polynomial divides either exactly 1 or
-  exactly 3 of them, and 3 users are never collinear.  The line divides a
-  fundamental polynomial iff its coefficients lie in the span of the
-  line's multiples at degree n (``curves._multiples``), one span per line.
+* line usage: in an n-poised set (n >= 3), a line l through exactly 3
+  nodes that divides any fundamental polynomial divides either exactly 1
+  or exactly 3 of them, and 3 users are never collinear.  A node a off l
+  uses l iff p_a = l*q with deg q <= n-1; such a q vanishes on the nodes
+  off l except a and not at a, and any such q makes l*q the (unique)
+  fundamental polynomial of a.  So a uses l iff its degree-(n-1) row lies
+  outside the span of the other off-line nodes' rows, which is decided
+  on the dependencies among all degree-(n-1) rows
+  (``nodes._dependency_rows``): iff a's dependency row lies in the span
+  of the 3 on-line nodes' dependency rows.  Poisedness makes those 3
+  rows independent, and anything else raises.
 
 A violation raises, never a False return or a report flag: these routines
 catch implementation bugs.  What they return is what the CLI prints.
@@ -31,6 +37,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Optional
 
 from . import curves as _curves, linalg, nodes as _nodes
@@ -107,13 +116,8 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
     # Removing node i frees a degree-(k-1) curve iff the rank of the
     # collocation matrix drops, i.e. iff every dependency among its rows
     # has coefficient 0 at i.  Scaling the rows keeps that zero pattern.
-    rows = [_nodes._monomial_row(p, k - 1) for p in xs]
-    transpose = linalg.RankTracker(len(xs))
-    for column in zip(*rows):
-        transpose.add(column)
-    dependencies = transpose.nullspace()
-    candidates = [i for i in range(len(xs))
-                  if all(dep[i] == 0 for dep in dependencies)]
+    deps = _nodes._dependency_rows(xs, k - 1)
+    candidates = [i for i, dep in enumerate(deps) if not any(dep)]
     hits: list[tuple[int, Poly]] = []
     for i in candidates:
         space = _nodes.vanishing_basis(xs.without(xs[i]), k - 1)
@@ -195,29 +199,54 @@ def line_usage_reports(xs: NodeSet, n: int) -> list[UsageReport]:
     if not _nodes.is_poised(xs, n):
         raise ValueError("set is not poised at this degree")
     # group nodes by line; dict order is the order pairs first reach a line
-    on_line: dict[LineForm, set[int]] = {}
+    points = [_nodes._monomial_row(p, 1) for p in xs]  # [e, A, C]
+    on_line: dict[tuple[int, int, int], set[int]] = {}
     for i, j in itertools.combinations(range(len(xs)), 2):
-        line = LineForm.through(xs[i], xs[j]).canonical()
-        on_line.setdefault(line, set()).update((i, j))
-    three = [(line, indices) for line, indices in on_line.items()
+        key = _line_key(points[i], points[j])
+        on_line.setdefault(key, set()).update((i, j))
+    three = [(key, indices) for key, indices in on_line.items()
              if len(indices) == 3]
     if not three:
         return []
-    fps = _nodes.fundamental_polynomials(xs, n)
+    deps = _nodes._dependency_rows(xs, n - 1)
     reports: list[UsageReport] = []
-    for line, indices in three:
-        multiples = _curves._multiples(line.poly(), n)
+    for (c, a, b), indices in three:
+        span = linalg.RankTracker(n + 1)
+        for idx in indices:
+            span.add(deps[idx])
+        if span.rank != 3:
+            raise TheoremViolation(
+                f"dependency rows of a 3-node line have rank {span.rank}")
         users = [idx for idx in range(len(xs)) if idx not in indices
-                 and not multiples.would_grow(fps[idx]._integer_coeffs[0])]
+                 and not span.would_grow(deps[idx])]
         if not users:
             continue
         if len(users) not in (1, 3):
             raise TheoremViolation(
                 f"3-node line with {len(users)} users")
         if len(users) == 3:
-            a, b, c = (xs[idx] for idx in users)
-            if LineForm.through(a, b).eval(c.x, c.y) == 0:
+            u, v, w = (points[idx] for idx in users)
+            if sum(map(mul, _cross(u, v), w)) == 0:
                 raise TheoremViolation("3 users of a line are collinear")
+        lead = a if a else b
+        line = LineForm(*(Fraction(t, lead) for t in (a, b, c)))
         reports.append(UsageReport(
             line, xs.subset(sorted(indices)), xs.subset(users)))
     return reports
+
+
+def _cross(u: list[int], v: list[int]) -> tuple[int, int, int]:
+    """Coefficients (c, a, b) of the line a*x + b*y + c through the points
+    with homogeneous coordinates u and v, each written [e, A, C]."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _line_key(u: list[int], v: list[int]) -> tuple[int, int, int]:
+    """The line through two distinct points, in lowest terms with its
+    first nonzero coefficient among a, b positive."""
+    c, a, b = _cross(u, v)
+    g = gcd(a, b, c)
+    if (a if a else b) < 0:
+        g = -g
+    return c // g, a // g, b // g

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nodecurves import verify
+from nodecurves import generators, nodes, verify
 from nodecurves.cli import main
 from nodecurves.nodes import NodeSet
 
@@ -326,3 +326,21 @@ def test_verify_output_bytes_are_pinned(capsys):
         code, out, _ = run(capsys, "verify", *args)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args[0]
+
+
+def test_verify_lineusage_grid_bytes_are_pinned(capsys):
+    # 29 sets: spiral n=3..6, BR n=3..7 seeds 1-3, random n=3/4 seeds 0-4;
+    # the sha256 of their concatenated verify lineusage stdout
+    sets = [(nodes.extend_to_poised(NodeSet(), n), n) for n in range(3, 7)]
+    sets += [(generators.berzolari_radon(n, seed).nodes, n)
+             for n in range(3, 8) for seed in (1, 2, 3)]
+    sets += [(generators.random_poised(n, seed), n)
+             for n in (3, 4) for seed in range(5)]
+    digest = hashlib.sha256()
+    for xs, n in sets:
+        code, out, _ = run(capsys, "verify", "lineusage", "-n", str(n),
+                           json.dumps(xs.to_json(n)))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "dda266f29fc44ffd1b575a3fd864c3d2a5809f85c8ffbf83909291a6b4905ad8")

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nodecurves import curves, generators, nodes, poly, verify
 from nodecurves.curves import Curve
@@ -146,20 +148,40 @@ def test_line_usage_on_engineered_set():
 
 
 def test_line_usage_collinear_users_is_violation(monkeypatch):
-    # pretend the line divides exactly the fundamentals of three collinear
-    # nodes (on y = 0); the first 3-node line, y = x, misses all three
+    # fake dependency rows under which the first 3-node line, y = x, is used
+    # by exactly three collinear nodes (on y = 0): their rows lie in the span
+    # of the on-line rows, every other row lies outside it
     xs = nodes.extend_to_poised(NodeSet(), 3)
-    fps = nodes.fundamental_polynomials(xs, 3)
-    fake_users = {tuple(fps[xs.index(p)]._integer_coeffs[0])
-                  for p in [(-1, 0), (1, 0), (2, 0)]}
+    on_line = [p for p in xs if p.x == p.y]
+    fake_users = [nodes.node(x, 0) for x in (-1, 1, 2)]
 
-    class FakeMultiples:
-        # every line "divides" exactly the three fake users' fundamentals
-        def would_grow(self, row):
-            return tuple(row) not in fake_users
+    def dependency_rows(_xs, _n):
+        rows = {p: [0, 0, 0, 1] for p in xs}
+        for i, p in enumerate(on_line):
+            rows[p] = [int(i == j) for j in range(4)]
+        for p in fake_users:
+            rows[p] = [1, 1, 1, 0]
+        return [rows[p] for p in xs]
 
-    monkeypatch.setattr(curves, "_multiples", lambda _q, _n: FakeMultiples())
+    monkeypatch.setattr(nodes, "_dependency_rows", dependency_rows)
     with pytest.raises(TheoremViolation, match="collinear"):
+        verify.line_usage_reports(xs, 3)
+
+
+def test_line_usage_dependent_on_line_rows_is_violation(monkeypatch):
+    # poisedness makes the dependency rows of a 3-node line independent;
+    # make the third row of y = x the sum of the other two
+    xs = nodes.extend_to_poised(NodeSet(), 3)
+    a, b, c = (xs.index(p) for p in xs if p.x == p.y)
+    real = nodes._dependency_rows
+
+    def dependency_rows(ys, n):
+        rows = real(ys, n)
+        rows[c] = [u + v for u, v in zip(rows[a], rows[b])]
+        return rows
+
+    monkeypatch.setattr(nodes, "_dependency_rows", dependency_rows)
+    with pytest.raises(TheoremViolation, match="rank 2"):
         verify.line_usage_reports(xs, 3)
 
 
@@ -187,15 +209,15 @@ def test_line_usage_no_three_node_lines_is_empty():
         assert all(len(r.users) in (1, 3) for r in reports)
 
 
-def test_line_usage_without_three_node_lines_skips_fundamentals(monkeypatch):
+def test_line_usage_without_three_node_lines_skips_dependency_rows(
+        monkeypatch):
     # no line through 3 nodes of this set: nothing to audit, nothing to solve
     xs = generators.random_poised(4, 1)
 
-    def fundamental_polynomials(_xs, _n):
-        raise AssertionError("fundamental polynomials were computed")
+    def dependency_rows(_xs, _n):
+        raise AssertionError("dependency rows were computed")
 
-    monkeypatch.setattr(nodes, "fundamental_polynomials",
-                        fundamental_polynomials)
+    monkeypatch.setattr(nodes, "_dependency_rows", dependency_rows)
     assert verify.line_usage_reports(xs, 4) == []
 
 
@@ -221,10 +243,66 @@ def test_line_usage_users_match_node_uses(n):
 
 def _three_node_lines(xs):
     """(canonical line, its nodes) for every line through exactly 3 nodes,
-    found by testing every node against every pair's line."""
+    found by grouping node pairs by their canonical line."""
     lines = {}
     for a, b in itertools.combinations(xs, 2):
         line = curves.LineForm.through(a, b).canonical()
-        if line not in lines:
-            lines[line] = {p for p in xs if line.eval(p.x, p.y) == 0}
+        lines.setdefault(line, set()).update((a, b))
     return [(line, on) for line, on in lines.items() if len(on) == 3]
+
+
+def test_line_usage_users_match_the_definition():
+    # the users are the off-line nodes whose fundamental polynomial the line
+    # divides, decided here from the fundamentals themselves
+    sets = [(nodes.extend_to_poised(NodeSet(), n), n) for n in range(3, 7)]
+    sets += [(generators.berzolari_radon(n, seed).nodes, n)
+             for n in range(3, 8) for seed in (1, 2, 3)]
+    audited = used = 0
+    for xs, n in sets:
+        fps = nodes.fundamental_polynomials(xs, n)
+        users = {rep.line: set(rep.users)
+                 for rep in verify.line_usage_reports(xs, n)}
+        for line, on_line in _three_node_lines(xs):
+            q = Curve.from_poly(line.poly())
+            want = {p for p, fp in zip(xs, fps) if p not in on_line
+                    and curves.space_divisible_by(
+                        nodes.VanishingSpace(n, (fp,)), q)}
+            assert users.get(line, set()) == want
+            audited += 1
+            used += bool(want)
+    assert audited > used > 0
+
+
+_AFFINE_BASES = [(nodes.extend_to_poised(NodeSet(), 3), 3),
+                 (nodes.extend_to_poised(NodeSet(), 4), 4),
+                 (generators.berzolari_radon(3, 1).nodes, 3),
+                 (generators.berzolari_radon(4, 2).nodes, 4)]
+_small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.sampled_from(_AFFINE_BASES),
+       matrix=st.tuples(*[_small_rationals] * 4),
+       shift=st.tuples(_small_rationals, _small_rationals),
+       data=st.data())
+def test_line_usage_moves_with_affine_maps_and_permutations(
+        base, matrix, shift, data):
+    # an affine map with det != 0 maps lines to lines and degree-n
+    # polynomials to degree-n polynomials, so each used line and its users
+    # move with their nodes; a permutation only relabels them
+    xs, n = base
+    a, b, c, d = matrix
+    assume(a * d - b * c != 0)
+    order = data.draw(st.permutations(range(len(xs))))
+    image = [(a * p.x + b * p.y + shift[0], c * p.x + d * p.y + shift[1])
+             for p in xs]
+    ys = NodeSet(image[i] for i in order)
+    origin = {y: i for y, i in zip(ys, order)}
+
+    def usage(reports, index):
+        return {(frozenset(map(index, r.nodes_on_line)),
+                 frozenset(map(index, r.users))) for r in reports}
+
+    want = usage(verify.line_usage_reports(xs, n), xs.index)
+    got = usage(verify.line_usage_reports(ys, n), origin.__getitem__)
+    assert got == want
