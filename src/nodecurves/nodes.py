@@ -24,8 +24,13 @@ in results.
 Rank decisions (``hilbert_function``, ``is_independent``, ``is_poised``)
 and the searches run through ``linalg.IndependenceTracker``: a row that
 grows the rank modulo a prime is accepted with no exact work, and only the
-rows the prime rejects are decided exactly.  Vanishing spaces and
-fundamental polynomials read the exact ``RankTracker``.
+rows the prime rejects are decided exactly.  ``fundamental_polynomial`` on
+a set of exactly space_dim(n) nodes solves its square system with
+``linalg.solve_square``, lifted P-adically and checked exactly, which falls
+back to the exact kernel only when the set is not poised modulo the prime.
+Vanishing spaces, ``fundamental_polynomials`` (all nodes at once) and the
+fundamental polynomial of a set of any other size read the exact
+``RankTracker``.
 
 Search routines (``extend_to_poised`` and friends) walk a fixed enumeration
 of integer points, so their output is reproducible everywhere.  They test
@@ -61,6 +66,9 @@ def node(x, y) -> Node:
 def _coerce(value) -> Node:
     if isinstance(value, Node):
         return value
+    if isinstance(value, str):
+        # "12" would unpack into the node (1, 2)
+        raise TypeError(f"not a point: {value!r}")
     x, y = value
     return node(x, y)
 
@@ -122,7 +130,11 @@ class NodeSet:
 
     @staticmethod
     def from_json(data: dict) -> tuple["NodeSet", Optional[int]]:
-        nodes = NodeSet(data["nodes"])
+        points = data["nodes"]
+        if not (isinstance(points, list) and all(
+                isinstance(p, list) and len(p) == 2 for p in points)):
+            raise ValueError('"nodes" must be a JSON array of [x, y] arrays')
+        nodes = NodeSet(points)
         n = data.get("n")
         return nodes, (_poly.json_int(n, "n") if n is not None else None)
 
@@ -203,13 +215,18 @@ def _dependency_rows(xs: NodeSet, n: int) -> list[list[int]]:
 
 def _fundamentals(xs: NodeSet, n: int,
                   targets: list[int]) -> list[Optional[Poly]]:
-    """Fundamental polynomials of the nodes at the target indices, with one
-    elimination; a row scaled by s asks for the value s at its target."""
+    """Fundamental polynomials of the nodes at the target indices, solved
+    together; a row scaled by s asks for the value s at its target.  One
+    target on a set of space_dim(n) nodes is a square system, solved by
+    ``linalg.solve_square``; anything else takes one exact elimination."""
     rows = []
     for i, p in enumerate(xs):
         row, scale = _poly.homogeneous_row(p.x, p.y, n)
         rows.append(row + [scale if i == t else 0 for t in targets])
-    sols = linalg.solve_rows(rows, space_dim(n), len(targets))
+    if len(targets) == 1 and len(rows) == space_dim(n):
+        sols = [linalg.solve_square(rows)]
+    else:
+        sols = linalg.solve_rows(rows, space_dim(n), len(targets))
     return [None if s is None else Poly(n, s) for s in sols]
 
 

@@ -55,6 +55,19 @@ def test_indep_rejects_json_booleans(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("doc", [
+    '{"nodes": ["12", "34"]}',  # each string used to unpack into a node
+    '{"nodes": {"12": 0}}',  # an object used to give its keys
+    '{"nodes": {}}',  # and an empty object an empty set
+    '{"nodes": [["0", "0"], ["1", "0", "2"]]}',
+])
+def test_malformed_node_lists_are_refused(capsys, doc):
+    code, out, err = run(capsys, "indep", "-n", "1", doc)
+    assert code == 1
+    assert out == ""
+    assert "nodes" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("args", [
     # int() used to truncate 2.5 to 2 and read true as 1
     ["indep", '{"n": 2.5, "nodes": [[0,0],[1,0],[0,1]]}'],
@@ -326,6 +339,35 @@ def test_verify_output_bytes_are_pinned(capsys):
         code, out, _ = run(capsys, "verify", *args)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args[0]
+
+
+def test_fund_output_bytes_are_pinned(capsys):
+    # sha256 of the concatenated fund stdout per group: every node of
+    # random poised sets (square, so the certified solve), one node at
+    # n=8 and n=10, and sets the exact elimination answers: a non-square
+    # set with null and non-null answers, and a square dependent one
+    mixed = '{"nodes": [["0","0"],["1","0"],["2","0"],["3","0"],["0","1"]]}'
+    groups = [
+        ([(n, json.dumps(xs.to_json()), i)
+          for n in range(2, 7) for seed in (1, 2)
+          for xs in [generators.random_poised(n, seed)]
+          for i in range(len(xs))],
+         "482656ac683a77cc5bdcf580482928d940e50dbb25fde925d22967e60708e297"),
+        ([(8, json.dumps(generators.random_poised(8, 1).to_json()), 17)],
+         "6f703a16188b7fe3cca2590fb86c85324214669a935237b9eb63dd5ff1320ffa"),
+        ([(10, json.dumps(generators.random_poised(10, 1).to_json()), 40)],
+         "7c4c8e1e3600ff131ac05151e06eb061bb25cf691963f0d9948ddfc5ccf6f581"),
+        ([(2, mixed, i) for i in range(5)] + [(1, COLLINEAR, 1)],
+         "b4cafc859af77ffd7b63f59fd815d75b4f33f31c447482a0bbfe9ef3d97a96dc"),
+    ]
+    for calls, want in groups:
+        digest = hashlib.sha256()
+        for n, doc, i in calls:
+            code, out, _ = run(capsys, "fund", "-n", str(n), "--node", str(i),
+                               doc)
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == want
 
 
 def test_verify_lineusage_grid_bytes_are_pinned(capsys):

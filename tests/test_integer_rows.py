@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from nodecurves import curves, linalg, nodes, poly
 from nodecurves.curves import Curve
-from nodecurves.linalg import Matrix
 from nodecurves.nodes import NodeSet, node
 from nodecurves.poly import Poly
+
+from matrix_helpers import matrix_from_rows
 
 # zero and negative numerators, and denominators sharing no factor
 coords = st.builds(Fraction, st.integers(-9, 9),
@@ -97,5 +98,5 @@ def test_node_uses_matches_fraction_solve(xs, n, a, b, c):
     rows = [[q.poly.eval(p.x, p.y) * v for v in fraction_row(p, n - 1)]
             for p in xs]
     target = [Fraction(int(i == 0)) for i in range(len(xs))]
-    want = linalg.solve(Matrix.from_rows(rows), target) is not None
+    want = linalg.solve(matrix_from_rows(rows), target) is not None
     assert curves.node_uses(first, xs, n, q) == want

@@ -1,10 +1,14 @@
+import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodecurves import linalg
+from nodecurves import generators, linalg, poly
 from nodecurves.linalg import IndependenceTracker, Matrix, P, RankTracker
+
+from matrix_helpers import matrix_from_rows, matrix_rows
 
 
 def F(v):
@@ -27,7 +31,7 @@ def test_frac_parses_canonical_strings():
 
 def test_nullspace_canonical_basis():
     # rows of the 4-node degree-2 collocation example
-    m = Matrix.from_rows([
+    m = matrix_from_rows([
         [1, 0, 0, 0, 0, 0],
         [1, 1, 0, 1, 0, 0],
         [1, 2, 0, 4, 0, 0],
@@ -41,7 +45,7 @@ def test_nullspace_canonical_basis():
 
 
 def test_nullspace_of_zero_row_spans_everything():
-    m = Matrix.from_rows([[0, 0, 0]])
+    m = matrix_from_rows([[0, 0, 0]])
     ns = linalg.nullspace(m)
     assert ns.ncols == 3
     assert [ns.column(j) for j in range(3)] == [
@@ -49,24 +53,24 @@ def test_nullspace_of_zero_row_spans_everything():
 
 
 def test_solve_free_variables_zero():
-    m = Matrix.from_rows([[1, 1]])
+    m = matrix_from_rows([[1, 1]])
     assert linalg.solve(m, [2]) == (F(2), F(0))
 
 
 def test_solve_inconsistent_returns_none():
-    m = Matrix.from_rows([[1], [1]])
+    m = matrix_from_rows([[1], [1]])
     assert linalg.solve(m, [0, 1]) is None
 
 
 def test_solve_columns_mixed_consistency():
-    m = Matrix.from_rows([[1, 0], [1, 0]])
+    m = matrix_from_rows([[1, 0], [1, 0]])
     got = linalg.solve_columns(m, [[1, 1], [0, 1]])
     assert got[0] == (F(1), F(0))
     assert got[1] is None
 
 
 def test_empty_matrix_edges():
-    m = Matrix.from_rows([])
+    m = matrix_from_rows([])
     assert linalg.rank(m) == 0
     zero_rows = Matrix(0, 4, ())
     assert linalg.nullspace(zero_rows).ncols == 4
@@ -79,7 +83,7 @@ def test_rank_tracker_matches_rref_rank():
         [0, 1, 1],
         [1, 3, 4],
     ]
-    m = Matrix.from_rows(rows)
+    m = matrix_from_rows(rows)
     tracker = RankTracker(3)
     grew = [tracker.add(r) for r in rows]
     assert grew == [True, False, True, False]
@@ -110,7 +114,7 @@ def matrices(max_rows=5, max_cols=5):
     return st.integers(1, max_cols).flatmap(
         lambda c: st.lists(
             st.lists(small_fracs, min_size=c, max_size=c),
-            min_size=1, max_size=max_rows).map(Matrix.from_rows))
+            min_size=1, max_size=max_rows).map(matrix_from_rows))
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,7 +245,7 @@ def awkward_matrices(draw, max_rows=7, max_cols=6):
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             s, t = draw(small_fracs), draw(small_fracs)
             rows.append([s * u + t * v for u, v in zip(a, b)])
-    return Matrix.from_rows(draw(st.permutations(rows)))
+    return matrix_from_rows(draw(st.permutations(rows)))
 
 
 def any_matrices():
@@ -271,7 +275,7 @@ def test_tracker_incremental_matches_reference(m):
         before = tracker.rank
         grows = tracker.would_grow(row)
         assert tracker.rank == before
-        _, pivots = ref_rref(Matrix.from_rows(m.rows()[:i + 1]))
+        _, pivots = ref_rref(matrix_from_rows(matrix_rows(m)[:i + 1]))
         assert tracker.add(row) == grows == (len(pivots) > before)
         assert tracker.rank == len(pivots)
         assert not tracker.would_grow(row)
@@ -363,3 +367,225 @@ def test_independence_tracker_shortcuts_need_no_exact_tracker():
     assert not tracker.add([5, 6])
     assert tracker.rank == 2
     assert tracker._exact is None
+
+
+# Packed mod-P rows: a slot starts below P and gains at most one product
+# below P**2 per slot of the row; the slot width must hold all of them.
+
+def test_packed_slots_hold_one_product_per_slot():
+    for nslots in (1, 15, 16, 45, 128, 231, 1000):
+        words = linalg._slot_words(nslots)
+        row = linalg._pack([P - 1] * nslots, words)
+        acc = row
+        for _ in range(nslots):
+            acc += (P - 1) * row
+        want = (P - 1) + nslots * (P - 1) ** 2
+        assert linalg._unpack(acc, nslots, words) == [want] * nslots
+
+
+def test_independence_tracker_rejects_combinations_of_many_rows():
+    # the kept rows are scaled mod P, so a combination reduced by all 70
+    # of them sums 70 products of size up to P**2 in each slot; rejecting
+    # it needs every one of them exact
+    rng = random.Random(7)
+    ncols = 100
+    rows = [[rng.randrange(10) for _ in range(ncols)] for _ in range(70)]
+    tracker = IndependenceTracker(ncols)
+    assert all(tracker.add(row) for row in rows)
+    for _ in range(3):
+        coeffs = [rng.randrange(-3, 4) for _ in rows]
+        combo = [sum(c * row[j] for c, row in zip(coeffs, rows))
+                 for j in range(ncols)]
+        assert not tracker.add(combo)
+    assert tracker.rank == 70
+
+
+# solve_square against solve_rows: random systems with rows of unrelated
+# magnitudes, systems whose determinant is a nonzero multiple of P, and
+# singular systems, consistent or not.
+
+def _rank_mod_p(rows):
+    rows = [[v % P for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        inv = pow(rows[rank][col], -1, P)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv
+                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+magnitudes = st.sampled_from([3, 2**20, 2**61, 2**130])
+
+
+@st.composite
+def square_systems(draw, max_size=6):
+    """Rows of A followed by b; each row draws its own magnitude."""
+    size = draw(st.integers(1, max_size))
+    rows = []
+    for _ in range(size):
+        bound = draw(magnitudes)
+        rows.append(draw(st.lists(st.integers(-bound, bound),
+                                  min_size=size + 1, max_size=size + 1)))
+    return rows
+
+
+@st.composite
+def singular_mod_p_systems(draw, max_size=6):
+    """A's last row is a combination of the others plus P times a vector:
+    nonsingular over Q in general, but never invertible mod P."""
+    rows = draw(square_systems(max_size).filter(lambda r: len(r) > 1))
+    size = len(rows)
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=size - 1,
+                           max_size=size - 1))
+    shift = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    last = [sum(c * row[j] for c, row in zip(coeffs, rows[:-1])) + P * s
+            for j, s in enumerate(shift)]
+    rows[-1] = last + [draw(st.integers(-10**6, 10**6))]
+    return rows
+
+
+@st.composite
+def singular_systems(draw, max_size=6):
+    """A's last row is a combination of the others; b follows the same
+    combination (consistent) or not."""
+    rows = draw(square_systems(max_size).filter(lambda r: len(r) > 1))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(rows) - 1,
+                           max_size=len(rows) - 1))
+    last = [sum(c * row[j] for c, row in zip(coeffs, rows[:-1]))
+            for j in range(len(rows) + 1)]
+    last[-1] += draw(st.sampled_from([0, 0, 1, -7]))
+    rows[-1] = last
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_solve_square_matches_solve_rows(rows):
+    want = linalg.solve_rows(rows, len(rows), 1)[0]
+    if _rank_mod_p([row[:-1] for row in rows]) < len(rows):
+        assert linalg.solve_square(rows) == want
+        return
+    original, calls = linalg.solve_rows, []
+    linalg.solve_rows = lambda *args: calls.append(args)
+    try:
+        got = linalg.solve_square(rows)
+    finally:
+        linalg.solve_rows = original
+    # invertible mod P: certified, with no exact elimination
+    assert calls == []
+    assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(singular_mod_p_systems(), singular_systems()))
+def test_solve_square_falls_back_when_singular_mod_p(rows):
+    want = linalg.solve_rows(rows, len(rows), 1)[0]
+    assert linalg._neg_inverse_columns(list(zip(*rows))[:len(rows)]) is None
+    assert linalg.solve_square(rows) == want
+
+
+def test_solve_square_fallback_answers_dependent_systems():
+    consistent = [[1, 2, 3], [2, 4, 6]]
+    assert linalg.solve_square(consistent) == (F(3), F(0))
+    assert linalg.solve_square([[1, 2, 3], [2, 4, 7]]) is None
+    # nonsingular, but P divides the determinant
+    rows = [[1, 0, 1], [0, P, 1]]
+    assert linalg.solve_square(rows) == (F(1), Fraction(1, P))
+    assert linalg.solve_square([]) == ()
+
+
+def _random_systems(seed, count, size, bits):
+    rng = random.Random(seed)
+    return [[[rng.randrange(-2**bits, 2**bits) for _ in range(size + 1)]
+             for _ in range(size)] for _ in range(count)]
+
+
+def test_solve_square_refuses_a_candidate_the_exact_check_fails(
+        monkeypatch):
+    # the first rebuilt candidate is made off by one in one numerator: the
+    # exact check refuses it, and lifting goes on to the true solution
+    original, spoiled = linalg._numerators, []
+
+    def off_by_one(x, modulus, den):
+        found = original(x, modulus, den)
+        if found is not None and not spoiled:
+            nums, den = found
+            spoiled.append(nums)
+            return [nums[0] + 1] + nums[1:], den
+        return found
+    monkeypatch.setattr(linalg, "_numerators", off_by_one)
+    for rows in _random_systems(3, 10, 4, 40):
+        spoiled.clear()
+        assert linalg.solve_square(rows) == linalg.solve_rows(rows, 4, 1)[0]
+        assert spoiled
+
+
+def test_solve_square_stops_at_the_step_cap(monkeypatch):
+    # a reconstruction that never verifies lifts up to the cap derived
+    # from the Hadamard bound, then the exact elimination answers
+    rows = _random_systems(5, 1, 5, 30)[0]
+    want = linalg.solve_rows(rows, 5, 1)[0]
+    moduli, original = [], linalg._numerators
+
+    def recording(x, modulus, den):
+        moduli.append(modulus)
+        return original(x, modulus, den)
+    monkeypatch.setattr(linalg, "_numerators", recording)
+    monkeypatch.setattr(linalg, "_certified", lambda *args: False)
+    calls, exact = [], linalg.solve_rows
+
+    def spy(*args):
+        calls.append(args)
+        return exact(*args)
+    monkeypatch.setattr(linalg, "solve_rows", spy)
+    assert linalg.solve_square(rows) == want
+    # the last rebuild is at the cap, past the Hadamard bound
+    cap = linalg._step_cap(rows)
+    assert moduli[-1] == P ** cap
+    assert P ** cap > 2 * math.prod(
+        sum(v * v for v in col) for col in zip(*rows))
+    assert len(calls) == 1
+
+
+def test_solve_square_stops_soon_after_the_solution_is_determined(
+        monkeypatch):
+    # the probe is rebuilt each time the step count grows by an eighth, so
+    # the solve ends at most an eighth, plus the confirming digit, past
+    # the first step at which every entry and the probe rebuild uniquely
+    moduli, original = [], linalg._numerators
+
+    def recording(x, modulus, den):
+        moduli.append(modulus)
+        return original(x, modulus, den)
+    monkeypatch.setattr(linalg, "_numerators", recording)
+    # fundamental polynomials of a poised set at n=6: the solution is far
+    # smaller than the Hadamard bound behind the step cap
+    xs = generators.random_poised(6, 1)
+    for target in range(0, len(xs), 4):
+        rows = []
+        for i, p in enumerate(xs):
+            row, scale = poly.homogeneous_row(p.x, p.y, 6)
+            rows.append(row + [scale if i == target else 0])
+        moduli.clear()
+        x = linalg.solve_square(rows)
+        den = math.lcm(*[v.denominator for v in x])
+        probe = sum(w * v for w, v in zip(range(1, len(x) + 1), x))
+        nums = [abs(v.numerator) * (den // v.denominator) for v in x]
+        largest = max(nums + [den, abs(probe.numerator), probe.denominator])
+        needed = 1
+        while P ** needed <= 2 * largest ** 2:
+            needed += 1
+        steps = 0
+        while P ** steps < moduli[-1]:
+            steps += 1
+        assert steps <= needed + needed // 8 + 2 < linalg._step_cap(rows)
+        # a false candidate of the probe fails the next digit, so it is
+        # not tried on the whole solution
+        assert len(moduli) == 1

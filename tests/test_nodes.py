@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodecurves import linalg, nodes, poly
+from nodecurves import generators, linalg, nodes, poly
 from nodecurves.nodes import NodeSet, node
 from nodecurves.poly import Poly
+
+from matrix_helpers import matrix_from_rows, matrix_rows
 
 FOUR = NodeSet([(0, 0), (1, 0), (2, 0), (0, 1)])
 TRIANGLE = NodeSet([(0, 0), (1, 0), (0, 1)])
@@ -17,6 +19,13 @@ COLLINEAR3 = NodeSet([(0, 0), (1, 0), (2, 0)])
 def test_nodeset_rejects_duplicates():
     with pytest.raises(ValueError):
         NodeSet([(0, 0), ("0", "0")])
+
+
+def test_nodeset_refuses_a_string_as_a_point():
+    with pytest.raises(TypeError):
+        NodeSet(["12"])
+    with pytest.raises(TypeError):
+        NodeSet([(1, 2)]).index("12")
 
 
 def test_nodeset_json_round_trip():
@@ -30,7 +39,7 @@ def test_nodeset_json_round_trip():
 def test_collocation_matrix_hand_example():
     m = nodes.collocation_matrix(FOUR, 2)
     assert (m.nrows, m.ncols) == (4, 6)
-    assert m.rows() == [
+    assert matrix_rows(m) == [
         tuple(Fraction(v) for v in row)
         for row in [
             (1, 0, 0, 0, 0, 0),
@@ -95,6 +104,19 @@ def test_fundamental_polynomials_batch_matches_single():
                 assert batch[i] is None
             else:
                 assert batch[i] == single
+
+
+def test_fundamental_polynomial_of_a_poised_set_needs_no_elimination(
+        monkeypatch):
+    # a poised set is square: the certified solve answers alone
+    xs = generators.random_poised(6, 1)
+    want = nodes.fundamental_polynomials(xs, 6)
+
+    def refuse(*args):
+        raise AssertionError("exact elimination")
+    monkeypatch.setattr(linalg, "solve_rows", refuse)
+    for i in (0, 13, 27):
+        assert nodes.fundamental_polynomial(xs[i], xs, 6) == want[i]
 
 
 def test_integer_spiral_prefix():
@@ -208,5 +230,5 @@ def test_maximal_subset_spans_same_vanishing_space(xs, n):
     full = [q.coeffs for q in nodes.vanishing_basis(xs, n).basis]
     reduced = [q.coeffs for q in nodes.vanishing_basis(sub, n).basis]
     # two bases of one space: stacking them adds no rank
-    stacked = linalg.Matrix.from_rows(full + reduced)
+    stacked = matrix_from_rows(full + reduced)
     assert len(full) == len(reduced) == linalg.rank(stacked)
