@@ -60,6 +60,8 @@ def _lines_arg(data) -> list[LineForm]:
         data = [data]
     if not isinstance(data, list) or not data:
         raise ValueError("expected a line object or a nonempty list of them")
+    if not all(isinstance(item, dict) for item in data):
+        raise ValueError("every --on-curve line must be a JSON object")
     return [LineForm.from_json(item) for item in data]
 
 

@@ -16,7 +16,9 @@ Samplers produce exact rational points on a curve in a fixed order, so
 search results are reproducible: a line is swept by a deterministic
 enumeration of rational parameters, a union of lines round-robin, and a
 rational parametrization by the same parameter sequence minus denominator
-roots.
+roots.  ``extend_on_curve`` reads at most ``nodes.SEARCH_BUDGET`` sampler
+points, through ``nodes._grow``; a parametrization also gives up after
+SAMPLER_BUDGET denominator roots, which it skips without emitting a point.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ class Curve:
 
     @staticmethod
     def from_json(data: dict) -> "Curve":
+        if not isinstance(data["poly"], dict):
+            raise ValueError('"poly" must be a JSON object')
         return Curve(Poly.from_json(data["poly"]), data["degree"])
 
 
@@ -277,40 +281,28 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
     nodes using the sampler's deterministic point stream.
 
     Candidates are taken in sampler order and kept when they add a new
-    interpolation condition; at most SAMPLER_BUDGET candidates are tried.
-    The sampler must emit points of q (checked); xs must lie on q and be
-    n-independent.
+    interpolation condition; at most ``nodes.SEARCH_BUDGET`` candidates are
+    tried.  The sampler must emit points of q (checked); xs must lie on q
+    and be n-independent.
     """
-    return _extend_on_curve(xs, sampler, q, n)[0]
-
-
-def _extend_on_curve(xs: NodeSet, sampler, q: Curve,
-                     n: int) -> tuple[NodeSet, IndependenceTracker]:
-    """extend_on_curve, also returning the tracker of the result's rows."""
     if q.degree > n:
         raise ValueError("curve degree exceeds n")
-    target = max_nodes_on_curve(n, q.degree)
-    if len(xs) > target:
+    want = max_nodes_on_curve(n, q.degree) - len(xs)
+    if want < 0:
         raise ValueError("set larger than the on-curve maximum")
     if any(not q.contains(p) for p in xs):
         raise ValueError("set must lie on the curve")
     tracker = _nodes._independent_tracker(xs, n)
-    found = list(xs)
-    stream = sampler.points()
-    for count in range(SAMPLER_BUDGET):
-        if tracker.rank == target:
-            return NodeSet(found), tracker
-        try:
-            cand = next(stream)
-        except StopIteration:
-            break
-        if not q.contains(cand):
+    found = _nodes._grow(tracker, n, _checked(sampler.points(), q), want)
+    return NodeSet(list(xs) + found)
+
+
+def _checked(points: Iterator[Node], q: Curve) -> Iterator[Node]:
+    """The points, raising ValueError at the first one off q."""
+    for p in points:
+        if not q.contains(p):
             raise ValueError("sampler emitted a point off the curve")
-        if tracker.add(_nodes._monomial_row(cand, n)):
-            found.append(cand)
-    if tracker.rank == target:
-        return NodeSet(found), tracker
-    raise BudgetExceeded("curve sampler exhausted before reaching the maximum")
+        yield p
 
 
 def _multiples(q: Poly, n: int) -> RankTracker:

@@ -5,7 +5,11 @@ generator with fixed constants, so a (kind, n, k, seed) tuple produces the
 same geometry in any implementation of this package, on any platform.
 Random rational coordinates always have numerators in [-20, 20] and
 denominators in {1, 2, 3, 4}; everything downstream of the raw draws
-(node placement on lines, outlier search) is a deterministic scan.
+(node placement on lines, outlier search) is a deterministic scan.  The
+node searches run through ``nodes._grow``, which reads at most
+``nodes.SEARCH_BUDGET`` draws or points per search and raises
+``BudgetExceeded`` when they do not suffice; line draws are resampled at
+most LINE_RESAMPLE_BUDGET times.
 
 Three generators are provided:
 
@@ -24,16 +28,17 @@ Three generators are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import islice
 
 from . import curves as _curves, nodes as _nodes
 from .curves import Curve, LineForm, LineUnion, proportional
 from .errors import BudgetExceeded
-from .linalg import Fraction, IndependenceTracker
+from .linalg import IndependenceTracker
 from .nodes import Node, NodeSet, node
 from .poly import space_dim
 
 LINE_RESAMPLE_BUDGET = 100
-PLACEMENT_BUDGET = 10_000
 
 
 class SplitMix64:
@@ -140,15 +145,9 @@ def random_poised(n: int, seed: int) -> NodeSet:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     rng = SplitMix64(seed)
+    draws = iter(lambda: random_node(rng), None)
     tracker = IndependenceTracker(space_dim(n))
-    out: list[Node] = []
-    for _ in range(PLACEMENT_BUDGET):
-        if len(out) == space_dim(n):
-            return NodeSet(out)
-        cand = random_node(rng)
-        if tracker.add(_nodes._monomial_row(cand, n)):
-            out.append(cand)
-    raise BudgetExceeded("random poised draw exceeded budget")
+    return NodeSet(_nodes._grow(tracker, n, draws, space_dim(n)))
 
 
 @dataclass(frozen=True)
@@ -182,14 +181,12 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     lines = random_lines(rng, k - 1)
     union = LineUnion.of(lines)
     mu = union.curve()
-    on_curve, tracker = _curves._extend_on_curve(NodeSet(), union, mu, n)
-    outlier = None
-    for count, cand in enumerate(_nodes.integer_spiral()):
-        if count >= PLACEMENT_BUDGET:
-            raise BudgetExceeded("no outlier found within budget")
-        if cand in on_curve or mu.contains(cand):
-            continue
-        if tracker.add(_nodes._monomial_row(cand, n)):
-            outlier = cand
-            break
-    return DefectConfig(n, k, on_curve.with_node(outlier), mu, lines, outlier)
+    # one tracker for both phases: the on-curve rows are eliminated once
+    tracker = IndependenceTracker(space_dim(n))
+    on_curve = _nodes._grow(tracker, n, union.points(),
+                            _curves.max_nodes_on_curve(n, k - 1))
+    spiral = islice(_nodes.integer_spiral(), _nodes.SEARCH_BUDGET)
+    off_curve = (p for p in spiral if not mu.contains(p))
+    [outlier] = _nodes._grow(tracker, n, off_curve, 1)
+    return DefectConfig(n, k, NodeSet(on_curve + [outlier]), mu, lines,
+                        outlier)

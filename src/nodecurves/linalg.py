@@ -97,10 +97,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 P = 1073741789  # the largest prime below 2**30
 
@@ -173,9 +170,6 @@ class RankTracker:
                 out = [o - f * b for o, b in zip(out, base)]
         return out
 
-    def _lead(self, w: Sequence[int]) -> Optional[int]:
-        return next((j for j in range(self.ncols) if w[j]), None)
-
     def _push(self, w: Sequence[int], col: int) -> None:
         """Make col a pivot, given a reduced row w with w[col] != 0."""
         g = gcd(*w)
@@ -213,30 +207,54 @@ class RankTracker:
         return any(den * row[j] != sum(f * base[j] for f, base in terms)
                    for j in range(self.ncols) if j not in pivots)
 
+    def _absorb(self, row: Sequence[int]) -> Optional[Sequence[int]]:
+        """Reduce the row and, if it is not 0 in the first ``ncols``
+        columns, keep it with its leading column as a new pivot and return
+        None.  Otherwise return the reduced row: 0 up to ``ncols``, and
+        the right-hand sides' residues after."""
+        w = self._reduce(row)
+        col = next((j for j in range(self.ncols) if w[j]), None)
+        if col is None:
+            return w
+        self._push(w, col)
+        return None
+
     def add(self, row: Sequence[int]) -> bool:
         """Add a row; returns True iff the rank grew."""
-        w = self._reduce(row)
-        col = self._lead(w)
-        if col is None:
-            return False
-        self._push(w, col)
-        return True
+        return self._absorb(row) is None
 
-    def nullspace(self) -> list[tuple[Fraction, ...]]:
-        """Canonical basis of the vectors orthogonal to every row added,
-        one per free column (the basis ``nullspace`` describes)."""
-        den = self._den
+    def scaled_nullspace(self) -> list[list[int]]:
+        """``D`` times the canonical basis of the vectors orthogonal to
+        every row added, in integers: one vector per free column f, with
+        ``D`` at f, 0 at the other free columns and ``-R_i[f]`` at the
+        pivot column of each kept row ``R_i``."""
         pivot_set = set(self._pivots)
-        basis: list[tuple[Fraction, ...]] = []
+        basis = []
         for f in range(self.ncols):
             if f in pivot_set:
                 continue
-            vec = [ZERO] * self.ncols
-            vec[f] = ONE
+            vec = [0] * self.ncols
+            vec[f] = self._den
             for p, row in zip(self._pivots, self._rows):
-                vec[p] = Fraction(-row[f], den)
-            basis.append(tuple(vec))
+                vec[p] = -row[f]
+            basis.append(vec)
         return basis
+
+    def nullspace(self) -> list[tuple[Fraction, ...]]:
+        """Canonical basis of the vectors orthogonal to every row added
+        (the basis ``nullspace`` describes): ``scaled_nullspace`` over
+        ``D``."""
+        den = self._den
+        return [tuple(Fraction(v, den) if v else ZERO for v in vec)
+                for vec in self.scaled_nullspace()]
+
+    def solution(self, column: int) -> tuple[Fraction, ...]:
+        """The free-variables-zero solution whose right-hand side is the
+        given column past ``ncols``."""
+        x = [ZERO] * self.ncols
+        for p, row in zip(self._pivots, self._rows):
+            x[p] = Fraction(row[column], self._den)
+        return tuple(x)
 
 
 def _slot_words(nslots: int) -> int:
@@ -438,24 +456,13 @@ def solve_rows(rows: Iterable[Sequence[int]], ncols: int,
     tracker = RankTracker(ncols)
     consistent = [True] * nrhs
     for row in rows:
-        w = tracker._reduce(row)
-        col = tracker._lead(w)
-        if col is not None:
-            tracker._push(w, col)
-            continue
-        for c in range(nrhs):
-            if w[ncols + c]:
-                consistent[c] = False
-    out: list[Optional[tuple[Fraction, ...]]] = []
-    for c in range(nrhs):
-        if not consistent[c]:
-            out.append(None)
-            continue
-        x = [ZERO] * ncols
-        for p, row in zip(tracker._pivots, tracker._rows):
-            x[p] = Fraction(row[ncols + c], tracker._den)
-        out.append(tuple(x))
-    return out
+        w = tracker._absorb(row)
+        if w is not None:
+            for c in range(nrhs):
+                if w[ncols + c]:
+                    consistent[c] = False
+    return [tracker.solution(ncols + c) if consistent[c] else None
+            for c in range(nrhs)]
 
 
 def solve_square(rows: Sequence[Sequence[int]]) -> Optional[tuple[Fraction, ...]]:

@@ -32,10 +32,11 @@ Vanishing spaces, ``fundamental_polynomials`` (all nodes at once) and the
 fundamental polynomial of a set of any other size read the exact
 ``RankTracker``.
 
-Search routines (``extend_to_poised`` and friends) walk a fixed enumeration
-of integer points, so their output is reproducible everywhere.  They test
-each point against one growing tracker, in a single pass: a point whose
-row is spanned stays spanned as the set grows.
+Every node search in the package runs through ``_grow``: it reads a
+fixed stream of candidates (the integer spiral, a curve sampler, seeded
+draws), so its output is reproducible everywhere, and keeps each one whose
+row grows one tracker, in a single pass: a spanned row stays spanned as
+the set grows.  It reads at most SEARCH_BUDGET candidates.
 """
 
 from __future__ import annotations
@@ -196,21 +197,17 @@ def _dependency_rows(xs: NodeSet, n: int) -> list[list[int]]:
     among the set's degree-n rows, times that basis's denominator ``D``.
 
     The dependencies are the vectors c with sum(c_i * row_i) = 0, one basis
-    vector per free column of the transposed rows (see
-    ``RankTracker.nullspace``): a free node gets ``D`` in its own basis
+    vector per free column of the transposed rows: the result is the
+    transpose of ``RankTracker.scaled_nullspace``, one row per node even
+    when there is no dependency, so a free node gets ``D`` in its own basis
     vector and 0 in the others.  Node i's row of the result is 0 iff every
     dependency has coefficient 0 at i.
     """
     transpose = RankTracker(len(xs))
     for column in zip(*(_monomial_row(p, n) for p in xs)):
         transpose.add(column)
-    pivots = set(transpose._pivots)
-    free = [f for f in range(len(xs)) if f not in pivots]
-    den = transpose._den
-    deps = [[den if f == i else 0 for f in free] for i in range(len(xs))]
-    for p, row in zip(transpose._pivots, transpose._rows):
-        deps[p] = [-row[f] for f in free]
-    return deps
+    basis = transpose.scaled_nullspace()
+    return [[vec[i] for vec in basis] for i in range(len(xs))]
 
 
 def _fundamentals(xs: NodeSet, n: int,
@@ -286,14 +283,24 @@ def _independent_tracker(xs: NodeSet, n: int) -> IndependenceTracker:
     return tracker
 
 
-def _spiral_search(tracker: IndependenceTracker, n: int) -> Iterator[Node]:
-    """Spiral points whose rows grow the tracker, each added when found;
-    at most SEARCH_BUDGET points are read."""
-    for count, cand in enumerate(integer_spiral(), 1):
-        if count > SEARCH_BUDGET:
+def _grow(tracker: IndependenceTracker, n: int, candidates: Iterable[Node],
+          want: int) -> list[Node]:
+    """The first ``want`` candidates whose degree-n rows grow the tracker,
+    each added as it is read.
+
+    At most SEARCH_BUDGET candidates are read, and none after the last one
+    needed; a stream that runs out or over budget first raises
+    BudgetExceeded.
+    """
+    found: list[Node] = []
+    stream = itertools.islice(candidates, SEARCH_BUDGET)
+    while len(found) < want:
+        cand = next(stream, None)
+        if cand is None:
             raise BudgetExceeded("no independent node found within budget")
         if tracker.add(_monomial_row(cand, n)):
-            yield cand
+            found.append(cand)
+    return found
 
 
 def next_independent_node(xs: NodeSet, n: int) -> Node:
@@ -305,7 +312,7 @@ def next_independent_node(xs: NodeSet, n: int) -> Node:
     tracker = _independent_tracker(xs, n)
     if len(xs) >= space_dim(n):
         raise ValueError("set already has full size")
-    return next(_spiral_search(tracker, n))
+    return _grow(tracker, n, integer_spiral(), 1)[0]
 
 
 def extend_to_poised(xs: NodeSet, n: int) -> NodeSet:
@@ -314,5 +321,5 @@ def extend_to_poised(xs: NodeSet, n: int) -> NodeSet:
     tracker = _independent_tracker(xs, n)
     if len(xs) > space_dim(n):
         raise ValueError("set larger than the space dimension")
-    found = itertools.islice(_spiral_search(tracker, n), space_dim(n) - len(xs))
-    return NodeSet(list(xs) + list(found))
+    found = _grow(tracker, n, integer_spiral(), space_dim(n) - len(xs))
+    return NodeSet(list(xs) + found)

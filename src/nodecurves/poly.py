@@ -106,15 +106,6 @@ class Poly:
         return Poly(bound, tuple(coeffs))
 
     @staticmethod
-    def monomial(i: int, j: int, coeff=1, bound: Optional[int] = None) -> "Poly":
-        bound = i + j if bound is None else bound
-        if i + j > bound:
-            raise ValueError("monomial degree exceeds bound")
-        coeffs = [ZERO] * space_dim(bound)
-        coeffs[monomial_index(i, j)] = frac(coeff)
-        return Poly(bound, tuple(coeffs))
-
-    @staticmethod
     def from_terms(terms: dict[tuple[int, int], object], bound: int) -> "Poly":
         coeffs = [ZERO] * space_dim(bound)
         for (i, j), c in terms.items():
@@ -246,7 +237,11 @@ class Poly:
 
     @staticmethod
     def from_json(data: dict) -> "Poly":
-        return Poly.from_coeffs(data["coeffs"], json_int(data["n"], "n"))
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, list):
+            # a string would be read character by character
+            raise ValueError('"coeffs" must be a JSON array')
+        return Poly.from_coeffs(coeffs, json_int(data["n"], "n"))
 
 
 def json_int(value, name: str) -> int:

@@ -309,6 +309,34 @@ def test_render_refuses_a_curve_that_is_not_an_object(capsys, curve):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("curve, field", [
+    ('{"n": 1, "coeffs": "011"}', "coeffs"),  # used to draw x + y
+    # used to give x + 2*y
+    ('{"n": 1, "coeffs": {"0": 1, "1": 2, "2": 3}}', "coeffs"),
+    ('{"degree": 1, "poly": {"n": 1, "coeffs": "011"}}', "coeffs"),
+    ('{"degree": 1, "poly": "011"}', "poly"),
+])
+def test_render_names_a_malformed_polynomial_field(capsys, curve, field):
+    code, out, err = run(capsys, "render", '{"nodes": [["0","0"]]}',
+                         "--curve", curve)
+    assert code == 1
+    assert out == ""
+    assert field in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("lines", [
+    '["abc"]',
+    '[{"a":"0","b":"1","c":"0"}, 5]',
+    '[["0", "1", "0"]]',
+])
+def test_extend_refuses_on_curve_items_that_are_not_objects(capsys, lines):
+    code, out, err = run(capsys, "extend", "-n", "2", "--on-curve", lines,
+                         '{"nodes": []}')
+    assert code == 1
+    assert out == ""
+    assert "--on-curve" in json.loads(err)["error"]
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -368,6 +396,39 @@ def test_fund_output_bytes_are_pinned(capsys):
             assert code == 0
             digest.update(out.encode())
         assert digest.hexdigest() == want
+
+
+def test_gen_and_extend_output_bytes_are_pinned(capsys):
+    # sha256 of the concatenated stdout per group: every node search
+    # (random draws, the defect set's on-curve phase and outlier scan,
+    # the spiral, line samplers) decides what these print
+    axis = '{"a":"0","b":"1","c":"0"}'
+    lines = ('[{"a":"0","b":"1","c":"0"}, {"a":"1","b":"0","c":"0"}, '
+             '{"a":"1","b":"-1","c":"1"}]')
+    groups = [
+        ([["gen", kind, "-n", str(n), "--seed", str(seed)]
+          for kind in ("poised", "br") for n in range(2, 7)
+          for seed in (1, 2)],
+         "3939e1098c80992b7fd360397f6624b9b4a820152bdbf9a42f2eed53ad82c560"),
+        ([["gen", "defect", "-n", str(n), "-k", str(k), "--seed", "1"]
+          for n in range(3, 7) for k in range(2, n)],
+         "27d38f6d317c74070e6e8c801ee8d1474d563fdd80a41a03f84d23ad2ae29f67"),
+        ([["extend", "-n", str(n), '{"nodes": []}'] for n in range(1, 6)]
+         + [["extend", "-n", "3", FOUR]]
+         + [["extend", "-n", str(n), "--on-curve", axis, doc]
+            for n in (2, 4)
+            for doc in ('{"nodes": []}', '{"nodes": [["3","0"],["0","0"]]}')]
+         + [["extend", "-n", str(n), "--on-curve", lines, '{"nodes": []}']
+            for n in (3, 5)],
+         "e075fe6999f193bf7abf6ca6f40114eaeae0a71e25673e66e52fa646817b938c"),
+    ]
+    for calls, want in groups:
+        digest = hashlib.sha256()
+        for args in calls:
+            code, out, _ = run(capsys, *args)
+            assert code == 0, args
+            digest.update(out.encode())
+        assert digest.hexdigest() == want, calls[0]
 
 
 def test_verify_lineusage_grid_bytes_are_pinned(capsys):

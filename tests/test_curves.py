@@ -190,6 +190,15 @@ def test_extend_on_curve_rejects_off_curve_input():
             NodeSet([(0, 1)]), axis, Curve.from_poly(axis.poly()), 2)
 
 
+def test_extend_on_curve_rejects_an_off_curve_sampler_point():
+    # the sampler sweeps y = 0, but the curve is x = 0: (0, 0) lies on
+    # both and is kept, (1, 0) is refused when read
+    axis = line(0, 1, 0)
+    other = Curve.from_poly(line(1, 0, 0).poly())
+    with pytest.raises(ValueError, match="off the curve"):
+        curves.extend_on_curve(NodeSet(), axis, other, 2)
+
+
 def test_one_more_on_curve_node_is_dependent():
     axis = line(0, 1, 0)
     full = curves.extend_on_curve(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodecurves import generators, linalg, nodes, poly
+from nodecurves.errors import BudgetExceeded
 from nodecurves.nodes import NodeSet, node
 from nodecurves.poly import Poly
 
@@ -172,6 +173,52 @@ def test_extend_to_poised_collinear_start():
 def test_extend_to_poised_rejects_dependent_input():
     with pytest.raises(ValueError):
         nodes.extend_to_poised(COLLINEAR3, 1)
+
+
+def _counted(points):
+    """The points, counting reads in reads[0]; reading past them fails."""
+    reads = [0]
+
+    def stream():
+        for p in points:
+            reads[0] += 1
+            yield p
+        raise AssertionError("read past the last candidate")
+
+    return stream(), reads
+
+
+def test_grow_reads_nothing_when_nothing_is_wanted():
+    stream, reads = _counted([])
+    tracker = linalg.IndependenceTracker(poly.space_dim(1))
+    assert nodes._grow(tracker, 1, stream, 0) == []
+    assert reads == [0]
+
+
+def test_grow_stops_at_the_last_candidate_it_needs():
+    # (2, 0) is spanned by the first two at degree 1 and is skipped
+    stream, reads = _counted([node(0, 0), node(1, 0), node(2, 0),
+                              node(0, 1)])
+    tracker = linalg.IndependenceTracker(poly.space_dim(1))
+    got = nodes._grow(tracker, 1, stream, 3)
+    assert got == [node(0, 0), node(1, 0), node(0, 1)]
+    assert reads == [4] and tracker.rank == 3
+
+
+def test_grow_reads_exactly_the_budget(monkeypatch):
+    monkeypatch.setattr(nodes, "SEARCH_BUDGET", 7)
+    # the first read grows the tracker, the repeats never do
+    stream, reads = _counted([node(0, 0)] * 100)
+    tracker = linalg.IndependenceTracker(poly.space_dim(2))
+    with pytest.raises(BudgetExceeded):
+        nodes._grow(tracker, 2, stream, 2)
+    assert reads == [7]
+
+
+def test_grow_raises_when_the_stream_runs_out():
+    tracker = linalg.IndependenceTracker(poly.space_dim(1))
+    with pytest.raises(BudgetExceeded):
+        nodes._grow(tracker, 1, iter([node(0, 0), node(1, 0)]), 3)
 
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
