@@ -131,6 +131,9 @@ class NodeSet:
 
     @staticmethod
     def from_json(data: dict) -> tuple["NodeSet", Optional[int]]:
+        if not (isinstance(data, dict) and "nodes" in data):
+            raise ValueError(
+                'node-set JSON must be an object with a "nodes" array')
         points = data["nodes"]
         if not (isinstance(points, list) and all(
                 isinstance(p, list) and len(p) == 2 for p in points)):
@@ -194,7 +197,8 @@ def vanishing_basis(xs: NodeSet, n: int) -> VanishingSpace:
 
 def _dependency_rows(xs: NodeSet, n: int) -> list[list[int]]:
     """Each node's coordinates in the canonical basis of the dependencies
-    among the set's degree-n rows, times that basis's denominator ``D``.
+    among the set's degree-n rows, times ``D``, the least common
+    denominator of that basis's entries.
 
     The dependencies are the vectors c with sum(c_i * row_i) = 0, one basis
     vector per free column of the transposed rows: the result is the

@@ -69,6 +69,20 @@ def test_malformed_node_lists_are_refused(capsys, doc):
 
 
 @pytest.mark.parametrize("args", [
+    # an array used to be indexed by "nodes" and fail with a TypeError
+    ["indep", "-n", "1", "[1,2]"],
+    ["verify", "twocurves", "-k", "2", "--at=1,1", "[1]"],
+    ["indep", "-n", "1", '{"n": 1}'],
+])
+def test_node_set_json_must_be_an_object_with_nodes(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == (
+        'node-set JSON must be an object with a "nodes" array')
+
+
+@pytest.mark.parametrize("args", [
     # int() used to truncate 2.5 to 2 and read true as 1
     ["indep", '{"n": 2.5, "nodes": [[0,0],[1,0],[0,1]]}'],
     ["indep", '{"n": true, "nodes": [[0,0],[1,0],[0,1]]}'],
@@ -447,3 +461,44 @@ def test_verify_lineusage_grid_bytes_are_pinned(capsys):
         digest.update(out.encode())
     assert digest.hexdigest() == (
         "dda266f29fc44ffd1b575a3fd864c3d2a5809f85c8ffbf83909291a6b4905ad8")
+
+
+def test_basis_and_defect_output_bytes_are_pinned(capsys):
+    # sha256 of the concatenated stdout per group: the exact kernel's
+    # vanishing spaces (one dimension on BR and random sets minus a node,
+    # several on non-square sets) and the defect reports built on them
+    def minus(xs, i):
+        return xs.subset(j for j in range(len(xs)) if j != i)
+
+    groups = [
+        ([(n, minus(generators.berzolari_radon(n, seed).nodes, 0))
+          for n in range(3, 9) for seed in (1, 2)],
+         "534e4b996f486f1a2e204ac865a5ff608ea89132113d04ef283ed9ba28416513"),
+        ([(n, minus(xs, len(xs) // 2))
+          for n in range(3, 7) for seed in (1, 2)
+          for xs in [generators.random_poised(n, seed)]],
+         "4ee3be39785c69164ba822d5d60d97652b3548d422a79a5d4f84648aa4cddef6"),
+        ([(2, NodeSet.from_json(json.loads(FOUR))[0]),
+          (5, generators.random_poised(5, 1).subset(range(12))),
+          (6, generators.berzolari_radon(6, 1).nodes.subset(range(20)))],
+         "8be1c3e5baf95c7e0378d115fecb4a77326f5a42de2eeb5194ba43150357fa98"),
+    ]
+    for sets, want in groups:
+        digest = hashlib.sha256()
+        for n, xs in sets:
+            code, out, _ = run(capsys, "basis", "-n", str(n),
+                               json.dumps(xs.to_json()))
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == want
+    digest = hashlib.sha256()
+    for n in range(4, 8):
+        for k in range(3, n):
+            _, doc, _ = run(capsys, "gen", "defect", "-n", str(n), "-k",
+                            str(k), "--seed", "1")
+            code, out, _ = run(capsys, "verify", "defect", "-n", str(n),
+                               "-k", str(k), doc)
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "a5f00afe107612516e1293a6140beae37d186d5eea62fa6332cf63d15a556f38")

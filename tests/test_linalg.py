@@ -1,8 +1,9 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodecurves import generators, linalg, poly
@@ -302,6 +303,83 @@ def test_solve_columns_matches_reference(m, dens, data):
     got = linalg.solve_columns(m, columns)
     assert got == ref_solve_columns(m, columns)
     assert [linalg.solve(m, b) for b in columns] == got
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_matrices())
+# the second row's pivot rewrites the first with multipliers 3 and 1,
+# not 12 and 4: their common factor 4 does not divide the first row's
+# denominator 5, so the content taken from it would leave 4 behind
+@example(matrix_from_rows([[5, 4, 3, 4], [3, 0, 0, 2], [0, 6, -6, 4]]))
+def test_scaled_nullspace_is_the_least_integer_multiple(m):
+    tracker = RankTracker(m.ncols)
+    for i in range(m.nrows):
+        tracker.add(linalg.integer_row(m.row(i))[0])
+    ref = ref_nullspace(m)
+    den = math.lcm(*[v.denominator for vec in ref for v in vec])
+    scaled = tracker.scaled_nullspace()
+    assert scaled == [[den * v for v in vec] for vec in ref]
+    assert math.gcd(den, *[v for vec in scaled for v in vec]) == 1
+
+
+# Rows where a new pivot meets few kept rows, so most of them are left
+# as they are: collocation rows of Berzolari-Radon sets, and rows that
+# are block-diagonal, each block with its own combinations.
+block_entries = st.one_of(st.integers(-9, 9), st.integers(-2**40, 2**40))
+
+
+@st.composite
+def sparse_row_streams(draw):
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([4, 5]))
+        xs = generators.berzolari_radon(n, draw(st.integers(1, 99))).nodes
+        rows = draw(st.permutations(
+            [poly.homogeneous_row(p.x, p.y, n)[0] for p in xs]))
+        return poly.space_dim(n), rows[:draw(st.integers(1, len(rows)))]
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    ncols, rows, start = sum(widths), [], 0
+    for width in widths:
+        block: list[list[int]] = []
+        for _ in range(draw(st.integers(1, width + 1))):
+            if block and draw(st.booleans()):
+                a, b = draw(st.sampled_from(block)), draw(st.sampled_from(block))
+                s, t = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+                block.append([s * u + t * v for u, v in zip(a, b)])
+            else:
+                block.append(draw(st.lists(block_entries, min_size=width,
+                                           max_size=width)))
+        rows += [[0] * start + entries + [0] * (ncols - start - width)
+                 for entries in block]
+        start += width
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_row_streams(), st.data())
+def test_sparse_rows_match_reference(stream, data):
+    ncols, rows = stream
+    m = matrix_from_rows(rows)
+    tracker = RankTracker(ncols)
+    for i, row in enumerate(rows):
+        before = tracker.rank
+        _, pivots = ref_rref(matrix_from_rows(rows[:i + 1]))
+        assert tracker.would_grow(row) == (len(pivots) > before)
+        assert tracker.add(row) == (len(pivots) > before)
+        assert tracker.rank == len(pivots)
+        assert not tracker.would_grow(row)
+    assert tracker.nullspace() == ref_nullspace(m)
+    columns = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(st.integers(-9, 9), min_size=ncols,
+                                   max_size=ncols))
+            columns.append([sum(map(operator.mul, row, x)) for row in rows])
+        else:
+            columns.append(data.draw(st.lists(
+                st.integers(-9, 9), min_size=len(rows), max_size=len(rows))))
+    augmented = [row + [b[i] for b in columns] for i, row in enumerate(rows)]
+    assert (linalg.solve_rows(augmented, ncols, len(columns))
+            == ref_solve_columns(m, columns))
 
 
 # IndependenceTracker against the exact RankTracker: rows the prime P
