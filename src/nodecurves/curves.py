@@ -16,8 +16,8 @@ Samplers produce exact rational points on a curve in a fixed order, so
 search results are reproducible: a line is swept by a deterministic
 enumeration of rational parameters, a union of lines round-robin, and a
 rational parametrization by the same parameter sequence minus denominator
-roots.  ``extend_on_curve`` reads at most ``nodes.SEARCH_BUDGET`` sampler
-points, through ``nodes._grow``; a parametrization also gives up after
+roots.  ``extend_on_curve`` searches through ``nodes._grow``, within
+``nodes.SEARCH_BUDGET``; a parametrization also gives up after
 SAMPLER_BUDGET denominator roots, which it skips without emitting a point.
 """
 
@@ -29,11 +29,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
 
-from . import linalg, nodes as _nodes, poly as _poly
+from . import nodes as _nodes, poly as _poly
 from .errors import BudgetExceeded
-from .linalg import IndependenceTracker, RankTracker, frac
+from .linalg import ZERO, IndependenceTracker, RankTracker
 from .nodes import Node, NodeSet, node
-from .poly import Poly, space_dim
+from .poly import Poly, frac, space_dim
 
 SAMPLER_BUDGET = 10_000
 
@@ -212,7 +212,7 @@ class RationalParam:
 
     def point_at(self, t) -> Node:
         t = frac(t)
-        ev = lambda cs: sum((c * t ** e for e, c in enumerate(cs)), linalg.ZERO)
+        ev = lambda cs: sum((c * t ** e for e, c in enumerate(cs)), ZERO)
         xd, yd = ev(self.x_den), ev(self.y_den)
         if xd == 0 or yd == 0:
             raise ZeroDivisionError("parameter hits a denominator root")
@@ -251,29 +251,29 @@ def node_uses(a, xs: NodeSet, n: int, q: Curve) -> bool:
     """Does some degree-n fundamental polynomial of a (w.r.t. xs) have q as
     a factor?
 
-    Decided by one linear solve: writing p = q*r, the conditions p(a) = 1
-    and p = 0 on xs minus a are linear in r's coefficients.  The set need
-    not be poised; any fundamental polynomial counts.  Raises if a is not
-    in xs or has no fundamental polynomial at all.
+    Decided by one rank test: writing p = q*r, the conditions p(a) = 1
+    and p = 0 on xs minus a are linear in r's coefficients, with node p's
+    degree-(n - deg q) row times q(p) as its row, and consistent iff a's
+    row is outside the span of the others.  A nonzero q(p) changes no
+    span, and a zero one leaves no row.  The set need not be poised; any
+    fundamental polynomial counts.  Raises if a is not in xs or has no
+    fundamental polynomial at all.
     """
     a = _nodes._coerce(a)
-    idx = xs.index(a)
+    others = xs.without(a)  # raises ValueError if a is not a node of xs
     tracker = IndependenceTracker(space_dim(n))
-    for p in xs.without(a):
+    for p in others:
         tracker.add(_nodes._monomial_row(p, n))
     if not tracker.add(_nodes._monomial_row(a, n)):
         raise ValueError("node has no fundamental polynomial")
     if q.degree > n:
         raise ValueError("curve degree exceeds n")
-    # each row and its right-hand side may be scaled by its own nonzero
-    # number without changing whether the system is consistent
-    rows = []
-    for i, p in enumerate(xs):
-        value = q.poly.eval(p.x, p.y).numerator
-        row = [value * v for v in _nodes._monomial_row(p, n - q.degree)]
-        rows.append(row + [1 if i == idx else 0])
-    sol = linalg.solve_rows(rows, space_dim(n - q.degree), 1)[0]
-    return sol is not None
+    m = n - q.degree
+    span = IndependenceTracker(space_dim(m))
+    for p in others:
+        if not q.contains(p):
+            span.add(_nodes._monomial_row(p, m))
+    return not q.contains(a) and span.add(_nodes._monomial_row(a, m))
 
 
 def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
@@ -281,9 +281,9 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
     nodes using the sampler's deterministic point stream.
 
     Candidates are taken in sampler order and kept when they add a new
-    interpolation condition; at most ``nodes.SEARCH_BUDGET`` candidates are
-    tried.  The sampler must emit points of q (checked); xs must lie on q
-    and be n-independent.
+    interpolation condition; at most ``nodes.SEARCH_BUDGET`` candidates more
+    than it needs are tried.  The sampler must emit points of q (checked);
+    xs must lie on q and be n-independent.
     """
     if q.degree > n:
         raise ValueError("curve degree exceeds n")
@@ -311,10 +311,9 @@ def _multiples(q: Poly, n: int) -> RankTracker:
     A polynomial p of bound n is divisible by q iff its coefficient row
     lies in that span, that is, iff the row does not grow the tracker.
     """
-    mult = _poly.multiplication_matrix(q, n)
     tracker = RankTracker(space_dim(n))
-    for j in range(mult.ncols):
-        tracker.add(linalg.integer_row(mult.column(j))[0])
+    for row in _poly.multiplication_matrix(q, n):
+        tracker.add(row)
     return tracker
 
 

@@ -7,9 +7,9 @@ Random rational coordinates always have numerators in [-20, 20] and
 denominators in {1, 2, 3, 4}; everything downstream of the raw draws
 (node placement on lines, outlier search) is a deterministic scan.  The
 node searches run through ``nodes._grow``, which reads at most
-``nodes.SEARCH_BUDGET`` draws or points per search and raises
-``BudgetExceeded`` when they do not suffice; line draws are resampled at
-most LINE_RESAMPLE_BUDGET times.
+``nodes.SEARCH_BUDGET`` draws or points more than a search needs and
+raises ``BudgetExceeded`` when they do not suffice; line draws are
+resampled at most LINE_RESAMPLE_BUDGET times.
 
 Three generators are provided:
 

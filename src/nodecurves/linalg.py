@@ -1,8 +1,9 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals, on integer rows.
 
-Every decision is exact; no floating point is involved.  One exact
-elimination kernel, :class:`RankTracker`, does all the exact elimination, and
-``rank``, ``nullspace``, ``solve`` and ``solve_columns`` read its result.  The
+Every decision is exact; no floating point is involved.  Every function
+takes integer rows, a solve's rows followed by their right-hand sides.
+One exact elimination kernel, :class:`RankTracker`, does all the exact
+elimination; ``rank`` runs through :class:`IndependenceTracker`.  The
 canonical forms matter to the rest of the package and are fixed:
 
 * ``nullspace`` returns the RREF-derived basis: one vector per free column,
@@ -51,9 +52,8 @@ Scaling a row by a nonzero number changes neither the rank nor the
 nullspace, so callers that build rows pass integer multiples straight in:
 the collocation rows of ``nodes`` are integer homogeneous rows (see
 ``poly.homogeneous_row``).  A solve scales its right-hand side by the same
-factor as its row (``solve_rows``).  ``Fraction`` rows are scaled to
-integers once, where a ``Matrix`` enters the kernel (``integer_row``), and
-Fractions appear only in results, when a reader normalizes the kept rows.
+factor as its row.  Fractions appear only in results, when a reader
+normalizes the kept rows.
 
 Independence decisions, which only ask whether a row grows the rank, run
 through :class:`IndependenceTracker`, which works modulo the prime ``P``
@@ -86,8 +86,9 @@ read during the reduction, and reduced when read; the row is reduced mod
 ``P`` once, when it is unpacked.  ``IndependenceTracker`` keeps its echelon
 form in these rows, and so does the modular inverse below.
 
-``solve_square`` solves a square system A x = b with one right-hand side
-by Dixon's P-adic lifting (J. D. Dixon, Numer. Math. 40, 1982).  A is
+``solve`` solves A x = b with one right-hand side, and selects the method
+by whether A is square: a square A by Dixon's P-adic lifting (J. D. Dixon,
+Numer. Math. 40, 1982), any other by ``solve_columns``.  A square A is
 inverted once modulo ``P``, by elimination on the packed rows of
 [A^T | I].  Then x = sum(x_k * P**k) with x_k = A^-1 r_k mod ``P`` and
 r_(k+1) = (r_k - A x_k) / ``P``, from r_0 = b: each step is N packed
@@ -108,8 +109,8 @@ products, and measured 4 to 12 times slower at N = 45 to 120 (Python
 ``P**k > 2*H**2``, where H is the Hadamard bound of [A | b]: by Cramer's
 rule it bounds every numerator and the denominator, so by then each entry
 rebuilds uniquely on its own.  When A is singular mod ``P``, or no
-candidate passes the check by the cap, the exact ``solve_rows`` answers,
-so ``solve_square`` always returns what ``solve_rows`` would.
+candidate passes the check by the cap, the exact ``solve_columns``
+answers, so ``solve`` always returns what ``solve_columns`` would.
 """
 
 from __future__ import annotations
@@ -117,7 +118,6 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -129,43 +129,6 @@ P = 1073741789  # the largest prime below 2**30
 
 _WORD = 2**64 - 1
 _BIG_ENDIAN = sys.byteorder == "big"
-
-
-def frac(value) -> Fraction:
-    """Coerce an int, string like "3/4", or Fraction to a Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"not a rational value: {value!r}")
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable dense matrix, entries row-major."""
-
-    nrows: int
-    ncols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.nrows * self.ncols:
-            raise ValueError("entry count does not match shape")
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.ncols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.ncols:(i + 1) * self.ncols]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.at(i, j) for i in range(self.nrows))
-
-
-def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
-    scale = lcm(*[v.denominator for v in row])
-    return [v.numerator * (scale // v.denominator) for v in row], scale
 
 
 class RankTracker:
@@ -285,14 +248,6 @@ class RankTracker:
                 vec[p] = -scale * row[f]
             basis.append(vec)
         return basis
-
-    def nullspace(self) -> list[tuple[Fraction, ...]]:
-        """Canonical basis of the vectors orthogonal to every row added
-        (the basis ``nullspace`` describes): ``scaled_nullspace`` over
-        ``D``."""
-        den = self._common_form()[0]
-        return [tuple(Fraction(v, den) if v else ZERO for v in vec)
-                for vec in self.scaled_nullspace()]
 
     def solution(self, column: int) -> tuple[Fraction, ...]:
         """The free-variables-zero solution whose right-hand side is the
@@ -441,57 +396,41 @@ class IndependenceTracker:
         return True
 
 
-def _tracker(m: Matrix) -> RankTracker:
-    tracker = RankTracker(m.ncols)
-    for i in range(m.nrows):
-        tracker.add(integer_row(m.row(i))[0])
-    return tracker
+def rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
+    """Number of linearly independent rows, decided by an
+    ``IndependenceTracker``."""
+    tracker = IndependenceTracker(ncols)
+    for row in rows:
+        tracker.add(row)
+    return tracker.rank
 
 
-def rank(m: Matrix) -> int:
-    """Number of linearly independent rows."""
-    return _tracker(m).rank
-
-
-def nullspace(m: Matrix) -> Matrix:
-    """Canonical nullspace basis, one column per free variable.
-
-    Basis vector for free column f has entry 1 at f, 0 at the other free
-    columns, and -R[r][f] at each pivot column; free columns are taken in
-    increasing index order.  An injective matrix yields a (ncols x 0) result.
+def nullspace(rows: Iterable[Sequence[int]],
+              ncols: int) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of the vectors orthogonal to every row: the vector
+    for free column f has 1 at f, 0 at the other free columns and
+    -R_i[f]/d_i at each kept row's pivot; free columns in increasing order.
     """
-    basis = _tracker(m).nullspace()
-    flat = tuple(v[i] for i in range(m.ncols) for v in basis)
-    return Matrix(m.ncols, len(basis), flat)
+    tracker = RankTracker(ncols)
+    for row in rows:
+        tracker.add(row)
+    kept = list(zip(tracker._pivots, tracker._rows))
+    pivot_set = set(tracker._pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [ZERO] * ncols
+        vec[f] = Fraction(1)
+        for p, row in kept:
+            if row[f]:
+                vec[p] = Fraction(-row[f], row[p])
+        basis.append(tuple(vec))
+    return basis
 
 
-def solve(m: Matrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """Particular solution of m x = b with free variables 0; None if none."""
-    return solve_columns(m, [b])[0]
-
-
-def solve_columns(m: Matrix, columns: Sequence[Sequence]) -> list[Optional[tuple[Fraction, ...]]]:
-    """Solve m x = b for several right-hand sides with one elimination.
-
-    Each element of ``columns`` is one right-hand side of length ``m.nrows``.
-    Returns, per column, the canonical free-variables-zero solution or None
-    when that column is inconsistent.
-    """
-    rhs = [[frac(v) for v in col] for col in columns]
-    if any(len(col) != m.nrows for col in rhs):
-        raise ValueError("right-hand side length does not match row count")
-    # each right-hand side gets its own integer scale: one scale per row
-    # would be the lcm of unrelated denominators across all the columns
-    scaled = [integer_row(col) for col in rhs]
-    rows = (integer_row(m.row(i) + tuple(b[i] for b, _ in scaled))[0]
-            for i in range(m.nrows))
-    sols = solve_rows(rows, m.ncols, len(rhs))
-    return [None if x is None else tuple(v / t for v in x)
-            for x, (_, t) in zip(sols, scaled)]
-
-
-def solve_rows(rows: Iterable[Sequence[int]], ncols: int,
-               nrhs: int) -> list[Optional[tuple[Fraction, ...]]]:
+def solve_columns(rows: Iterable[Sequence[int]], ncols: int,
+                  nrhs: int) -> list[Optional[tuple[Fraction, ...]]]:
     """Solve A x = b for nrhs right-hand sides with one elimination.
 
     Each row is an integer row of A followed by that row's entry of every
@@ -511,26 +450,28 @@ def solve_rows(rows: Iterable[Sequence[int]], ncols: int,
             for c in range(nrhs)]
 
 
-def solve_square(rows: Sequence[Sequence[int]]) -> Optional[tuple[Fraction, ...]]:
-    """Solve A x = b for a square integer A, certified; the answer is
-    ``solve_rows(rows, len(rows), 1)[0]``.
+def solve(rows: Iterable[Sequence[int]],
+          ncols: int) -> Optional[tuple[Fraction, ...]]:
+    """Solve A x = b for one right-hand side; the answer is
+    ``solve_columns(rows, ncols, 1)[0]``.
 
-    Each row is a row of A followed by that row's entry of b.  The solution
-    is lifted P-adically and rebuilt over one common denominator, and is
-    returned only once ``A·num == b·den`` holds exactly.  When A is
-    singular mod ``P``, or no candidate verifies within the step cap, the
-    exact ``solve_rows`` answers instead (see the module docstring).
+    Each row is an integer row of A followed by that row's entry of b.  A
+    square A is lifted P-adically, and the solution, rebuilt over one
+    common denominator, is returned only once ``A·num == b·den`` holds
+    exactly.  Any other shape, an A singular mod ``P``, or no candidate
+    verified within the step cap takes ``solve_columns`` instead (see the
+    module docstring).
     """
     rows = [list(row) for row in rows]
     size = len(rows)
-    if size:
+    if size == ncols and size:
         columns = list(zip(*rows))
         neg_inverse = _neg_inverse_columns(columns[:size])
         if neg_inverse is not None:
             x = _lift(rows, columns, neg_inverse)
             if x is not None:
                 return x
-    return solve_rows(rows, size, 1)[0]
+    return solve_columns(rows, ncols, 1)[0]
 
 
 def _neg_inverse_columns(columns: Sequence[Sequence[int]]) -> Optional[list[int]]:

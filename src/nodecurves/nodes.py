@@ -14,19 +14,19 @@ that matrix exactly:
   canonical solution of the collocation system against a unit vector, and
   is absent exactly when the node's row is spanned by the others.
 
-The kernel reads integer rows: a node's row is ``poly.homogeneous_row``,
-the monomials scaled by e^n, where e is the common denominator of the
-node's coordinates.  That scale changes no rank and no vanishing space; a
-fundamental polynomial's solve puts it on the right-hand side instead of
-1.  ``collocation_matrix`` alone divides it out, and Fractions appear only
-in results.
+``collocation_matrix`` returns integer rows: a node's row is
+``poly.homogeneous_row``, the monomials scaled by e^n, where e is the
+common denominator of the node's coordinates, so the scale is entry 0.
+That scale changes no rank and no vanishing space; a fundamental
+polynomial's solve puts it on the right-hand side instead of 1.  Fractions
+appear only in results.
 
 Rank decisions (``hilbert_function``, ``is_independent``, ``is_poised``)
 and the searches run through ``linalg.IndependenceTracker``: a row that
 grows the rank modulo a prime is accepted with no exact work, and only the
 rows the prime rejects are decided exactly.  ``fundamental_polynomial`` on
 a set of exactly space_dim(n) nodes solves its square system with
-``linalg.solve_square``, lifted P-adically and checked exactly, which falls
+``linalg.solve``, lifted P-adically and checked exactly, which falls
 back to the exact kernel only when the set is not poised modulo the prime.
 Vanishing spaces, ``fundamental_polynomials`` (all nodes at once) and the
 fundamental polynomial of a set of any other size read the exact
@@ -36,7 +36,8 @@ Every node search in the package runs through ``_grow``: it reads a
 fixed stream of candidates (the integer spiral, a curve sampler, seeded
 draws), so its output is reproducible everywhere, and keeps each one whose
 row grows one tracker, in a single pass: a spanned row stays spanned as
-the set grows.  It reads at most SEARCH_BUDGET candidates.
+the set grows.  It reads at most SEARCH_BUDGET candidates more than it
+needs.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from . import linalg
 from . import poly as _poly
 from .errors import BudgetExceeded
-from .linalg import IndependenceTracker, Matrix, RankTracker, frac
-from .poly import Poly, space_dim
+from .linalg import IndependenceTracker, RankTracker
+from .poly import Poly, frac, space_dim
 
 SEARCH_BUDGET = 10_000
 
@@ -148,21 +149,15 @@ def _monomial_row(p: Node, n: int) -> list[int]:
     return _poly.homogeneous_row(p.x, p.y, n)[0]
 
 
-def collocation_matrix(xs: NodeSet, n: int) -> Matrix:
-    """One row per node, evaluating the degree-n monomial basis there."""
-    entries = []
-    for p in xs:
-        row, scale = _poly.homogeneous_row(p.x, p.y, n)
-        entries += [Fraction(v, scale) for v in row]
-    return Matrix(len(xs), space_dim(n), tuple(entries))
+def collocation_matrix(xs: NodeSet, n: int) -> list[list[int]]:
+    """One integer row per node, the degree-n monomial basis evaluated
+    there times the row's scale, which is the row's entry 0."""
+    return [_monomial_row(p, n) for p in xs]
 
 
 def hilbert_function(xs: NodeSet, n: int) -> int:
     """Number of independent interpolation conditions the set imposes."""
-    tracker = IndependenceTracker(space_dim(n))
-    for p in xs:
-        tracker.add(_monomial_row(p, n))
-    return tracker.rank
+    return linalg.rank(collocation_matrix(xs, n), space_dim(n))
 
 
 def is_independent(xs: NodeSet, n: int) -> bool:
@@ -189,10 +184,8 @@ class VanishingSpace:
 
 
 def vanishing_basis(xs: NodeSet, n: int) -> VanishingSpace:
-    tracker = RankTracker(space_dim(n))
-    for p in xs:
-        tracker.add(_monomial_row(p, n))
-    return VanishingSpace(n, tuple(Poly(n, v) for v in tracker.nullspace()))
+    basis = linalg.nullspace(collocation_matrix(xs, n), space_dim(n))
+    return VanishingSpace(n, tuple(Poly(n, v) for v in basis))
 
 
 def _dependency_rows(xs: NodeSet, n: int) -> list[list[int]]:
@@ -208,7 +201,7 @@ def _dependency_rows(xs: NodeSet, n: int) -> list[list[int]]:
     dependency has coefficient 0 at i.
     """
     transpose = RankTracker(len(xs))
-    for column in zip(*(_monomial_row(p, n) for p in xs)):
+    for column in zip(*collocation_matrix(xs, n)):
         transpose.add(column)
     basis = transpose.scaled_nullspace()
     return [[vec[i] for vec in basis] for i in range(len(xs))]
@@ -217,17 +210,15 @@ def _dependency_rows(xs: NodeSet, n: int) -> list[list[int]]:
 def _fundamentals(xs: NodeSet, n: int,
                   targets: list[int]) -> list[Optional[Poly]]:
     """Fundamental polynomials of the nodes at the target indices, solved
-    together; a row scaled by s asks for the value s at its target.  One
-    target on a set of space_dim(n) nodes is a square system, solved by
-    ``linalg.solve_square``; anything else takes one exact elimination."""
-    rows = []
-    for i, p in enumerate(xs):
-        row, scale = _poly.homogeneous_row(p.x, p.y, n)
-        rows.append(row + [scale if i == t else 0 for t in targets])
-    if len(targets) == 1 and len(rows) == space_dim(n):
-        sols = [linalg.solve_square(rows)]
+    together; a row scaled by s, its entry 0, asks for the value s at its
+    target.  One target is solved by ``linalg.solve``, which lifts a
+    square system; several take one exact elimination."""
+    rows = [row + [row[0] if i == t else 0 for t in targets]
+            for i, row in enumerate(collocation_matrix(xs, n))]
+    if len(targets) == 1:
+        sols = [linalg.solve(rows, space_dim(n))]
     else:
-        sols = linalg.solve_rows(rows, space_dim(n), len(targets))
+        sols = linalg.solve_columns(rows, space_dim(n), len(targets))
     return [None if s is None else Poly(n, s) for s in sols]
 
 
@@ -292,12 +283,12 @@ def _grow(tracker: IndependenceTracker, n: int, candidates: Iterable[Node],
     """The first ``want`` candidates whose degree-n rows grow the tracker,
     each added as it is read.
 
-    At most SEARCH_BUDGET candidates are read, and none after the last one
-    needed; a stream that runs out or over budget first raises
+    At most SEARCH_BUDGET + want candidates are read, and none after the
+    last one needed; a stream that runs out or over budget first raises
     BudgetExceeded.
     """
     found: list[Node] = []
-    stream = itertools.islice(candidates, SEARCH_BUDGET)
+    stream = itertools.islice(candidates, SEARCH_BUDGET + want)
     while len(found) < want:
         cand = next(stream, None)
         if cand is None:

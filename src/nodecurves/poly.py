@@ -19,8 +19,8 @@ by.  The same rows feed the elimination kernel (see ``linalg``); a
 ``eval`` is an integer dot product and builds a single ``Fraction``, the
 result.
 
-``multiplication_matrix`` maps a polynomial r to q*r.  Its columns, the
-multiples of q by the monomials, span everything q divides at a degree
+``multiplication_matrix`` returns the multiples of q by the monomials as
+integer coefficient rows.  They span everything q divides at a degree
 bound; ``curves`` decides divisibility by membership in that span.
 """
 
@@ -33,8 +33,16 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Iterator, Optional
 
-from . import linalg
-from .linalg import Matrix, ZERO, frac
+from .linalg import ZERO
+
+
+def frac(value) -> Fraction:
+    """Coerce an int, string like "3/4", or Fraction to a Fraction."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"not a rational value: {value!r}")
 
 
 def space_dim(n: int) -> int:
@@ -148,7 +156,8 @@ class Poly:
     @cached_property
     def _integer_coeffs(self) -> tuple[list[int], int]:
         """Coefficients times their common denominator d, and d."""
-        return linalg.integer_row(self.coeffs)
+        d = lcm(*[c.denominator for c in self.coeffs])
+        return [c.numerator * (d // c.denominator) for c in self.coeffs], d
 
     def eval(self, x, y) -> Fraction:
         row, scale = homogeneous_row(frac(x), frac(y), self.bound)
@@ -256,25 +265,25 @@ def linear(a, b, c) -> Poly:
     return Poly.from_terms({(1, 0): a, (0, 1): b, (0, 0): c}, 1)
 
 
-def multiplication_matrix(q: Poly, n: int) -> Matrix:
-    """Matrix of r -> q*r from coefficients over bound n - deg(q) to bound n.
+def multiplication_matrix(q: Poly, n: int) -> list[list[int]]:
+    """Integer coefficient rows, over bound n, of q times each monomial of
+    degree <= n - deg(q).
 
-    Column m is the coefficient vector of q * (m-th monomial).
+    Row m is q's integer coefficients (``Poly._integer_coeffs``) shifted to
+    the product with the m-th monomial.
     """
     k = q.degree
     if k is None:
         raise ValueError("multiplication by the zero polynomial")
     if k > n:
         raise ValueError("divisor degree exceeds target bound")
-    src_dim = space_dim(n - k)
-    dst_dim = space_dim(n)
-    cols = []
-    qterms = list(q.terms())
-    for m in range(src_dim):
+    coeffs = q._integer_coeffs[0]
+    terms = [(*monomial_exponents(m), c) for m, c in enumerate(coeffs) if c]
+    rows = []
+    for m in range(space_dim(n - k)):
         mi, mj = monomial_exponents(m)
-        col = [ZERO] * dst_dim
-        for i, j, c in qterms:
-            col[monomial_index(i + mi, j + mj)] += c
-        cols.append(col)
-    flat = tuple(cols[j][i] for i in range(dst_dim) for j in range(src_dim))
-    return Matrix(dst_dim, src_dim, flat)
+        row = [0] * space_dim(n)
+        for i, j, c in terms:
+            row[monomial_index(i + mi, j + mj)] = c
+        rows.append(row)
+    return rows

@@ -3,8 +3,9 @@
 Collocation rows, evaluation and the solves behind fundamental
 polynomials, vanishing spaces and ``node_uses`` run on integer rows scaled
 by e^n, where e is the common denominator of a node's coordinates.  Each
-test recomputes the same value with Fractions and the Matrix readers and
-compares exactly.
+test recomputes the same value from Fraction rows, each scaled by the lcm
+of its own denominators, with ``linalg``'s exact elimination, and compares
+exactly.
 """
 
 from fractions import Fraction
@@ -18,8 +19,6 @@ from nodecurves import curves, linalg, nodes, poly
 from nodecurves.curves import Curve
 from nodecurves.nodes import NodeSet, node
 from nodecurves.poly import Poly
-
-from matrix_helpers import matrix_from_rows
 
 # zero and negative numerators, and denominators sharing no factor
 coords = st.builds(Fraction, st.integers(-9, 9),
@@ -37,6 +36,12 @@ def fraction_row(p, n):
             for i, j in map(poly.monomial_exponents, range(poly.space_dim(n)))]
 
 
+def as_integers(row):
+    """The row times the lcm of its denominators."""
+    den = lcm(*[v.denominator for v in row])
+    return [int(v * den) for v in row]
+
+
 @settings(max_examples=100, deadline=None)
 @given(points, st.integers(0, 6))
 def test_monomial_row_is_scaled_fraction_row(p, n):
@@ -46,7 +51,8 @@ def test_monomial_row_is_scaled_fraction_row(p, n):
     assert all(type(v) is int for v in got)
     assert got == [scale * v for v in want]
     assert poly.homogeneous_row(p.x, p.y, n) == (got, scale)
-    assert nodes.collocation_matrix(NodeSet([p]), n).row(0) == tuple(want)
+    assert nodes.collocation_matrix(NodeSet([p]), n) == [got]
+    assert got[0] == scale
 
 
 @settings(max_examples=100, deadline=None)
@@ -65,11 +71,11 @@ def test_eval_matches_fraction_sum(p, a):
 @settings(max_examples=60, deadline=None)
 @given(node_sets(), st.integers(0, 3))
 def test_fundamental_polynomials_match_fraction_solves(xs, n):
-    m = nodes.collocation_matrix(xs, n)
     want = []
     for idx in range(len(xs)):
-        target = [Fraction(int(i == idx)) for i in range(len(xs))]
-        sol = linalg.solve(m, target)
+        rows = [as_integers(fraction_row(p, n) + [Fraction(int(i == idx))])
+                for i, p in enumerate(xs)]
+        sol = linalg.solve_columns(rows, poly.space_dim(n), 1)[0]
         want.append(None if sol is None else Poly(n, sol))
     assert nodes.fundamental_polynomials(xs, n) == want
     for idx, p in enumerate(xs):
@@ -79,8 +85,9 @@ def test_fundamental_polynomials_match_fraction_solves(xs, n):
 @settings(max_examples=60, deadline=None)
 @given(node_sets(), st.integers(0, 3))
 def test_vanishing_basis_matches_fraction_nullspace(xs, n):
-    ns = linalg.nullspace(nodes.collocation_matrix(xs, n))
-    want = tuple(Poly(n, ns.column(j)) for j in range(ns.ncols))
+    rows = [as_integers(fraction_row(p, n)) for p in xs]
+    want = tuple(Poly(n, v)
+                 for v in linalg.nullspace(rows, poly.space_dim(n)))
     assert nodes.vanishing_basis(xs, n).basis == want
 
 
@@ -95,8 +102,9 @@ def test_node_uses_matches_fraction_solve(xs, n, a, b, c):
             curves.node_uses(first, xs, n, q)
         return
     # p = q*r with p(first) = 1 and p = 0 on the other nodes
-    rows = [[q.poly.eval(p.x, p.y) * v for v in fraction_row(p, n - 1)]
-            for p in xs]
-    target = [Fraction(int(i == 0)) for i in range(len(xs))]
-    want = linalg.solve(matrix_from_rows(rows), target) is not None
+    rows = [as_integers([q.poly.eval(p.x, p.y) * v
+                         for v in fraction_row(p, n - 1)]
+                        + [Fraction(int(i == 0))])
+            for i, p in enumerate(xs)]
+    want = linalg.solve_columns(rows, poly.space_dim(n - 1), 1)[0] is not None
     assert curves.node_uses(first, xs, n, q) == want

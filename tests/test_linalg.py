@@ -7,74 +7,77 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodecurves import generators, linalg, poly
-from nodecurves.linalg import IndependenceTracker, Matrix, P, RankTracker
-
-from matrix_helpers import matrix_from_rows, matrix_rows
+from nodecurves.linalg import IndependenceTracker, P, RankTracker
 
 
 def F(v):
     return Fraction(v)
 
 
-def mul_vec(m: Matrix, v) -> tuple[Fraction, ...]:
-    assert len(v) == m.ncols
-    return tuple(sum((m.at(i, j) * v[j] for j in range(m.ncols)), Fraction(0))
-                 for i in range(m.nrows))
+def fractions(rows) -> list[list[Fraction]]:
+    return [[F(v) for v in row] for row in rows]
 
 
-def test_frac_parses_canonical_strings():
-    assert linalg.frac("3/4") == Fraction(3, 4)
-    assert linalg.frac("-2/6") == Fraction(-1, 3)
-    assert linalg.frac(5) == Fraction(5)
-    assert str(Fraction(-3, 4)) == "-3/4"
-    assert str(Fraction(8, 4)) == "2"
+def as_integers(rows) -> list[list[int]]:
+    """Each row times the lcm of its denominators, in integers: the same
+    rank, nullspace and solutions as the rows themselves."""
+    out = []
+    for row in rows:
+        den = math.lcm(*[F(v).denominator for v in row])
+        out.append([int(v * den) for v in row])
+    return out
+
+
+def mul_vec(rows, v) -> tuple[Fraction, ...]:
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0))
+                 for row in rows)
+
+
+def augmented(rows, columns) -> list[list[Fraction]]:
+    """Each row followed by its entry of every right-hand side."""
+    return [list(row) + [F(b[i]) for b in columns]
+            for i, row in enumerate(rows)]
 
 
 def test_nullspace_canonical_basis():
     # rows of the 4-node degree-2 collocation example
-    m = matrix_from_rows([
+    rows = [
         [1, 0, 0, 0, 0, 0],
         [1, 1, 0, 1, 0, 0],
         [1, 2, 0, 4, 0, 0],
         [1, 0, 1, 0, 0, 1],
-    ])
-    assert linalg.rank(m) == 4
-    ns = linalg.nullspace(m)
-    assert ns.ncols == 2
-    assert ns.column(0) == (F(0), F(0), F(0), F(0), F(1), F(0))
-    assert ns.column(1) == (F(0), F(0), F(-1), F(0), F(0), F(1))
+    ]
+    assert linalg.rank(rows, 6) == 4
+    ns = linalg.nullspace(rows, 6)
+    assert len(ns) == 2
+    assert ns[0] == (F(0), F(0), F(0), F(0), F(1), F(0))
+    assert ns[1] == (F(0), F(0), F(-1), F(0), F(0), F(1))
 
 
 def test_nullspace_of_zero_row_spans_everything():
-    m = matrix_from_rows([[0, 0, 0]])
-    ns = linalg.nullspace(m)
-    assert ns.ncols == 3
-    assert [ns.column(j) for j in range(3)] == [
+    ns = linalg.nullspace([[0, 0, 0]], 3)
+    assert len(ns) == 3
+    assert ns == [
         (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
 
 
 def test_solve_free_variables_zero():
-    m = matrix_from_rows([[1, 1]])
-    assert linalg.solve(m, [2]) == (F(2), F(0))
+    assert linalg.solve([[1, 1, 2]], 2) == (F(2), F(0))
 
 
 def test_solve_inconsistent_returns_none():
-    m = matrix_from_rows([[1], [1]])
-    assert linalg.solve(m, [0, 1]) is None
+    assert linalg.solve([[1, 0], [1, 1]], 1) is None
 
 
 def test_solve_columns_mixed_consistency():
-    m = matrix_from_rows([[1, 0], [1, 0]])
-    got = linalg.solve_columns(m, [[1, 1], [0, 1]])
+    got = linalg.solve_columns([[1, 0, 1, 0], [1, 0, 1, 1]], 2, 2)
     assert got[0] == (F(1), F(0))
     assert got[1] is None
 
 
 def test_empty_matrix_edges():
-    m = matrix_from_rows([])
-    assert linalg.rank(m) == 0
-    zero_rows = Matrix(0, 4, ())
-    assert linalg.nullspace(zero_rows).ncols == 4
+    assert linalg.rank([], 0) == 0
+    assert len(linalg.nullspace([], 4)) == 4
 
 
 def test_rank_tracker_matches_rref_rank():
@@ -84,11 +87,10 @@ def test_rank_tracker_matches_rref_rank():
         [0, 1, 1],
         [1, 3, 4],
     ]
-    m = matrix_from_rows(rows)
     tracker = RankTracker(3)
     grew = [tracker.add(r) for r in rows]
     assert grew == [True, False, True, False]
-    assert tracker.rank == linalg.rank(m) == 2
+    assert tracker.rank == linalg.rank(rows, 3) == 2
 
 
 def test_rank_tracker_out_of_order_pivots():
@@ -112,34 +114,36 @@ small_fracs = st.fractions(
 
 
 def matrices(max_rows=5, max_cols=5):
+    """Fraction rows, at least one, all of one length."""
     return st.integers(1, max_cols).flatmap(
         lambda c: st.lists(
             st.lists(small_fracs, min_size=c, max_size=c),
-            min_size=1, max_size=max_rows).map(matrix_from_rows))
+            min_size=1, max_size=max_rows))
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_plus_nullity_is_ncols(m):
-    ns = linalg.nullspace(m)
-    assert linalg.rank(m) + ns.ncols == m.ncols
+    ncols = len(m[0])
+    ns = linalg.nullspace(as_integers(m), ncols)
+    assert linalg.rank(as_integers(m), ncols) + len(ns) == ncols
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_nullspace_vectors_are_annihilated(m):
-    ns = linalg.nullspace(m)
-    for j in range(ns.ncols):
-        out = mul_vec(m, ns.column(j))
+    for vec in linalg.nullspace(as_integers(m), len(m[0])):
+        out = mul_vec(m, vec)
         assert all(v == 0 for v in out)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.data())
 def test_solve_solution_satisfies_system(m, data):
-    x = data.draw(st.lists(small_fracs, min_size=m.ncols, max_size=m.ncols))
+    ncols = len(m[0])
+    x = data.draw(st.lists(small_fracs, min_size=ncols, max_size=ncols))
     b = mul_vec(m, x)
-    got = linalg.solve(m, b)
+    got = linalg.solve(as_integers(augmented(m, [b])), ncols)
     assert got is not None
     assert mul_vec(m, got) == b
 
@@ -147,9 +151,9 @@ def test_solve_solution_satisfies_system(m, data):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_tracker_rank_agrees_with_fraction_path(m):
-    tracker = RankTracker(m.ncols)
-    for i in range(m.nrows):
-        tracker.add(linalg.integer_row(m.row(i))[0])
+    tracker = RankTracker(len(m[0]))
+    for row in as_integers(m):
+        tracker.add(row)
     assert tracker.rank == len(ref_rref(m)[1])
 
 
@@ -189,16 +193,16 @@ def _eliminate(rows: list[list[Fraction]], pivot_limit: int) -> list[int]:
 
 
 def ref_rref(m):
-    rows = [list(m.row(i)) for i in range(m.nrows)]
-    pivots = _eliminate(rows, m.ncols)
+    rows = [list(row) for row in m]
+    pivots = _eliminate(rows, len(rows[0]) if rows else 0)
     return [tuple(r) for r in rows], tuple(pivots)
 
 
-def ref_nullspace(m):
+def ref_nullspace(m, ncols):
     rows, pivots = ref_rref(m)
     basis = []
-    for f in (j for j in range(m.ncols) if j not in pivots):
-        vec = [F(0)] * m.ncols
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [F(0)] * ncols
         vec[f] = F(1)
         for r, p in enumerate(pivots):
             vec[p] = -rows[r][f]
@@ -206,18 +210,17 @@ def ref_nullspace(m):
     return basis
 
 
-def ref_solve_columns(m, columns):
+def ref_solve_columns(m, ncols, columns):
     k = len(columns)
-    rows = [list(m.row(i)) + [F(columns[c][i]) for c in range(k)]
-            for i in range(m.nrows)]
-    pivots = _eliminate(rows, m.ncols)
+    rows = augmented(m, columns)
+    pivots = _eliminate(rows, ncols)
     out = []
     for c in range(k):
-        aug = m.ncols + c
+        aug = ncols + c
         if any(rows[r][aug] != 0 for r in range(len(pivots), len(rows))):
             out.append(None)
             continue
-        x = [F(0)] * m.ncols
+        x = [F(0)] * ncols
         for r, p in enumerate(pivots):
             x[p] = rows[r][aug]
         out.append(tuple(x))
@@ -246,7 +249,7 @@ def awkward_matrices(draw, max_rows=7, max_cols=6):
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             s, t = draw(small_fracs), draw(small_fracs)
             rows.append([s * u + t * v for u, v in zip(a, b)])
-    return matrix_from_rows(draw(st.permutations(rows)))
+    return draw(st.permutations(rows))
 
 
 def any_matrices():
@@ -257,26 +260,25 @@ def any_matrices():
 @given(any_matrices())
 def test_rank_matches_reference(m):
     _, pivots = ref_rref(m)
-    assert linalg.rank(m) == len(pivots)
+    assert linalg.rank(as_integers(m), len(m[0])) == len(pivots)
 
 
 @settings(max_examples=150, deadline=None)
 @given(any_matrices())
 def test_nullspace_matches_reference(m):
-    ns = linalg.nullspace(m)
-    assert [ns.column(j) for j in range(ns.ncols)] == ref_nullspace(m)
+    ncols = len(m[0])
+    assert linalg.nullspace(as_integers(m), ncols) == ref_nullspace(m, ncols)
 
 
 @settings(max_examples=150, deadline=None)
 @given(any_matrices())
 def test_tracker_incremental_matches_reference(m):
-    tracker = RankTracker(m.ncols)
-    for i in range(m.nrows):
-        row = linalg.integer_row(m.row(i))[0]
+    tracker = RankTracker(len(m[0]))
+    for i, row in enumerate(as_integers(m)):
         before = tracker.rank
         grows = tracker.would_grow(row)
         assert tracker.rank == before
-        _, pivots = ref_rref(matrix_from_rows(matrix_rows(m)[:i + 1]))
+        _, pivots = ref_rref(m[:i + 1])
         assert tracker.add(row) == grows == (len(pivots) > before)
         assert tracker.rank == len(pivots)
         assert not tracker.would_grow(row)
@@ -290,19 +292,22 @@ unrelated_denominators = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(any_matrices(), unrelated_denominators, st.data())
 def test_solve_columns_matches_reference(m, dens, data):
+    ncols = len(m[0])
     columns = []
     for den in dens:
         numerators = st.integers(-40, 40)
         if data.draw(st.booleans()):
             # consistent by construction: b = m x
-            x = [Fraction(data.draw(numerators), den) for _ in range(m.ncols)]
+            x = [Fraction(data.draw(numerators), den) for _ in range(ncols)]
             columns.append(mul_vec(m, x))
         else:
             columns.append([Fraction(data.draw(numerators), den)
-                            for _ in range(m.nrows)])
-    got = linalg.solve_columns(m, columns)
-    assert got == ref_solve_columns(m, columns)
-    assert [linalg.solve(m, b) for b in columns] == got
+                            for _ in range(len(m))])
+    got = linalg.solve_columns(as_integers(augmented(m, columns)), ncols,
+                               len(columns))
+    assert got == ref_solve_columns(m, ncols, columns)
+    assert [linalg.solve(as_integers(augmented(m, [b])), ncols)
+            for b in columns] == got
 
 
 @settings(max_examples=150, deadline=None)
@@ -310,12 +315,13 @@ def test_solve_columns_matches_reference(m, dens, data):
 # the second row's pivot rewrites the first with multipliers 3 and 1,
 # not 12 and 4: their common factor 4 does not divide the first row's
 # denominator 5, so the content taken from it would leave 4 behind
-@example(matrix_from_rows([[5, 4, 3, 4], [3, 0, 0, 2], [0, 6, -6, 4]]))
+@example(fractions([[5, 4, 3, 4], [3, 0, 0, 2], [0, 6, -6, 4]]))
 def test_scaled_nullspace_is_the_least_integer_multiple(m):
-    tracker = RankTracker(m.ncols)
-    for i in range(m.nrows):
-        tracker.add(linalg.integer_row(m.row(i))[0])
-    ref = ref_nullspace(m)
+    ncols = len(m[0])
+    tracker = RankTracker(ncols)
+    for row in as_integers(m):
+        tracker.add(row)
+    ref = ref_nullspace(m, ncols)
     den = math.lcm(*[v.denominator for vec in ref for v in vec])
     scaled = tracker.scaled_nullspace()
     assert scaled == [[den * v for v in vec] for vec in ref]
@@ -358,16 +364,16 @@ def sparse_row_streams(draw):
 @given(sparse_row_streams(), st.data())
 def test_sparse_rows_match_reference(stream, data):
     ncols, rows = stream
-    m = matrix_from_rows(rows)
+    m = fractions(rows)
     tracker = RankTracker(ncols)
     for i, row in enumerate(rows):
         before = tracker.rank
-        _, pivots = ref_rref(matrix_from_rows(rows[:i + 1]))
+        _, pivots = ref_rref(m[:i + 1])
         assert tracker.would_grow(row) == (len(pivots) > before)
         assert tracker.add(row) == (len(pivots) > before)
         assert tracker.rank == len(pivots)
         assert not tracker.would_grow(row)
-    assert tracker.nullspace() == ref_nullspace(m)
+    assert linalg.nullspace(rows, ncols) == ref_nullspace(m, ncols)
     columns = []
     for _ in range(data.draw(st.integers(1, 3))):
         if data.draw(st.booleans()):
@@ -377,9 +383,9 @@ def test_sparse_rows_match_reference(stream, data):
         else:
             columns.append(data.draw(st.lists(
                 st.integers(-9, 9), min_size=len(rows), max_size=len(rows))))
-    augmented = [row + [b[i] for b in columns] for i, row in enumerate(rows)]
-    assert (linalg.solve_rows(augmented, ncols, len(columns))
-            == ref_solve_columns(m, columns))
+    system = [row + [b[i] for b in columns] for i, row in enumerate(rows)]
+    assert (linalg.solve_columns(system, ncols, len(columns))
+            == ref_solve_columns(m, ncols, columns))
 
 
 # IndependenceTracker against the exact RankTracker: rows the prime P
@@ -390,7 +396,7 @@ row_entries = st.one_of(small_ints, st.integers(-2**70, 2**70))
 
 
 @st.composite
-def integer_row_streams(draw, max_rows=9, max_cols=5):
+def int_row_streams(draw, max_rows=9, max_cols=5):
     ncols = draw(st.integers(1, max_cols))
     entries = st.lists(row_entries, min_size=ncols, max_size=ncols)
     rows: list[list[int]] = []
@@ -418,7 +424,7 @@ def integer_row_streams(draw, max_rows=9, max_cols=5):
 
 
 @settings(max_examples=300, deadline=None)
-@given(integer_row_streams())
+@given(int_row_streams())
 def test_independence_tracker_matches_rank_tracker(stream):
     ncols, rows = stream
     fast, exact = IndependenceTracker(ncols), RankTracker(ncols)
@@ -478,9 +484,9 @@ def test_independence_tracker_rejects_combinations_of_many_rows():
     assert tracker.rank == 70
 
 
-# solve_square against solve_rows: random systems with rows of unrelated
-# magnitudes, systems whose determinant is a nonzero multiple of P, and
-# singular systems, consistent or not.
+# solve on square systems against solve_columns: random systems with rows
+# of unrelated magnitudes, systems whose determinant is a nonzero multiple
+# of P, and singular systems, consistent or not.
 
 def _rank_mod_p(rows):
     rows = [[v % P for v in row] for row in rows]
@@ -545,17 +551,17 @@ def singular_systems(draw, max_size=6):
 
 @settings(max_examples=150, deadline=None)
 @given(square_systems())
-def test_solve_square_matches_solve_rows(rows):
-    want = linalg.solve_rows(rows, len(rows), 1)[0]
+def test_square_solve_matches_solve_columns(rows):
+    want = linalg.solve_columns(rows, len(rows), 1)[0]
     if _rank_mod_p([row[:-1] for row in rows]) < len(rows):
-        assert linalg.solve_square(rows) == want
+        assert linalg.solve(rows, len(rows)) == want
         return
-    original, calls = linalg.solve_rows, []
-    linalg.solve_rows = lambda *args: calls.append(args)
+    original, calls = linalg.solve_columns, []
+    linalg.solve_columns = lambda *args: calls.append(args)
     try:
-        got = linalg.solve_square(rows)
+        got = linalg.solve(rows, len(rows))
     finally:
-        linalg.solve_rows = original
+        linalg.solve_columns = original
     # invertible mod P: certified, with no exact elimination
     assert calls == []
     assert got == want
@@ -563,20 +569,20 @@ def test_solve_square_matches_solve_rows(rows):
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(singular_mod_p_systems(), singular_systems()))
-def test_solve_square_falls_back_when_singular_mod_p(rows):
-    want = linalg.solve_rows(rows, len(rows), 1)[0]
+def test_square_solve_falls_back_when_singular_mod_p(rows):
+    want = linalg.solve_columns(rows, len(rows), 1)[0]
     assert linalg._neg_inverse_columns(list(zip(*rows))[:len(rows)]) is None
-    assert linalg.solve_square(rows) == want
+    assert linalg.solve(rows, len(rows)) == want
 
 
-def test_solve_square_fallback_answers_dependent_systems():
+def test_square_solve_fallback_answers_dependent_systems():
     consistent = [[1, 2, 3], [2, 4, 6]]
-    assert linalg.solve_square(consistent) == (F(3), F(0))
-    assert linalg.solve_square([[1, 2, 3], [2, 4, 7]]) is None
+    assert linalg.solve(consistent, 2) == (F(3), F(0))
+    assert linalg.solve([[1, 2, 3], [2, 4, 7]], 2) is None
     # nonsingular, but P divides the determinant
     rows = [[1, 0, 1], [0, P, 1]]
-    assert linalg.solve_square(rows) == (F(1), Fraction(1, P))
-    assert linalg.solve_square([]) == ()
+    assert linalg.solve(rows, len(rows)) == (F(1), Fraction(1, P))
+    assert linalg.solve([], 0) == ()
 
 
 def _random_systems(seed, count, size, bits):
@@ -585,7 +591,7 @@ def _random_systems(seed, count, size, bits):
              for _ in range(size)] for _ in range(count)]
 
 
-def test_solve_square_refuses_a_candidate_the_exact_check_fails(
+def test_square_solve_refuses_a_candidate_the_exact_check_fails(
         monkeypatch):
     # the first rebuilt candidate is made off by one in one numerator: the
     # exact check refuses it, and lifting goes on to the true solution
@@ -601,15 +607,16 @@ def test_solve_square_refuses_a_candidate_the_exact_check_fails(
     monkeypatch.setattr(linalg, "_numerators", off_by_one)
     for rows in _random_systems(3, 10, 4, 40):
         spoiled.clear()
-        assert linalg.solve_square(rows) == linalg.solve_rows(rows, 4, 1)[0]
+        assert (linalg.solve(rows, len(rows))
+                == linalg.solve_columns(rows, 4, 1)[0])
         assert spoiled
 
 
-def test_solve_square_stops_at_the_step_cap(monkeypatch):
+def test_square_solve_stops_at_the_step_cap(monkeypatch):
     # a reconstruction that never verifies lifts up to the cap derived
     # from the Hadamard bound, then the exact elimination answers
     rows = _random_systems(5, 1, 5, 30)[0]
-    want = linalg.solve_rows(rows, 5, 1)[0]
+    want = linalg.solve_columns(rows, 5, 1)[0]
     moduli, original = [], linalg._numerators
 
     def recording(x, modulus, den):
@@ -617,13 +624,13 @@ def test_solve_square_stops_at_the_step_cap(monkeypatch):
         return original(x, modulus, den)
     monkeypatch.setattr(linalg, "_numerators", recording)
     monkeypatch.setattr(linalg, "_certified", lambda *args: False)
-    calls, exact = [], linalg.solve_rows
+    calls, exact = [], linalg.solve_columns
 
     def spy(*args):
         calls.append(args)
         return exact(*args)
-    monkeypatch.setattr(linalg, "solve_rows", spy)
-    assert linalg.solve_square(rows) == want
+    monkeypatch.setattr(linalg, "solve_columns", spy)
+    assert linalg.solve(rows, len(rows)) == want
     # the last rebuild is at the cap, past the Hadamard bound
     cap = linalg._step_cap(rows)
     assert moduli[-1] == P ** cap
@@ -632,7 +639,7 @@ def test_solve_square_stops_at_the_step_cap(monkeypatch):
     assert len(calls) == 1
 
 
-def test_solve_square_stops_soon_after_the_solution_is_determined(
+def test_square_solve_stops_soon_after_the_solution_is_determined(
         monkeypatch):
     # the probe is rebuilt each time the step count grows by an eighth, so
     # the solve ends at most an eighth, plus the confirming digit, past
@@ -652,7 +659,7 @@ def test_solve_square_stops_soon_after_the_solution_is_determined(
             row, scale = poly.homogeneous_row(p.x, p.y, 6)
             rows.append(row + [scale if i == target else 0])
         moduli.clear()
-        x = linalg.solve_square(rows)
+        x = linalg.solve(rows, len(rows))
         den = math.lcm(*[v.denominator for v in x])
         probe = sum(w * v for w, v in zip(range(1, len(x) + 1), x))
         nums = [abs(v.numerator) * (den // v.denominator) for v in x]

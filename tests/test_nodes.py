@@ -10,8 +10,6 @@ from nodecurves.errors import BudgetExceeded
 from nodecurves.nodes import NodeSet, node
 from nodecurves.poly import Poly
 
-from matrix_helpers import matrix_from_rows, matrix_rows
-
 FOUR = NodeSet([(0, 0), (1, 0), (2, 0), (0, 1)])
 TRIANGLE = NodeSet([(0, 0), (1, 0), (0, 1)])
 COLLINEAR3 = NodeSet([(0, 0), (1, 0), (2, 0)])
@@ -38,16 +36,11 @@ def test_nodeset_json_round_trip():
 
 
 def test_collocation_matrix_hand_example():
-    m = nodes.collocation_matrix(FOUR, 2)
-    assert (m.nrows, m.ncols) == (4, 6)
-    assert matrix_rows(m) == [
-        tuple(Fraction(v) for v in row)
-        for row in [
-            (1, 0, 0, 0, 0, 0),
-            (1, 1, 0, 1, 0, 0),
-            (1, 2, 0, 4, 0, 0),
-            (1, 0, 1, 0, 0, 1),
-        ]
+    assert nodes.collocation_matrix(FOUR, 2) == [
+        [1, 0, 0, 0, 0, 0],
+        [1, 1, 0, 1, 0, 0],
+        [1, 2, 0, 4, 0, 0],
+        [1, 0, 1, 0, 0, 1],
     ]
 
 
@@ -115,7 +108,7 @@ def test_fundamental_polynomial_of_a_poised_set_needs_no_elimination(
 
     def refuse(*args):
         raise AssertionError("exact elimination")
-    monkeypatch.setattr(linalg, "solve_rows", refuse)
+    monkeypatch.setattr(linalg, "solve_columns", refuse)
     for i in (0, 13, 27):
         assert nodes.fundamental_polynomial(xs[i], xs, 6) == want[i]
 
@@ -207,12 +200,26 @@ def test_grow_stops_at_the_last_candidate_it_needs():
 
 def test_grow_reads_exactly_the_budget(monkeypatch):
     monkeypatch.setattr(nodes, "SEARCH_BUDGET", 7)
-    # the first read grows the tracker, the repeats never do
+    # the first read grows the tracker, the repeats never do; the stream
+    # is read up to the budget plus the 2 nodes wanted
     stream, reads = _counted([node(0, 0)] * 100)
     tracker = linalg.IndependenceTracker(poly.space_dim(2))
     with pytest.raises(BudgetExceeded):
         nodes._grow(tracker, 2, stream, 2)
-    assert reads == [7]
+    assert reads == [9]
+
+
+def test_grow_keeps_more_nodes_than_the_budget(monkeypatch):
+    # a search that must keep more nodes than SEARCH_BUDGET still succeeds
+    # on a stream of independent points
+    monkeypatch.setattr(nodes, "SEARCH_BUDGET", 2)
+    xs = NodeSet([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+    stream, reads = _counted(list(xs))
+    tracker = linalg.IndependenceTracker(poly.space_dim(2))
+    assert nodes._grow(tracker, 2, stream, 6) == list(xs)
+    assert reads == [6]
+    assert nodes.extend_to_poised(NodeSet(), 2) == \
+        NodeSet(itertools.islice(nodes.integer_spiral(), 6))
 
 
 def test_grow_raises_when_the_stream_runs_out():
@@ -274,8 +281,9 @@ def test_maximal_subset_spans_same_vanishing_space(xs, n):
                   if tracker.add(poly.homogeneous_row(p.x, p.y, n)[0]))
     assert nodes.is_independent(sub, n)
     assert nodes.hilbert_function(sub, n) == nodes.hilbert_function(xs, n)
-    full = [q.coeffs for q in nodes.vanishing_basis(xs, n).basis]
-    reduced = [q.coeffs for q in nodes.vanishing_basis(sub, n).basis]
+    full = [q._integer_coeffs[0] for q in nodes.vanishing_basis(xs, n).basis]
+    reduced = [q._integer_coeffs[0]
+               for q in nodes.vanishing_basis(sub, n).basis]
     # two bases of one space: stacking them adds no rank
-    stacked = matrix_from_rows(full + reduced)
-    assert len(full) == len(reduced) == linalg.rank(stacked)
+    stacked = full + reduced
+    assert len(full) == len(reduced) == linalg.rank(stacked, poly.space_dim(n))

@@ -10,6 +10,14 @@ from nodecurves.nodes import VanishingSpace
 from nodecurves.poly import Poly
 
 
+def test_frac_parses_canonical_strings():
+    assert poly.frac("3/4") == Fraction(3, 4)
+    assert poly.frac("-2/6") == Fraction(-1, 3)
+    assert poly.frac(5) == Fraction(5)
+    assert str(Fraction(-3, 4)) == "-3/4"
+    assert str(Fraction(8, 4)) == "2"
+
+
 def test_space_dim_values():
     assert poly.space_dim(0) == 1
     assert poly.space_dim(2) == 6
@@ -128,6 +136,21 @@ def test_degree_additive_for_nonzero(p, q):
     else:
         # exact arithmetic over a field: leading forms cannot cancel
         assert (p * q).degree == p.degree + q.degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.integers(0, 2))
+def test_multiplication_matrix_rows_are_integer_products(q, extra):
+    # row m holds the integer coefficients of q * (m-th monomial)
+    if q.is_zero:
+        return
+    n = q.degree + extra
+    rows = poly.multiplication_matrix(q, n)
+    assert len(rows) == poly.space_dim(extra)
+    for m, row in enumerate(rows):
+        i, j = poly.monomial_exponents(m)
+        product = q * Poly.from_terms({(i, j): 1}, i + j)
+        assert row == product.with_bound(n)._integer_coeffs[0]
 
 
 @settings(max_examples=60, deadline=None)
