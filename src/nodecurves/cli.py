@@ -300,6 +300,11 @@ def main(argv=None) -> int:
         return 1
     try:
         out = args.func(args)
+        if args.output is None:
+            sys.stdout.write(out)
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
     except TheoremViolation as exc:
         _emit_error(str(exc))
         return 2
@@ -311,11 +316,6 @@ def main(argv=None) -> int:
         _emit_error(str(exc) if not isinstance(exc, KeyError)
                     else f"missing field {exc}")
         return 1
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
     return 0
 
 

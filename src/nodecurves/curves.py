@@ -257,23 +257,27 @@ def node_uses(a, xs: NodeSet, n: int, q: Curve) -> bool:
     row is outside the span of the others.  A nonzero q(p) changes no
     span, and a zero one leaves no row.  The set need not be poised; any
     fundamental polynomial counts.  Raises if a is not in xs or has no
-    fundamental polynomial at all.
+    fundamental polynomial at all; a True answer exhibits one, so only
+    before a False answer is that checked, by a degree-n rank test.
     """
     a = _nodes._coerce(a)
     others = xs.without(a)  # raises ValueError if a is not a node of xs
+    if q.degree > n:
+        raise ValueError("curve degree exceeds n")
+    if not q.contains(a):
+        m = n - q.degree
+        span = IndependenceTracker(space_dim(m))
+        for p in others:
+            if not q.contains(p):
+                span.add(_nodes._monomial_row(p, m))
+        if span.add(_nodes._monomial_row(a, m)):
+            return True
     tracker = IndependenceTracker(space_dim(n))
     for p in others:
         tracker.add(_nodes._monomial_row(p, n))
     if not tracker.add(_nodes._monomial_row(a, n)):
         raise ValueError("node has no fundamental polynomial")
-    if q.degree > n:
-        raise ValueError("curve degree exceeds n")
-    m = n - q.degree
-    span = IndependenceTracker(space_dim(m))
-    for p in others:
-        if not q.contains(p):
-            span.add(_nodes._monomial_row(p, m))
-    return not q.contains(a) and span.add(_nodes._monomial_row(a, m))
+    return False
 
 
 def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:

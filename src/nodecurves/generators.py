@@ -131,8 +131,6 @@ def berzolari_radon(n: int, seed: int) -> BRSet:
             cand = line.point_at(t)
             if any(prev.eval(cand.x, cand.y) == 0 for prev in lines[:j]):
                 continue
-            if cand in placed:
-                continue
             placed.append(cand)
             got += 1
         counts.append(want)

@@ -30,30 +30,35 @@ It rewrites only the kept rows with ``f = R_i[c] != 0``, each as
 content and ``a`` would divide ``b*w``, while ``gcd(a, b) = 1`` and ``w``
 has content 1.  So the content's gcd starts from ``d_i``: it never grows
 past ``d_i``, and once it reaches 1 the rest of the row costs nothing.
-Readers that need one denominator use ``D``, the
-lcm of every ``d_i``, which is the least common denominator of the RREF;
-it is kept until the next pivot, for ``would_grow``, which a tracker often
-answers for many rows after it has stopped growing.
+One reader, ``RankTracker.coordinates``, hands the RREF out: each column's
+entries in the canonical nullspace basis, over 1 for a free column and
+over ``d_i`` for kept row i's pivot, so every pair is in lowest terms.
+``nullspace`` and the dependency rows of ``nodes`` read it, and
+``solve_columns`` reads a solution off the kept rows' right-hand sides the
+same way.  Only ``would_grow`` scales the kept rows to one denominator,
+``D``, the lcm of every ``d_i``: it caches ``D`` until the next pivot,
+because a tracker is often asked about many rows after it has stopped
+growing.
 
-Two other forms are not kept.  With one common denominator ``D`` for all
-rows, every new pivot rescales every kept row by its ``lead``, also the
-rows that are 0 in its column, and then takes a gcd over all rows to bring
-``D`` back down.  On Berzolari-Radon sets, whose rows meet few pivots,
-that made ``line_usage_reports`` at n=16 about three times slower.
+Two other forms are not kept.  With one common denominator for all rows,
+every new pivot rescales every kept row by its ``lead``, also the rows
+that are 0 in its column, and then takes a gcd over all rows to bring the
+denominator back down.  On Berzolari-Radon sets, whose rows meet few
+pivots, that made ``line_usage_reports`` at n=16 about three times slower.
 Bareiss elimination divides by the previous pivot instead, which leaves a
-leading minor as the denominator: a multiple of ``D``, often far larger,
-and slower on this package's searches.  On dense rows, which meet every
-pivot, the per-row form pays one content gcd and, often, one exact
-division per kept row and pivot; there it measured within 10% of the
-common form either way (random sets at n=10 and n=12, Python 3.11,
+leading minor as the denominator: a multiple of the lcm of the ``d_i``,
+often far larger, and slower on this package's searches.  On dense rows,
+which meet every pivot, the per-row form pays one content gcd and, often,
+one exact division per kept row and pivot; there it measured within 10%
+of the common form either way (random sets at n=10 and n=12, Python 3.11,
 2 vCPU).
 
 Scaling a row by a nonzero number changes neither the rank nor the
 nullspace, so callers that build rows pass integer multiples straight in:
 the collocation rows of ``nodes`` are integer homogeneous rows (see
 ``poly.homogeneous_row``).  A solve scales its right-hand side by the same
-factor as its row.  Fractions appear only in results, when a reader
-normalizes the kept rows.
+factor as its row.  Fractions appear only in results, each built from a
+numerator and its row's ``d_i``.
 
 Independence decisions, which only ask whether a row grows the rank, run
 through :class:`IndependenceTracker`, which works modulo the prime ``P``
@@ -154,17 +159,6 @@ class RankTracker:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _common_form(self) -> tuple[int, list[tuple[int, int, list]]]:
-        """``D``, the lcm of every ``d_i``, and each kept row with its pivot
-        and ``D/d_i``; kept until the next pivot.  ``D`` is the least
-        common denominator of the RREF, since each ``R_i / d_i`` is in
-        lowest terms."""
-        if self._common is None:
-            kept = list(zip(self._pivots, self._rows))
-            den = lcm(*[row[p] for p, row in kept])
-            self._common = den, [(p, den // row[p], row) for p, row in kept]
-        return self._common
-
     def _reduce(self, w: Sequence[int]) -> Sequence[int]:
         """``L*w - sum(w[p_i] * (L/d_i) * R_i)`` over the kept rows w meets,
         those with ``w[p_i] != 0``, where ``L`` is the lcm of their
@@ -205,11 +199,16 @@ class RankTracker:
 
         Only the free columns are reduced: a reduced row is 0 in every
         pivot column, and nonzero somewhere iff the row grows the rank.
-        The row is scaled by ``D`` rather than by the lcm of the ``d_i`` it
-        meets: a tracker is often asked about many rows once it has stopped
-        growing, and ``_common_form`` is then computed once for all of
-        them."""
-        den, kept = self._common_form()
+        The row is scaled by ``D``, the lcm of every ``d_i``, rather than
+        by the lcm of the ``d_i`` it meets: a tracker is often asked about
+        many rows once it has stopped growing, and ``D`` with each kept
+        row's ``D/d_i`` is then computed once for all of them, and kept
+        until the next pivot."""
+        if self._common is None:
+            kept = list(zip(self._pivots, self._rows))
+            den = lcm(*[base[p] for p, base in kept])
+            self._common = den, [(p, den // base[p], base) for p, base in kept]
+        den, kept = self._common
         terms = [(row[p] * scale, base) for p, scale, base in kept if row[p]]
         pivots = set(self._pivots)
         return any(den * row[j] != sum(f * base[j] for f, base in terms)
@@ -231,31 +230,23 @@ class RankTracker:
         """Add a row; returns True iff the rank grew."""
         return self._absorb(row) is None
 
-    def scaled_nullspace(self) -> list[list[int]]:
-        """``D`` times the canonical basis of the vectors orthogonal to
-        every row added, in integers: one vector per free column f, with
-        ``D`` at f, 0 at the other free columns and ``-R_i[f] * D/d_i`` at
-        the pivot column of each kept row."""
-        den, kept = self._common_form()
-        pivot_set = set(self._pivots)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot_set:
-                continue
-            vec = [0] * self.ncols
-            vec[f] = den
-            for p, scale, row in kept:
-                vec[p] = -scale * row[f]
-            basis.append(vec)
-        return basis
-
-    def solution(self, column: int) -> tuple[Fraction, ...]:
-        """The free-variables-zero solution whose right-hand side is the
-        given column past ``ncols``."""
-        x = [ZERO] * self.ncols
-        for p, row in zip(self._pivots, self._rows):
-            x[p] = Fraction(row[column], row[p])
-        return tuple(x)
+    def coordinates(self) -> list[tuple[list[int], int]]:
+        """Each column's entries in the canonical basis of the vectors
+        orthogonal to every row added, one per free column in increasing
+        order, as integer numerators over one denominator: a free column
+        gets its own unit vector over 1, and kept row i's pivot column gets
+        ``-R_i[f]`` for every free f over ``d_i``.  Each pair is in lowest
+        terms when the rows carry no right-hand sides."""
+        owner = dict(zip(self._pivots, self._rows))
+        free = [j for j in range(self.ncols) if j not in owner]
+        out = []
+        for j in range(self.ncols):
+            row = owner.get(j)
+            if row is None:
+                out.append(([int(f == j) for f in free], 1))
+            else:
+                out.append(([-row[f] for f in free], row[j]))
+        return out
 
 
 def _slot_words(nslots: int) -> int:
@@ -414,19 +405,10 @@ def nullspace(rows: Iterable[Sequence[int]],
     tracker = RankTracker(ncols)
     for row in rows:
         tracker.add(row)
-    kept = list(zip(tracker._pivots, tracker._rows))
-    pivot_set = set(tracker._pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[f] = Fraction(1)
-        for p, row in kept:
-            if row[f]:
-                vec[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(vec))
-    return basis
+    coords = tracker.coordinates()
+    dens = [den for _, den in coords]
+    return [tuple(Fraction(v, den) if v else ZERO for v, den in zip(vec, dens))
+            for vec in zip(*[nums for nums, _ in coords])]
 
 
 def solve_columns(rows: Iterable[Sequence[int]], ncols: int,
@@ -446,8 +428,17 @@ def solve_columns(rows: Iterable[Sequence[int]], ncols: int,
             for c in range(nrhs):
                 if w[ncols + c]:
                     consistent[c] = False
-    return [tracker.solution(ncols + c) if consistent[c] else None
-            for c in range(nrhs)]
+    kept = list(zip(tracker._pivots, tracker._rows))
+    solutions: list[Optional[tuple[Fraction, ...]]] = []
+    for c, ok in enumerate(consistent, ncols):
+        if not ok:
+            solutions.append(None)
+            continue
+        x = [ZERO] * ncols
+        for p, row in kept:
+            x[p] = Fraction(row[c], row[p])
+        solutions.append(tuple(x))
+    return solutions
 
 
 def solve(rows: Iterable[Sequence[int]],

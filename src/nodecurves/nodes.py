@@ -190,21 +190,21 @@ def vanishing_basis(xs: NodeSet, n: int) -> VanishingSpace:
 
 def _dependency_rows(xs: NodeSet, n: int) -> list[list[int]]:
     """Each node's coordinates in the canonical basis of the dependencies
-    among the set's degree-n rows, times ``D``, the least common
-    denominator of that basis's entries.
+    among the set's degree-n rows, as integers over that node's own
+    denominator.
 
     The dependencies are the vectors c with sum(c_i * row_i) = 0, one basis
-    vector per free column of the transposed rows: the result is the
-    transpose of ``RankTracker.scaled_nullspace``, one row per node even
-    when there is no dependency, so a free node gets ``D`` in its own basis
-    vector and 0 in the others.  Node i's row of the result is 0 iff every
-    dependency has coefficient 0 at i.
+    vector per free column of the transposed rows: node i's row is the
+    numerators of ``RankTracker.coordinates`` at column i, one row per
+    node even when there is no dependency, so a free node gets 1 in its
+    own basis vector and 0 in the others.  Dropping the denominators
+    scales each row on its own, which changes no zero pattern and no span:
+    node i's row is 0 iff every dependency has coefficient 0 at i.
     """
     transpose = RankTracker(len(xs))
     for column in zip(*collocation_matrix(xs, n)):
         transpose.add(column)
-    basis = transpose.scaled_nullspace()
-    return [[vec[i] for vec in basis] for i in range(len(xs))]
+    return [nums for nums, _ in transpose.coordinates()]
 
 
 def _fundamentals(xs: NodeSet, n: int,
@@ -304,17 +304,17 @@ def next_independent_node(xs: NodeSet, n: int) -> Node:
 
     Requires an n-independent xs with fewer than space_dim(n) nodes.
     """
-    tracker = _independent_tracker(xs, n)
     if len(xs) >= space_dim(n):
         raise ValueError("set already has full size")
+    tracker = _independent_tracker(xs, n)
     return _grow(tracker, n, integer_spiral(), 1)[0]
 
 
 def extend_to_poised(xs: NodeSet, n: int) -> NodeSet:
     """Deterministically grow an independent set to an n-poised superset,
     adding next_independent_node's picks in one pass over the spiral."""
-    tracker = _independent_tracker(xs, n)
     if len(xs) > space_dim(n):
         raise ValueError("set larger than the space dimension")
+    tracker = _independent_tracker(xs, n)
     found = _grow(tracker, n, integer_spiral(), space_dim(n) - len(xs))
     return NodeSet(list(xs) + found)

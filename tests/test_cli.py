@@ -194,6 +194,31 @@ def test_extend_on_curve_line_list(capsys):
     assert len(json.loads(out)["nodes"]) == 5
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify", "uniqueness", "-n", "2", FOUR], "-k"),
+    (["verify", "defect", "-n", "2", FOUR], "-k"),
+    (["verify", "twocurves", "--at=1,1", FOUR], "-k"),
+    (["verify", "twocurves", "-k", "2", FOUR], "--at"),
+    (["verify", "twocurves", "-k", "2", "--at=1,1,1", FOUR], "two"),
+])
+def test_verify_argument_errors_exit_1(capsys, args, message):
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert message in json.loads(err)["error"]
+
+
+def test_search_over_budget_exits_1(capsys, monkeypatch):
+    # the spiral starts at (0, 0), whose row repeats the set's first one;
+    # with no budget for rejections the search gives up there
+    monkeypatch.setattr(nodes, "SEARCH_BUDGET", 0)
+    code, out, err = run(capsys, "extend", "-n", "1",
+                         '{"nodes": [["0","0"],["1","0"]]}')
+    assert code == 1
+    assert out == ""
+    assert "budget" in json.loads(err)["error"]
+
+
 def test_verify_twocurves(capsys):
     code, out, _ = run(capsys, "verify", "twocurves", "-k", "2", "--at=1,1",
                        FOUR)
@@ -286,6 +311,17 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == '{"d": 15, "K": 13}\n'
+
+
+def test_unwritable_output_file_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "dstar", "-n", "3", "-k", "2",
+                         "-o", str(target))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "error" in json.loads(err)
+    assert not target.exists()
 
 
 def test_render_svg(tmp_path, capsys):

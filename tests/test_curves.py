@@ -246,6 +246,18 @@ def test_space_divisible_by_line():
     assert not curves.space_divisible_by(off, axis)
 
 
+def test_curve_of_degree_above_n():
+    xs = NodeSet([(0, 0), (1, 0), (0, 1)])
+    conic = Curve.from_poly(Poly.from_terms({(2, 0): 1, (0, 2): 1,
+                                             (0, 0): -1}, 2))
+    with pytest.raises(ValueError, match="exceeds n"):
+        curves.node_uses((0, 0), xs, 1, conic)
+    # only the zero polynomial of degree <= 1 is divisible by a conic
+    assert curves.space_divisible_by(nodes.vanishing_basis(xs, 1), conic)
+    one = nodes.vanishing_basis(NodeSet([(0, 0)]), 1)
+    assert not curves.space_divisible_by(one, conic)
+
+
 def test_multiples_span_has_full_rank():
     # multiplication by a nonzero q is injective, so the multiples of q at
     # bound n span a space of dimension space_dim(n - deg q)

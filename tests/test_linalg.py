@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodecurves import generators, linalg, poly
+from nodecurves import generators, linalg, nodes, poly
 from nodecurves.linalg import IndependenceTracker, P, RankTracker
 
 
@@ -316,16 +316,53 @@ def test_solve_columns_matches_reference(m, dens, data):
 # not 12 and 4: their common factor 4 does not divide the first row's
 # denominator 5, so the content taken from it would leave 4 behind
 @example(fractions([[5, 4, 3, 4], [3, 0, 0, 2], [0, 6, -6, 4]]))
-def test_scaled_nullspace_is_the_least_integer_multiple(m):
+def test_coordinates_are_the_nullspace_in_lowest_terms(m):
     ncols = len(m[0])
     tracker = RankTracker(ncols)
     for row in as_integers(m):
         tracker.add(row)
     ref = ref_nullspace(m, ncols)
-    den = math.lcm(*[v.denominator for vec in ref for v in vec])
-    scaled = tracker.scaled_nullspace()
-    assert scaled == [[den * v for v in vec] for vec in ref]
-    assert math.gcd(den, *[v for vec in scaled for v in vec]) == 1
+    coords = tracker.coordinates()
+    assert len(coords) == ncols
+    for j, (nums, den) in enumerate(coords):
+        assert math.gcd(den, *nums) == 1
+        assert [Fraction(v, den) for v in nums] == [vec[j] for vec in ref]
+
+
+small_nodes = st.tuples(small_fracs, small_fracs)
+
+
+@st.composite
+def node_sets_with_degree(draw):
+    """Small random sets at degree 0 to 3, or Berzolari-Radon sets at
+    degree n-1, where their rows have n+1 dependencies."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([3, 4]))
+        xs = generators.berzolari_radon(n, draw(st.integers(1, 99))).nodes
+        return xs, n - 1
+    xs = draw(st.lists(small_nodes, max_size=8, unique=True))
+    return nodes.NodeSet(xs), draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(node_sets_with_degree())
+def test_dependency_rows_are_scaled_reference_coordinates(case):
+    # node i's row is a nonzero multiple of its coordinates in the
+    # reference basis of the dependencies among the set's degree-n rows
+    xs, n = case
+    rows = nodes.collocation_matrix(xs, n)
+    transpose = [list(map(F, column)) for column in zip(*rows)]
+    ref = ref_nullspace(transpose, len(xs))
+    deps = nodes._dependency_rows(xs, n)
+    assert len(deps) == len(xs)
+    for i, dep in enumerate(deps):
+        want = [vec[i] for vec in ref]
+        assert all(type(v) is int for v in dep)
+        assert [v != 0 for v in dep] == [w != 0 for w in want]
+        if any(want):
+            k = next(k for k, w in enumerate(want) if w)
+            scale = dep[k] / want[k]
+            assert [scale * w for w in want] == dep
 
 
 # Rows where a new pivot meets few kept rows, so most of them are left

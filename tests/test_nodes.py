@@ -168,6 +168,15 @@ def test_extend_to_poised_rejects_dependent_input():
         nodes.extend_to_poised(COLLINEAR3, 1)
 
 
+@pytest.mark.parametrize("search, xs, message", [
+    (nodes.next_independent_node, TRIANGLE, "full size"),
+    (nodes.extend_to_poised, FOUR, "larger than the space dimension"),
+])
+def test_searches_refuse_sets_too_large_to_grow(search, xs, message):
+    with pytest.raises(ValueError, match=message):
+        search(xs, 1)
+
+
 def _counted(points):
     """The points, counting reads in reads[0]; reading past them fails."""
     reads = [0]

@@ -153,6 +153,15 @@ def test_multiplication_matrix_rows_are_integer_products(q, extra):
         assert row == product.with_bound(n)._integer_coeffs[0]
 
 
+@pytest.mark.parametrize("q, n, message", [
+    (Poly.zero(1), 2, "zero polynomial"),
+    (Poly.from_terms({(2, 0): 1}, 2), 1, "exceeds"),
+])
+def test_multiplication_matrix_refuses_zero_and_high_degree(q, n, message):
+    with pytest.raises(ValueError, match=message):
+        poly.multiplication_matrix(q, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys(max_bound=2), polys(max_bound=2))
 def test_quotient_recovers_factor(p, q):
