@@ -35,10 +35,18 @@ entries in the canonical nullspace basis, over 1 for a free column and
 over ``d_i`` for kept row i's pivot, so every pair is in lowest terms.
 ``nullspace`` and the dependency rows of ``nodes`` read it, and
 ``solve_columns`` reads a solution off the kept rows' right-hand sides the
-same way.  Only ``would_grow`` scales the kept rows to one denominator,
-``D``, the lcm of every ``d_i``: it caches ``D`` until the next pivot,
-because a tracker is often asked about many rows after it has stopped
-growing.
+same way.  A kept row is 0 before its pivot: a new pivot is the first
+nonzero column of a reduced row, and it rewrites only kept rows that are
+nonzero in its column, whose pivots therefore lie before it.  So, sorted
+by pivot, the kept rows are the usual RREF.  ``RankTracker.unit_rows``
+reads the kept rows that are 0 at every free column, ``d_i`` times a
+unit vector, with their right-hand sides: when each added row carries
+its own unit vector as right-hand sides, those are the combination of
+the added rows that gives the unit vector, a column of the inverse of
+the pivot block.  Only ``would_grow`` scales the kept rows to one
+denominator, ``D``, the lcm of every ``d_i``: it caches ``D`` until the
+next pivot, because a tracker is often asked about many rows after it has
+stopped growing.
 
 Two other forms are not kept.  With one common denominator for all rows,
 every new pivot rescales every kept row by its ``lead``, also the rows
@@ -71,7 +79,14 @@ the prime rejects may still be independent over Q (``P`` can divide a
 minor), so it goes to an exact ``RankTracker``, built
 on first need from the accepted rows.  Once that tracker accepts a row the
 prime rejected, the mod-``P`` form no longer certifies anything, and every
-later row is decided exactly.  Two rejections need no elimination at all:
+later row is decided exactly.  ``IndependenceTracker.prefix_rank_bound``
+counts the mod-``P`` pivots below a column q.  Cut to their first q
+columns, the kept mod-``P`` rows span the rows they came from, cut the
+same way, mod ``P``; those with a pivot at or past q are 0, and the rest
+stay in echelon form, so the count is a rank mod ``P``, at most the exact
+rank of the accepted rows' first q columns.  Rows accepted exactly are
+missing from the mod-``P`` form and are not counted, so the bound stays
+valid after the fallback.  Two rejections need no elimination at all:
 a row equal to an accepted row, and any row once the rank equals the
 column count.  ``P`` is the largest prime below 2**30, so a residue fits in
 one 30-bit CPython digit and a product of two residues in two digits; a
@@ -248,6 +263,17 @@ class RankTracker:
                 out.append(([-row[f] for f in free], row[j]))
         return out
 
+    def unit_rows(self) -> dict[int, tuple[list[int], int]]:
+        """The kept rows that are 0 at every free column, so ``d_i`` times
+        a unit vector in the first ``ncols`` columns, by pivot column: each
+        one's right-hand sides as integer numerators over ``d_i``, the
+        combination of the added rows' right-hand sides that goes with
+        that unit vector."""
+        ncols = self.ncols
+        return {p: (row[ncols:], row[p])
+                for p, row in zip(self._pivots, self._rows)
+                if row[:ncols].count(0) == ncols - 1}
+
 
 def _slot_words(nslots: int) -> int:
     """64-bit words per slot of a packed mod-``P`` row with nslots slots:
@@ -358,6 +384,12 @@ class IndependenceTracker:
     @property
     def rank(self) -> int:
         return len(self._accepted)
+
+    def prefix_rank_bound(self, q: int) -> int:
+        """A lower bound on the exact rank of the accepted rows' first q
+        columns: the number of mod-``P`` pivots below q.  Rows accepted
+        exactly, after the prime stopped certifying, are not counted."""
+        return sum(p < q for p in self._mod.pivots)
 
     def _grows_mod_p(self, row: Sequence[int]) -> bool:
         """Reduce the row mod P; if it is not 0, keep it and return True."""

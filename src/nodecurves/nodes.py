@@ -19,7 +19,10 @@ that matrix exactly:
 common denominator of the node's coordinates, so the scale is entry 0.
 That scale changes no rank and no vanishing space; a fundamental
 polynomial's solve puts it on the right-hand side instead of 1.  Fractions
-appear only in results.
+appear only in results.  In graded-lex order the first space_dim(k)
+entries of a node's degree-n row are e^(n-k) times its degree-k row, so
+a rank read off the degree-n rows' first space_dim(k) columns is a rank
+of the degree-k rows.
 
 Rank decisions (``hilbert_function``, ``is_independent``, ``is_poised``)
 and the searches run through ``linalg.IndependenceTracker``: a row that
@@ -28,9 +31,10 @@ rows the prime rejects are decided exactly.  ``fundamental_polynomial`` on
 a set of exactly space_dim(n) nodes solves its square system with
 ``linalg.solve``, lifted P-adically and checked exactly, which falls
 back to the exact kernel only when the set is not poised modulo the prime.
-Vanishing spaces, ``fundamental_polynomials`` (all nodes at once) and the
-fundamental polynomial of a set of any other size read the exact
-``RankTracker``.
+Vanishing spaces, the dependencies among the rows, each node's curve
+through the other nodes (``_curves_missing_one``),
+``fundamental_polynomials`` (all nodes at once) and the fundamental
+polynomial of a set of any other size read the exact ``RankTracker``.
 
 Every node search in the package runs through ``_grow``: it reads a
 fixed stream of candidates (the integer spiral, a curve sampler, seeded
@@ -205,6 +209,36 @@ def _dependency_rows(xs: NodeSet, n: int) -> list[list[int]]:
     for column in zip(*collocation_matrix(xs, n)):
         transpose.add(column)
     return [nums for nums, _ in transpose.coordinates()]
+
+
+def _curves_missing_one(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
+    """The rank of the set's degree-n rows and, by node index, each node
+    whose row is outside the span of the others, with a degree-n
+    polynomial that vanishes at every other node and not at it, scaled to
+    1 at its last nonzero coefficient.
+
+    One elimination does it: the transposed rows, each followed by its
+    unit vector as right-hand sides.  Node i's row is outside the span of
+    the others iff its dependency row is 0 (see ``_dependency_rows``),
+    i.e. iff its kept row is 0 at every free column, which
+    ``RankTracker.unit_rows`` reads.  That row's right-hand sides c then
+    give sum(c_j * column_j) = d * e_i: c is column i of the inverse of
+    the pivot block, a polynomial that vanishes at every other node and
+    not at node i.  When the rank is space_dim(n), the other nodes'
+    vanishing space is one-dimensional, and its canonical basis vector is
+    1 at its free column and 0 after it, so the scaled c is that vector.
+    """
+    size = space_dim(n)
+    transpose = RankTracker(len(xs))
+    for j, column in enumerate(zip(*collocation_matrix(xs, n))):
+        unit = [0] * size
+        unit[j] = 1
+        transpose.add([*column, *unit])
+    curves = {}
+    for i, (nums, _) in sorted(transpose.unit_rows().items()):
+        last = next(v for v in reversed(nums) if v)
+        curves[i] = Poly(n, tuple(Fraction(v, last) for v in nums))
+    return transpose.rank, curves
 
 
 def _fundamentals(xs: NodeSet, n: int,

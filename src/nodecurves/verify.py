@@ -6,14 +6,28 @@ arithmetic and either returns a report or raises TheoremViolation.  The
 facts checked:
 
 * uniqueness: an n-independent set of size uniqueness_threshold(n, k)
-  admits at most one degree-k curve;
+  admits at most one degree-k curve.  When the bound on the curve space
+  described next is 0, the dimension is 0 with no exact elimination;
 * defect characterization, for 2 <= k <= n-1: when an n-independent set
   one node larger than max_nodes_on_curve(n, k-1) admits two or more
   degree-k curves, the set splits as a maximal degree-(k-1) curve plus a
   single outlier off it, and the curve space has dimension exactly 2.  At
   k = n every such set has a curve space of dimension exactly 2, so the
   surplus says nothing about its shape: a set may split (then into exactly
-  one outlier) or not split at all;
+  one outlier) or not split at all.  A planted split costs one exact
+  elimination, at degree k-1.  The ``IndependenceTracker`` of the
+  n-independence check bounds the curve space at no extra cost: the
+  first space_dim(k) entries of a node's degree-n row are e^(n-k) times
+  its degree-k row, so the tracker's mod-P pivots below space_dim(k)
+  count a rank that the exact degree-k rows reach at least, and
+  space_dim(k) minus that count is at least the curve space's dimension.
+  ``nodes._curves_missing_one`` finds the nodes A with a degree-(k-1)
+  curve mu through the other nodes, and each mu, in one elimination.
+  When the bound is 2 and some node has such a mu, mu*(x - a_x) and
+  mu*(y - a_y) are two independent degree-k curves through the set, so
+  the dimension is exactly 2.  Every other input (a dimension below 2,
+  k = n without a split, or P dividing a minor, which loosens the bound)
+  takes its dimension from ``curves_through``;
 * two-curve combination: with at least two degree-k curves available, some
   nonzero combination of the first two basis curves also vanishes at any
   prescribed extra node;
@@ -46,7 +60,7 @@ from . import curves as _curves, linalg, nodes as _nodes
 from .curves import Curve, LineForm
 from .errors import TheoremViolation
 from .nodes import Node, NodeSet, VanishingSpace
-from .poly import Poly
+from .poly import space_dim
 
 
 def curves_through(xs: NodeSet, k: int) -> VanishingSpace:
@@ -64,8 +78,9 @@ def verify_uniqueness(xs: NodeSet, n: int, k: int) -> int:
         raise ValueError("need 2 <= k <= n")
     if len(xs) != _curves.uniqueness_threshold(n, k):
         raise ValueError("set size must equal the uniqueness threshold")
-    if not _nodes.is_independent(xs, n):
-        raise ValueError("set is not independent at this degree")
+    tracker = _nodes._independent_tracker(xs, n)
+    if tracker.prefix_rank_bound(space_dim(k)) == space_dim(k):
+        return 0
     dim = curves_through(xs, k).dimension
     if dim > 1:
         raise TheoremViolation(f"{dim} independent curves at the threshold")
@@ -99,14 +114,22 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
     curve space behind it, or a clean degree k-1 is a TheoremViolation.
     At k = n the dimension must be exactly 2 and the set may have no such
     node, which gives the report without a split; more than one raises.
+    When the mod-P bound is 2 and such a node exists, the dimension 2 is
+    certified without the degree-k curve space (see the module docstring).
     """
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n")
     if len(xs) != _curves.max_nodes_on_curve(n, k - 1) + 1:
         raise ValueError("set size must be max_nodes_on_curve(n, k-1) + 1")
-    if not _nodes.is_independent(xs, n):
-        raise ValueError("set is not independent at this degree")
-    dim = curves_through(xs, k).dimension
+    tracker = _nodes._independent_tracker(xs, n)
+    # at least the dimension of the curve space
+    bound = space_dim(k) - tracker.prefix_rank_bound(space_dim(k))
+    split = _nodes._curves_missing_one(xs, k - 1) if bound == 2 else None
+    if split is not None and split[1]:
+        # mu*(x - a_x) and mu*(y - a_y) are two independent curves
+        dim = 2
+    else:
+        dim = curves_through(xs, k).dimension
     if k == n and dim != 2:
         raise TheoremViolation(
             f"curve space of dimension {dim} at k = n, expected 2")
@@ -114,25 +137,21 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
         return DefectReport(dim, None, None, None)
 
     # Removing node i frees a degree-(k-1) curve iff the rank of the
-    # collocation matrix drops, i.e. iff every dependency among its rows
-    # has coefficient 0 at i.  Scaling the rows keeps that zero pattern.
-    deps = _nodes._dependency_rows(xs, k - 1)
-    candidates = [i for i, dep in enumerate(deps) if not any(dep)]
-    hits: list[tuple[int, Poly]] = []
-    for i in candidates:
-        space = _nodes.vanishing_basis(xs.without(xs[i]), k - 1)
-        if space.dimension != 1:
-            raise TheoremViolation("curve through the rest is not unique")
-        mu = space.basis[0]
+    # collocation matrix drops, i.e. iff node i's row is outside the span
+    # of the others; that curve is unique iff the rank is full.
+    rank, hits = (split if split is not None
+                  else _nodes._curves_missing_one(xs, k - 1))
+    if hits and rank != space_dim(k - 1):
+        raise TheoremViolation("curve through the rest is not unique")
+    for i, mu in hits.items():
         if mu.eval(xs[i].x, xs[i].y) == 0:
             raise TheoremViolation("freed curve passes through the outlier")
-        hits.append((i, mu))
     if not hits and k == n:
         return DefectReport(dim, None, None, None)
     if len(hits) != 1:
         raise TheoremViolation(
             f"expected exactly one outlier, found {len(hits)}")
-    idx, mu = hits[0]
+    [(idx, mu)] = hits.items()
     if mu.degree != k - 1:
         raise TheoremViolation("curve through the rest has the wrong degree")
     return DefectReport(dim, Curve.from_poly(mu), xs[idx], idx)

@@ -365,6 +365,26 @@ def test_dependency_rows_are_scaled_reference_coordinates(case):
             assert [scale * w for w in want] == dep
 
 
+@settings(max_examples=60, deadline=None)
+@given(node_sets_with_degree())
+def test_curves_missing_one_are_the_reference_curves(case):
+    # the nodes found are those with a zero dependency row; each curve
+    # misses its node alone, and at full rank it is the canonical curve
+    # through the other nodes
+    xs, n = case
+    rank, found = nodes._curves_missing_one(xs, n)
+    _, pivots = ref_rref(fractions(nodes.collocation_matrix(xs, n)))
+    assert rank == len(pivots)
+    deps = nodes._dependency_rows(xs, n)
+    assert list(found) == [i for i, dep in enumerate(deps) if not any(dep)]
+    for i, curve in found.items():
+        assert [curve.eval(p.x, p.y) != 0 for p in xs] == [
+            j == i for j in range(len(xs))]
+        if rank == poly.space_dim(n):
+            rest = nodes.vanishing_basis(xs.without(xs[i]), n)
+            assert rest.basis == (curve,)
+
+
 # Rows where a new pivot meets few kept rows, so most of them are left
 # as they are: collocation rows of Berzolari-Radon sets, and rows that
 # are block-diagonal, each block with its own combinations.
@@ -468,6 +488,21 @@ def test_independence_tracker_matches_rank_tracker(stream):
     for row in rows:
         assert fast.add(row) == exact.add(row)
         assert fast.rank == exact.rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_row_streams(), st.integers(0, 5))
+# every entry of the first two columns is 0 mod P, so the prime sees no
+# rank there while the exact prefix has rank 2
+@example((3, [[P, 2 * P, 1], [3 * P, P, 5]]), 2)
+def test_prefix_rank_bound_never_exceeds_the_exact_prefix_rank(stream, q):
+    ncols, rows = stream
+    q = min(q, ncols)
+    tracker, prefix = IndependenceTracker(ncols), RankTracker(q)
+    for row in rows:
+        tracker.add(row)
+        prefix.add(row[:q])
+        assert tracker.prefix_rank_bound(q) <= prefix.rank
 
 
 def test_independence_tracker_drops_certificate_after_exact_accept():

@@ -6,10 +6,11 @@ dimension, the defect split and the fundamental polynomials move with
 their nodes; a permutation of the nodes only relabels them.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nodecurves import generators, nodes, verify
+from nodecurves import generators, linalg, nodes, verify
 from nodecurves.nodes import NodeSet
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
@@ -60,6 +61,11 @@ def test_defect_outlier_moves_with_its_node(cfg, data):
     assert got.curve_space_dim == want.curve_space_dim
     assert want.outlier_index == cfg.outlier_index
     assert order[got.outlier_index] == want.outlier_index
+    # the mod-P bound on the curve space changes no report
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg.IndependenceTracker, "prefix_rank_bound",
+                      lambda self, q: 0)
+        assert verify.characterize_defect(ys, n, k) == got
 
 
 _POISED_BASES = [(generators.random_poised(n, seed), n)

@@ -4,13 +4,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nodecurves import curves, generators, nodes, poly, verify
+from nodecurves import curves, generators, linalg, nodes, poly, verify
 from nodecurves.curves import Curve
 from nodecurves.errors import TheoremViolation
 from nodecurves.nodes import NodeSet
 from nodecurves.poly import Poly
 
 FOUR = NodeSet([(0, 0), (1, 0), (2, 0), (0, 1)])
+
+# the exact curve-space computations that the mod-P bound can spare
+EXACT = [(verify, "curves_through"), (nodes, "vanishing_basis"),
+         (nodes, "_dependency_rows")]
+
+
+def _count_calls(monkeypatch, names) -> dict:
+    counts = {}
+    for owner, attr in names:
+        real = getattr(owner, attr)
+        counts[attr] = 0
+
+        def wrapper(*args, real=real, attr=attr):
+            counts[attr] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, attr, wrapper)
+    return counts
 
 
 def test_curves_through_dimensions():
@@ -54,6 +71,17 @@ def test_verify_uniqueness_surplus_curve_is_violation(monkeypatch):
         verify.verify_uniqueness(xs, 2, 2)
 
 
+def test_verify_uniqueness_generic_set_needs_no_curve_space(monkeypatch):
+    # 6 nodes 2-poised: K(3, 2) = 6 = space_dim(2), and the mod-P rank of
+    # the degree-2 rows is already full, so the dimension is 0
+    xs = nodes.extend_to_poised(NodeSet(), 2)
+    assert len(xs) == curves.uniqueness_threshold(3, 2)
+    assert verify.curves_through(xs, 2).dimension == 0
+    counts = _count_calls(monkeypatch, [(verify, "curves_through")])
+    assert verify.verify_uniqueness(xs, 3, 2) == 0
+    assert counts == {"curves_through": 0}
+
+
 def test_characterize_defect_round_trip():
     for n, k, seed in [(2, 2, 0), (3, 2, 5), (4, 3, 9), (5, 3, 1)]:
         cfg = generators.defect_config(n, k, seed)
@@ -62,6 +90,41 @@ def test_characterize_defect_round_trip():
         assert report.outlier == cfg.outlier
         assert report.outlier_index == cfg.outlier_index
         assert curves.same_curve(report.mu, cfg.mu)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_planted_split_needs_no_exact_curve_space(monkeypatch, seed):
+    cfg = generators.defect_config(5, 3, seed)
+    counts = _count_calls(monkeypatch, EXACT)
+    fast = verify.characterize_defect(cfg.nodes, 5, 3)
+    assert counts == dict.fromkeys(counts, 0)
+    # the bound then allows the whole space, so nothing is certified
+    monkeypatch.setattr(linalg.IndependenceTracker, "prefix_rank_bound",
+                        lambda self, q: 0)
+    exact = verify.characterize_defect(cfg.nodes, 5, 3)
+    assert counts["curves_through"] == 1
+    assert exact == fast
+    assert fast.outlier_index == cfg.outlier_index
+    rest = nodes.vanishing_basis(cfg.nodes.without(cfg.outlier), 2)
+    assert rest.basis == (fast.mu.poly,)
+
+
+@pytest.mark.parametrize("n, k, seed", [(3, 2, 1), (4, 3, 2), (5, 3, 3),
+                                        (6, 4, 4)])
+def test_denominators_divisible_by_p_take_the_exact_path(monkeypatch, n, k,
+                                                          seed):
+    # a node off the origin then has a denominator divisible by P, so
+    # each of its row entries of degree below n is 0 mod P; the origin's
+    # row is (1, 0, ..., 0), and the bound stays far above 2
+    cfg = generators.defect_config(n, k, seed)
+    xs = NodeSet((p.x / linalg.P, p.y / linalg.P) for p in cfg.nodes)
+    tracker = nodes._independent_tracker(xs, n)
+    assert tracker.prefix_rank_bound(poly.space_dim(k)) <= 1
+    counts = _count_calls(monkeypatch, [(verify, "curves_through")])
+    report = verify.characterize_defect(xs, n, k)
+    assert counts["curves_through"] == 1
+    assert report.curve_space_dim == 2
+    assert report.outlier_index == cfg.outlier_index
 
 
 def test_characterize_defect_generic_set_has_no_defect():
