@@ -39,14 +39,14 @@ same way.  A kept row is 0 before its pivot: a new pivot is the first
 nonzero column of a reduced row, and it rewrites only kept rows that are
 nonzero in its column, whose pivots therefore lie before it.  So, sorted
 by pivot, the kept rows are the usual RREF.  ``RankTracker.unit_rows``
-reads the kept rows that are 0 at every free column, ``d_i`` times a
-unit vector, with their right-hand sides: when each added row carries
-its own unit vector as right-hand sides, those are the combination of
-the added rows that gives the unit vector, a column of the inverse of
-the pivot block.  Only ``would_grow`` scales the kept rows to one
-denominator, ``D``, the lcm of every ``d_i``: it caches ``D`` until the
-next pivot, because a tracker is often asked about many rows after it has
-stopped growing.
+reads the right-hand sides of the kept rows that are 0 at every free
+column, ``d_i`` times a unit vector: when each added row carries its
+own unit vector as right-hand sides, those are the combination of the
+added rows that gives ``d_i`` times the unit vector, ``d_i`` times a
+column of the inverse of the pivot block.  Only ``would_grow`` scales
+the kept rows to one denominator, ``D``, the lcm of every ``d_i``: it
+caches ``D`` until the next pivot, because a tracker is often asked about
+many rows after it has stopped growing.
 
 Two other forms are not kept.  With one common denominator for all rows,
 every new pivot rescales every kept row by its ``lead``, also the rows
@@ -263,14 +263,13 @@ class RankTracker:
                 out.append(([-row[f] for f in free], row[j]))
         return out
 
-    def unit_rows(self) -> dict[int, tuple[list[int], int]]:
+    def unit_rows(self) -> dict[int, list[int]]:
         """The kept rows that are 0 at every free column, so ``d_i`` times
         a unit vector in the first ``ncols`` columns, by pivot column: each
-        one's right-hand sides as integer numerators over ``d_i``, the
-        combination of the added rows' right-hand sides that goes with
-        that unit vector."""
+        one's right-hand sides, the combination of the added rows'
+        right-hand sides that gives ``d_i`` times that unit vector."""
         ncols = self.ncols
-        return {p: (row[ncols:], row[p])
+        return {p: row[ncols:]
                 for p, row in zip(self._pivots, self._rows)
                 if row[:ncols].count(0) == ncols - 1}
 

@@ -235,7 +235,7 @@ def _curves_missing_one(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
         unit[j] = 1
         transpose.add([*column, *unit])
     curves = {}
-    for i, (nums, _) in sorted(transpose.unit_rows().items()):
+    for i, nums in sorted(transpose.unit_rows().items()):
         last = next(v for v in reversed(nums) if v)
         curves[i] = Poly(n, tuple(Fraction(v, last) for v in nums))
     return transpose.rank, curves

@@ -6,8 +6,7 @@ arithmetic and either returns a report or raises TheoremViolation.  The
 facts checked:
 
 * uniqueness: an n-independent set of size uniqueness_threshold(n, k)
-  admits at most one degree-k curve.  When the bound on the curve space
-  described next is 0, the dimension is 0 with no exact elimination;
+  admits at most one degree-k curve;
 * defect characterization, for 2 <= k <= n-1: when an n-independent set
   one node larger than max_nodes_on_curve(n, k-1) admits two or more
   degree-k curves, the set splits as a maximal degree-(k-1) curve plus a
@@ -78,9 +77,8 @@ def verify_uniqueness(xs: NodeSet, n: int, k: int) -> int:
         raise ValueError("need 2 <= k <= n")
     if len(xs) != _curves.uniqueness_threshold(n, k):
         raise ValueError("set size must equal the uniqueness threshold")
-    tracker = _nodes._independent_tracker(xs, n)
-    if tracker.prefix_rank_bound(space_dim(k)) == space_dim(k):
-        return 0
+    if not _nodes.is_independent(xs, n):
+        raise ValueError("set is not independent at this degree")
     dim = curves_through(xs, k).dimension
     if dim > 1:
         raise TheoremViolation(f"{dim} independent curves at the threshold")
@@ -124,23 +122,20 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
     tracker = _nodes._independent_tracker(xs, n)
     # at least the dimension of the curve space
     bound = space_dim(k) - tracker.prefix_rank_bound(space_dim(k))
-    split = _nodes._curves_missing_one(xs, k - 1) if bound == 2 else None
-    if split is not None and split[1]:
-        # mu*(x - a_x) and mu*(y - a_y) are two independent curves
-        dim = 2
-    else:
-        dim = curves_through(xs, k).dimension
+    # Removing node i frees a degree-(k-1) curve iff the rank of the
+    # collocation matrix drops, i.e. iff node i's row is outside the span
+    # of the others; that curve is unique iff the rank is full.  Below a
+    # bound of 2 the dimension is below 2 and no split is read.
+    rank, hits = (_nodes._curves_missing_one(xs, k - 1) if bound >= 2
+                  else (0, {}))
+    # mu*(x - a_x) and mu*(y - a_y) are two independent curves
+    dim = 2 if bound == 2 and hits else curves_through(xs, k).dimension
     if k == n and dim != 2:
         raise TheoremViolation(
             f"curve space of dimension {dim} at k = n, expected 2")
     if dim <= 1:
         return DefectReport(dim, None, None, None)
 
-    # Removing node i frees a degree-(k-1) curve iff the rank of the
-    # collocation matrix drops, i.e. iff node i's row is outside the span
-    # of the others; that curve is unique iff the rank is full.
-    rank, hits = (split if split is not None
-                  else _nodes._curves_missing_one(xs, k - 1))
     if hits and rank != space_dim(k - 1):
         raise TheoremViolation("curve through the rest is not unique")
     for i, mu in hits.items():

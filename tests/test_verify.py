@@ -71,17 +71,6 @@ def test_verify_uniqueness_surplus_curve_is_violation(monkeypatch):
         verify.verify_uniqueness(xs, 2, 2)
 
 
-def test_verify_uniqueness_generic_set_needs_no_curve_space(monkeypatch):
-    # 6 nodes 2-poised: K(3, 2) = 6 = space_dim(2), and the mod-P rank of
-    # the degree-2 rows is already full, so the dimension is 0
-    xs = nodes.extend_to_poised(NodeSet(), 2)
-    assert len(xs) == curves.uniqueness_threshold(3, 2)
-    assert verify.curves_through(xs, 2).dimension == 0
-    counts = _count_calls(monkeypatch, [(verify, "curves_through")])
-    assert verify.verify_uniqueness(xs, 3, 2) == 0
-    assert counts == {"curves_through": 0}
-
-
 def test_characterize_defect_round_trip():
     for n, k, seed in [(2, 2, 0), (3, 2, 5), (4, 3, 9), (5, 3, 1)]:
         cfg = generators.defect_config(n, k, seed)
