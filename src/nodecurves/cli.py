@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import curves, generators, nodes, verify
@@ -197,7 +196,7 @@ def _cmd_verify(args) -> str:
     parts = args.at.split(",")
     if len(parts) != 2:
         raise ValueError("--at expects two comma-separated rationals")
-    a = nodes.node(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+    a = nodes.node(*parts)
     rep = verify.curve_through_extra_node(xs, args.k, a)
     return _report("twocurves", {"k": args.k, "at": [str(a.x), str(a.y)]},
                    rep.curve_space_dim, None, None, curve=rep.curve.to_json())

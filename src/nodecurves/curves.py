@@ -16,9 +16,9 @@ Samplers produce exact rational points on a curve in a fixed order, so
 search results are reproducible: a line is swept by a deterministic
 enumeration of rational parameters, a union of lines round-robin, and a
 rational parametrization by the same parameter sequence minus denominator
-roots.  ``extend_on_curve`` searches through ``nodes._grow``, within
-``nodes.SEARCH_BUDGET``; a parametrization also gives up after
-SAMPLER_BUDGET denominator roots, which it skips without emitting a point.
+roots.  A parametrization refuses a zero denominator when it is built, so
+it skips finitely many parameters.  ``extend_on_curve`` searches through
+``nodes._grow``, within ``nodes.SEARCH_BUDGET``, the package's one budget.
 """
 
 from __future__ import annotations
@@ -30,12 +30,9 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from . import nodes as _nodes, poly as _poly
-from .errors import BudgetExceeded
 from .linalg import ZERO, IndependenceTracker, RankTracker
 from .nodes import Node, NodeSet, node
 from .poly import Poly, frac, space_dim
-
-SAMPLER_BUDGET = 10_000
 
 
 def max_nodes_on_curve(n: int, k: int) -> int:
@@ -198,12 +195,17 @@ class LineUnion:
 class RationalParam:
     """Curve points (xn(t)/xd(t), yn(t)/yd(t)) for univariate rational
     functions given by ascending coefficient tuples; parameters where a
-    denominator vanishes are skipped."""
+    denominator vanishes are skipped.  A zero denominator polynomial is
+    refused, so only finitely many parameters are skipped."""
 
     x_num: tuple[Fraction, ...]
     x_den: tuple[Fraction, ...]
     y_num: tuple[Fraction, ...]
     y_den: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if not any(self.x_den) or not any(self.y_den):
+            raise ValueError("a denominator is the zero polynomial")
 
     @staticmethod
     def of(x_num, x_den, y_num, y_den) -> "RationalParam":
@@ -219,17 +221,11 @@ class RationalParam:
         return node(ev(self.x_num) / xd, ev(self.y_num) / yd)
 
     def points(self) -> Iterator[Node]:
-        """Points in parameter order; more than SAMPLER_BUDGET parameters
-        hitting a denominator root raise BudgetExceeded."""
-        skipped = 0
+        """Points in parameter order, without the denominator roots."""
         for t in rational_sequence():
             try:
                 p = self.point_at(t)
             except ZeroDivisionError:
-                skipped += 1
-                if skipped > SAMPLER_BUDGET:
-                    raise BudgetExceeded(
-                        "sampler parameters keep hitting a denominator root")
                 continue
             yield p
 

@@ -7,9 +7,9 @@ Random rational coordinates always have numerators in [-20, 20] and
 denominators in {1, 2, 3, 4}; everything downstream of the raw draws
 (node placement on lines, outlier search) is a deterministic scan.  The
 node searches run through ``nodes._grow``, which reads at most
-``nodes.SEARCH_BUDGET`` draws or points more than a search needs and
-raises ``BudgetExceeded`` when they do not suffice; line draws are
-resampled at most LINE_RESAMPLE_BUDGET times.
+``nodes.SEARCH_BUDGET`` draws or points more than a search needs, and
+each line takes at most ``nodes.SEARCH_BUDGET`` draws; either raises
+``BudgetExceeded`` when they do not suffice.
 
 Three generators are provided:
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from . import curves as _curves, nodes as _nodes
 from .curves import Curve, LineForm, LineUnion, proportional
@@ -37,8 +36,6 @@ from .errors import BudgetExceeded
 from .linalg import IndependenceTracker
 from .nodes import Node, NodeSet, node
 from .poly import space_dim
-
-LINE_RESAMPLE_BUDGET = 100
 
 
 class SplitMix64:
@@ -76,25 +73,22 @@ def random_node(rng: SplitMix64) -> Node:
     return node(rng.rational(), rng.rational())
 
 
-def random_line(rng: SplitMix64) -> LineForm:
-    for _ in range(LINE_RESAMPLE_BUDGET):
-        a, b, c = rng.rational(), rng.rational(), rng.rational()
-        if a != 0 or b != 0:
-            return LineForm(a, b, c)
-    raise BudgetExceeded("could not draw a nondegenerate line")
-
-
 def random_lines(rng: SplitMix64, count: int) -> tuple[LineForm, ...]:
-    """Pairwise non-proportional lines; degenerate draws are resampled."""
+    """Pairwise non-proportional lines a*x + b*y + c = 0, each the first
+    of at most ``nodes.SEARCH_BUDGET`` (a, b, c) draws with (a, b) nonzero
+    and not proportional to an earlier line."""
     out: list[LineForm] = []
     for _ in range(count):
-        for _ in range(LINE_RESAMPLE_BUDGET):
-            cand = random_line(rng)
-            if all(not proportional(cand, prev) for prev in out):
+        for _ in range(_nodes.SEARCH_BUDGET):
+            a, b, c = rng.rational(), rng.rational(), rng.rational()
+            if a == 0 and b == 0:
+                continue
+            cand = LineForm(a, b, c)
+            if not any(proportional(cand, prev) for prev in out):
                 out.append(cand)
                 break
         else:
-            raise BudgetExceeded("could not draw distinct lines")
+            raise BudgetExceeded("could not draw distinct lines within budget")
     return tuple(out)
 
 
@@ -183,8 +177,10 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     tracker = IndependenceTracker(space_dim(n))
     on_curve = _nodes._grow(tracker, n, union.points(),
                             _curves.max_nodes_on_curve(n, k - 1))
-    spiral = islice(_nodes.integer_spiral(), _nodes.SEARCH_BUDGET)
-    off_curve = (p for p in spiral if not mu.contains(p))
+    # _grow bounds the filtered stream, and the filter cannot starve: a
+    # line meets a spiral ring in at most 2 points unless it contains a
+    # side of that ring
+    off_curve = (p for p in _nodes.integer_spiral() if not mu.contains(p))
     [outlier] = _nodes._grow(tracker, n, off_curve, 1)
     return DefectConfig(n, k, NodeSet(on_curve + [outlier]), mu, lines,
                         outlier)

@@ -41,7 +41,10 @@ fixed stream of candidates (the integer spiral, a curve sampler, seeded
 draws), so its output is reproducible everywhere, and keeps each one whose
 row grows one tracker, in a single pass: a spanned row stays spanned as
 the set grows.  It reads at most SEARCH_BUDGET candidates more than it
-needs.
+needs.  SEARCH_BUDGET is the package's only budget:
+``generators.random_lines`` also takes at most SEARCH_BUDGET draws per
+line, and a stream that could skip points without end, such as a curve
+parametrization with a zero denominator, is refused when it is built.
 """
 
 from __future__ import annotations

@@ -41,7 +41,10 @@ def frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not a rational value: {value!r}")
 
 
@@ -104,16 +107,6 @@ class Poly:
             raise ValueError("coefficient count does not match degree bound")
 
     @staticmethod
-    def zero(bound: int = 0) -> "Poly":
-        return Poly(bound, (ZERO,) * space_dim(bound))
-
-    @staticmethod
-    def constant(value, bound: int = 0) -> "Poly":
-        coeffs = [ZERO] * space_dim(bound)
-        coeffs[0] = frac(value)
-        return Poly(bound, tuple(coeffs))
-
-    @staticmethod
     def from_terms(terms: dict[tuple[int, int], object], bound: int) -> "Poly":
         coeffs = [ZERO] * space_dim(bound)
         for (i, j), c in terms.items():
@@ -141,11 +134,6 @@ class Poly:
             return None
         i, j = monomial_exponents(top)
         return i + j
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        if i < 0 or j < 0 or i + j > self.bound:
-            return ZERO
-        return self.coeffs[monomial_index(i, j)]
 
     def terms(self) -> Iterator[tuple[int, int, Fraction]]:
         for idx, c in enumerate(self.coeffs):

@@ -69,7 +69,7 @@ def test_line_node_maximum():
     for n in range(1, 7):
         for seed in range(50):
             rng = SplitMix64(1000 * n + seed)
-            line = generators.random_line(rng)
+            [line] = generators.random_lines(rng, 1)
             params = set()
             while len(params) < n + 2:
                 params.add(rng.rational())
@@ -174,7 +174,7 @@ def test_dimension_identity():
         mode = case % 5
         points = []
         if mode == 1:
-            line = generators.random_line(rng)
+            [line] = generators.random_lines(rng, 1)
             while len(points) < min(size, n + 2):
                 cand = line.point_at(rng.rational())
                 if cand not in points:

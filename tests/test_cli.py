@@ -98,6 +98,21 @@ def test_non_integer_json_fields_are_refused(capsys, args):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("args", [
+    ["indep", "-n", "1", '{"nodes": [["1/0", "0"]]}'],
+    ["verify", "twocurves", "-k", "2", "--at=1/0,1", FOUR],
+    ["extend", "-n", "1", "--on-curve", '{"a": "1/0", "b": "1", "c": "0"}',
+     '{"nodes": []}'],
+    ["render", FOUR, "--curve", '{"n": 1, "coeffs": ["0", "1/0", "0"]}'],
+], ids=["node", "at", "on-curve", "curve"])
+def test_zero_denominator_is_named(capsys, args):
+    # Fraction("1/0") used to leak as {"error": "Fraction(1, 0)"}
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "zero denominator in '1/0'"
+
+
 def test_fund_polynomial_and_null(capsys):
     code, out, _ = run(capsys, "fund", "-n", "1", "--node", "0",
                        '{"nodes": [["0","0"],["1","0"],["0","1"]]}')

@@ -39,9 +39,9 @@ def test_uniqueness_threshold_values():
 
 def test_curve_validation():
     with pytest.raises(ValueError):
-        Curve(Poly.constant(3), 0)
+        Curve(Poly.from_terms({(0, 0): 3}, 0), 0)
     with pytest.raises(ValueError):
-        Curve.from_poly(Poly.zero(1))
+        Curve.from_poly(Poly.from_terms({}, 1))
     with pytest.raises(ValueError):
         Curve(poly.linear(1, 0, 0), 2)
     for degree in (True, 1.0, "1"):
@@ -128,14 +128,23 @@ def test_rational_param_skips_denominator_roots():
     assert [p.y for p in pts] == params[:6]
 
 
-def test_rational_param_with_zero_denominator_is_bounded(monkeypatch):
-    # x_den is the zero polynomial, so every parameter is skipped; a small
-    # budget keeps the test fast, the real one takes the same path
-    monkeypatch.setattr(curves, "SAMPLER_BUDGET", 100)
-    never = RationalParam.of([0, 1], [0], [0, 1], [1])
+@pytest.mark.parametrize("dens", [([0], [1]), ([1], [0, 0])],
+                         ids=["x_den", "y_den"])
+def test_rational_param_rejects_zero_denominator(dens):
+    # a zero denominator would make points() skip every parameter
+    x_den, y_den = dens
+    with pytest.raises(ValueError, match="denominator"):
+        RationalParam.of([0, 1], x_den, [0, 1], y_den)
+
+
+def test_rational_param_repeating_stream_is_bounded(monkeypatch):
+    # a constant parametrization repeats one point, which stops growing the
+    # set after it is kept; the search budget ends the stream
+    monkeypatch.setattr(nodes, "SEARCH_BUDGET", 5)
+    constant = RationalParam.of([1], [1], [1], [1])
     diagonal = Curve.from_poly(poly.linear(1, -1, 0))
     with pytest.raises(BudgetExceeded):
-        curves.extend_on_curve(NodeSet(), never, diagonal, 2)
+        curves.extend_on_curve(NodeSet(), constant, diagonal, 2)
 
 
 def test_is_maximal_curve_line_cases():

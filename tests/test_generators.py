@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from nodecurves import curves, generators, nodes, poly
+from nodecurves.errors import BudgetExceeded
 from nodecurves.generators import SplitMix64
 
 
@@ -33,6 +36,55 @@ def test_random_lines_distinct():
     for i in range(6):
         for j in range(i + 1, 6):
             assert not curves.proportional(lines[i], lines[j])
+
+
+def _nested_random_lines(rng, count):
+    """The earlier random_lines: up to 100 candidates per line, each from
+    a random_line that resampled up to 100 degenerate (a, b, c) draws."""
+    def random_line():
+        for _ in range(100):
+            a, b, c = rng.rational(), rng.rational(), rng.rational()
+            if a != 0 or b != 0:
+                return curves.LineForm(a, b, c)
+        raise BudgetExceeded("could not draw a nondegenerate line")
+
+    out = []
+    for _ in range(count):
+        for _ in range(100):
+            cand = random_line()
+            if all(not curves.proportional(cand, prev) for prev in out):
+                out.append(cand)
+                break
+        else:
+            raise BudgetExceeded("could not draw distinct lines")
+    return tuple(out)
+
+
+def test_random_lines_match_the_nested_loops():
+    # one bounded loop per line reads the same draws in the same order
+    for seed in range(200):
+        for count in range(1, 7):
+            assert generators.random_lines(SplitMix64(seed), count) == \
+                _nested_random_lines(SplitMix64(seed), count)
+
+
+class _ZeroRng:
+    """Every draw is 0, so every line it offers is degenerate."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def rational(self):
+        self.draws += 1
+        return Fraction(0)
+
+
+def test_random_lines_take_at_most_search_budget_draws(monkeypatch):
+    monkeypatch.setattr(nodes, "SEARCH_BUDGET", 7)
+    rng = _ZeroRng()
+    with pytest.raises(BudgetExceeded):
+        generators.random_lines(rng, 2)
+    assert rng.draws == 3 * 7
 
 
 def test_berzolari_radon_profile_and_poisedness():

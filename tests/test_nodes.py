@@ -84,7 +84,7 @@ def test_fundamental_polynomial_examples():
     # middle node of a collinear triple has none at degree 1
     assert nodes.fundamental_polynomial((1, 0), COLLINEAR3, 1) is None
     single = nodes.fundamental_polynomial((5, 7), NodeSet([(5, 7)]), 0)
-    assert single.equals(Poly.constant(1))
+    assert single.equals(Poly.from_terms({(0, 0): 1}, 0))
     with pytest.raises(ValueError):
         nodes.fundamental_polynomial((9, 9), TRIANGLE, 1)
 
