@@ -16,9 +16,15 @@ Samplers produce exact rational points on a curve in a fixed order, so
 search results are reproducible: a line is swept by a deterministic
 enumeration of rational parameters, a union of lines round-robin, and a
 rational parametrization by the same parameter sequence minus denominator
-roots.  A parametrization refuses a zero denominator when it is built, so
-it skips finitely many parameters.  ``extend_on_curve`` searches through
-``nodes._grow``, within ``nodes.SEARCH_BUDGET``, the package's one budget.
+roots.  A rational parametrization refuses a zero denominator when it is
+built, so it skips finitely many parameters.  ``extend_on_curve`` searches
+through ``nodes._grow``, within ``nodes.SEARCH_BUDGET``, the package's one
+budget.
+
+A line has one integer parametrization, ``LineForm._point``: the point at
+t = p/q is computed from p, q and the numerators and denominators of the
+line's coefficients, and each coordinate is reduced by one ``Fraction``.
+``point_at``, ``points`` and every generator read line points through it.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -91,9 +98,15 @@ def same_curve(a: Curve, b: Curve) -> bool:
 def rational_sequence() -> Iterator[Fraction]:
     """Every rational exactly once: p/q read off integer spiral points
     (p, q) with q > 0 and gcd(p, q) = 1, so 0, 1, -1, 2, 1/2, -1/2, -2, ..."""
+    for p, q in _rational_pairs():
+        yield Fraction(p, q)
+
+
+def _rational_pairs() -> Iterator[tuple[int, int]]:
+    """``rational_sequence`` as the pairs (p, q) of its terms p/q."""
     for p, q in _nodes._spiral_pairs():
         if q > 0 and gcd(p, q) == 1:
-            yield Fraction(p, q)
+            yield p, q
 
 
 @dataclass(frozen=True)
@@ -128,22 +141,36 @@ class LineForm:
         return self.a * frac(x) + self.b * frac(y) + self.c
 
     def point_at(self, t) -> Node:
-        """Exact point base + t * (b, -a); every parameter gives a distinct
-        point of the line."""
+        """Exact point base + t * (b, -a), where base is (0, -c/b), or
+        (-c/a, 0) when b = 0; every parameter gives a distinct point of
+        the line."""
         t = frac(t)
-        if self.b != 0:
-            base = node(0, -self.c / self.b)
-        else:
-            base = node(-self.c / self.a, 0)
-        return node(base.x + t * self.b, base.y - t * self.a)
+        return self._point(t.numerator, t.denominator)
 
-    def canonical(self) -> "LineForm":
-        lead = self.a if self.a != 0 else self.b
-        return LineForm(self.a / lead, self.b / lead, self.c / lead)
+    @cached_property
+    def _integer_form(self) -> tuple[int, ...]:
+        """The base point (x0/dx0, y0/dy0) and the coefficients b/db and
+        a/da, as integer numerator, denominator pairs."""
+        if self.b != 0:
+            x0, y0 = ZERO, -self.c / self.b
+        else:
+            x0, y0 = -self.c / self.a, ZERO
+        return (x0.numerator, x0.denominator, y0.numerator, y0.denominator,
+                self.b.numerator, self.b.denominator,
+                self.a.numerator, self.a.denominator)
+
+    def _point(self, p: int, q: int) -> Node:
+        """``point_at(p/q)`` in integers, each coordinate reduced by one
+        Fraction: x0 + (p/q) * b and y0 - (p/q) * a over the products of
+        their denominators."""
+        x0, dx0, y0, dy0, b, db, a, da = self._integer_form
+        return Node(Fraction(x0 * q * db + p * b * dx0, dx0 * q * db),
+                    Fraction(y0 * q * da - p * a * dy0, dy0 * q * da))
 
     def points(self) -> Iterator[Node]:
-        for t in rational_sequence():
-            yield self.point_at(t)
+        """``point_at`` over ``rational_sequence``."""
+        for p, q in _rational_pairs():
+            yield self._point(p, q)
 
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
@@ -154,7 +181,9 @@ class LineForm:
 
 
 def proportional(p: LineForm, q: LineForm) -> bool:
-    return p.canonical() == q.canonical()
+    """Same line: every 2x2 minor of the two coefficient vectors is 0."""
+    return (p.a * q.b == p.b * q.a and p.a * q.c == p.c * q.a
+            and p.b * q.c == p.c * q.b)
 
 
 @dataclass(frozen=True)
@@ -183,6 +212,11 @@ class LineUnion:
 
     def curve(self) -> Curve:
         return Curve.from_poly(self.poly())
+
+    def contains(self, p) -> bool:
+        """``curve().contains(p)``, decided line by line."""
+        p = _nodes._coerce(p)
+        return any(line.eval(p.x, p.y) == 0 for line in self.lines)
 
     def points(self) -> Iterator[Node]:
         """Round-robin over the component lines' samplers."""

@@ -22,13 +22,16 @@ Three generators are provided:
 * ``defect_config(n, k, seed)``: an n-independent set of
   max_nodes_on_curve(n, k-1) + 1 nodes that lies, except for one outlier,
   on a degree-(k-1) union of lines.  Such sets admit at least two distinct
-  degree-k curves, which is what the defect verifier characterizes.
+  degree-k curves, which is what the defect verifier characterizes.  The
+  configuration keeps the k-1 lines; its curve ``mu`` is derived from
+  them when read, and the outlier search tests the lines one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import curves as _curves, nodes as _nodes
 from .curves import Curve, LineForm, LineUnion, proportional
@@ -119,10 +122,9 @@ def berzolari_radon(n: int, seed: int) -> BRSet:
     for j, line in enumerate(lines):
         want = n + 1 - j
         got = 0
-        for t in _curves.rational_sequence():
+        for cand in line.points():
             if got == want:
                 break
-            cand = line.point_at(t)
             if any(prev.eval(cand.x, cand.y) == 0 for prev in lines[:j]):
                 continue
             placed.append(cand)
@@ -145,14 +147,20 @@ def random_poised(n: int, seed: int) -> NodeSet:
 @dataclass(frozen=True)
 class DefectConfig:
     """Independent set = maximal nodes on a line-union curve + one outlier
-    off it; at least two degree-k curves pass through the whole set."""
+    off it; at least two degree-k curves pass through the whole set.  The
+    curve ``mu`` is not stored: it is derived from its k-1 lines
+    ``mu_lines``, so the two cannot disagree."""
 
     n: int
     k: int
     nodes: NodeSet
-    mu: Curve
     mu_lines: tuple[LineForm, ...]
     outlier: Node
+
+    @cached_property
+    def mu(self) -> Curve:
+        """The degree-(k-1) product of ``mu_lines``."""
+        return LineUnion.of(self.mu_lines).curve()
 
     @property
     def outlier_index(self) -> int:
@@ -164,15 +172,14 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
 
     mu is a product of k-1 random pairwise non-proportional lines; the
     first max_nodes_on_curve(n, k-1) nodes are an on-mu extension from
-    empty, and the last node is the first integer spiral point off mu that
-    keeps the set n-independent.
+    empty, and the last node is the first integer spiral point off every
+    line that keeps the set n-independent.
     """
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n")
     rng = SplitMix64(seed)
     lines = random_lines(rng, k - 1)
     union = LineUnion.of(lines)
-    mu = union.curve()
     # one tracker for both phases: the on-curve rows are eliminated once
     tracker = IndependenceTracker(space_dim(n))
     on_curve = _nodes._grow(tracker, n, union.points(),
@@ -180,7 +187,6 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     # _grow bounds the filtered stream, and the filter cannot starve: a
     # line meets a spiral ring in at most 2 points unless it contains a
     # side of that ring
-    off_curve = (p for p in _nodes.integer_spiral() if not mu.contains(p))
+    off_curve = (p for p in _nodes.integer_spiral() if not union.contains(p))
     [outlier] = _nodes._grow(tracker, n, off_curve, 1)
-    return DefectConfig(n, k, NodeSet(on_curve + [outlier]), mu, lines,
-                        outlier)
+    return DefectConfig(n, k, NodeSet(on_curve + [outlier]), lines, outlier)

@@ -82,15 +82,17 @@ def homogeneous_row(x, y, n: int) -> tuple[list[int], int]:
     e = lcm(x.denominator, y.denominator)
     a = x.numerator * (e // x.denominator)
     c = y.numerator * (e // y.denominator)
-    a_pows, c_pows, e_pows = [1], [1], [1]
+    e_pows = [1]
     for _ in range(n):
-        a_pows.append(a_pows[-1] * a)
-        c_pows.append(c_pows[-1] * c)
         e_pows.append(e_pows[-1] * e)
-    row: list[int] = []
-    for t in range(n + 1):
-        et = e_pows[n - t]
-        row += [a_pows[i] * c_pows[t - i] * et for i in range(t, -1, -1)]
+    # block t is A^i C^(t-i), i descending: A times the first entry of
+    # block t-1, then C times each of its entries; the row holds it times
+    # e^(n-t), a pass that e = 1 skips
+    block = [1]
+    row = [e_pows[n]]
+    for et in reversed(e_pows[:-1]):
+        block = [a * block[0], *[c * v for v in block]]
+        row += [v * et for v in block] if et != 1 else block
     return row, e_pows[n]
 
 

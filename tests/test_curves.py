@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nodecurves import curves, nodes, poly
 from nodecurves.curves import Curve, LineForm, LineUnion, RationalParam
@@ -92,6 +94,61 @@ def test_line_points_stay_on_line_and_distinct():
     assert all(l.eval(p.x, p.y) == 0 for p in pts)
     vertical = line(1, 0, -2)
     assert all(p.x == 2 for p in itertools.islice(vertical.points(), 5))
+
+
+# zero, negative and fractional coefficients; a and b not both zero
+coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+line_forms = st.tuples(coefficients, coefficients, coefficients).filter(
+    lambda abc: abc[0] or abc[1]).map(lambda abc: LineForm(*abc))
+
+
+def reference_point(l, t):
+    """base + t * (b, -a) in plain Fractions."""
+    base_x, base_y = ((Fraction(0), -l.c / l.b) if l.b != 0
+                      else (-l.c / l.a, Fraction(0)))
+    return base_x + t * l.b, base_y - t * l.a
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_forms, st.builds(Fraction, st.integers(-40, 40),
+                             st.integers(1, 12)))
+@example(LineForm(Fraction(-2, 3), Fraction(0), Fraction(5, 2)),
+         Fraction(-7, 4))
+@example(LineForm(Fraction(0), Fraction(-3, 4), Fraction(7, 5)),
+         Fraction(9, 2))
+@example(LineForm(Fraction(0), Fraction(1), Fraction(0)), Fraction(0))
+def test_point_at_matches_fraction_formula(l, t):
+    p = l.point_at(t)
+    assert p == reference_point(l, t)
+    assert type(p.x) is Fraction and type(p.y) is Fraction
+    assert l.eval(p.x, p.y) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(line_forms)
+@example(LineForm(Fraction(5, 2), Fraction(0), Fraction(-1, 3)))
+@example(LineForm(Fraction(0), Fraction(-4), Fraction(3, 2)))
+def test_points_follow_rational_sequence(l):
+    params = itertools.islice(curves.rational_sequence(), 50)
+    assert (list(itertools.islice(l.points(), 50))
+            == [l.point_at(t) for t in params])
+
+
+def lead_one(l):
+    """The line's coefficients scaled to lead coefficient 1."""
+    lead = l.a if l.a != 0 else l.b
+    return l.a / lead, l.b / lead, l.c / lead
+
+
+@settings(max_examples=100, deadline=None)
+@given(line_forms, line_forms,
+       st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                 st.integers(1, 6)))
+@example(LineForm(Fraction(0), Fraction(2), Fraction(1)),
+         LineForm(Fraction(0), Fraction(3), Fraction(1)), Fraction(-1, 2))
+def test_proportional_is_equal_lead_one_form(p, q, s):
+    assert curves.proportional(p, q) == (lead_one(p) == lead_one(q))
+    assert curves.proportional(p, LineForm(s * p.a, s * p.b, s * p.c))
 
 
 def test_line_through_two_points():

@@ -1,6 +1,8 @@
 """Exhaustive sweeps of the defect verifier over subsets of the 4x4 grid:
 sets no generator planted.  Each set either fails a precondition with
-ValueError or yields a report; a TheoremViolation fails the test."""
+ValueError or yields a report; a TheoremViolation fails the test.  The
+outlier of every split uses its curve mu, as the maximal-curve law
+demands; ``curves.node_uses`` checks that by its own rank test."""
 
 import itertools
 from collections import Counter
@@ -30,6 +32,8 @@ def sweep(n: int, k: int) -> Counter:
         assert report.mu.degree == k - 1
         assert not report.mu.contains(outlier)
         assert all(report.mu.contains(p) for p in xs if p != outlier)
+        # the maximal-curve law, decided apart from the verifier
+        assert curves.node_uses(outlier, xs, n, report.mu)
         counts[f"dim {report.curve_space_dim}, split"] += 1
     return counts
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,41 @@ def test_defect_config_structure():
     assert len(on) == curves.max_nodes_on_curve(3, 1)
     assert curves.is_maximal_curve(cfg.mu, cfg.nodes, 3)
     assert cfg.outlier_index == len(cfg.nodes) - 1
+
+
+DEFECT_GRID = [(n, k, seed) for n in range(3, 7) for k in range(2, n)
+               for seed in (1, 2, 3)]
+
+
+def test_defect_config_mu_is_the_product_of_its_lines():
+    for n, k, seed in DEFECT_GRID:
+        cfg = generators.defect_config(n, k, seed)
+        assert len(cfg.mu_lines) == k - 1
+        assert cfg.mu.degree == k - 1
+        assert curves.same_curve(
+            cfg.mu, curves.LineUnion.of(cfg.mu_lines).curve())
+
+
+def test_defect_config_outlier_filter_is_mu():
+    # the outlier scan reads the spiral through the lines, not through mu
+    spiral = list(itertools.islice(nodes.integer_spiral(), 300))
+    on_mu = 0
+    for n, k, seed in DEFECT_GRID:
+        cfg = generators.defect_config(n, k, seed)
+        union = curves.LineUnion.of(cfg.mu_lines)
+        off_lines = [not union.contains(p) for p in spiral]
+        assert off_lines == [not cfg.mu.contains(p) for p in spiral]
+        on_mu += off_lines.count(False)
+    # both answers occur: 69 of the 30 x 300 points lie on their mu
+    assert on_mu == 69
+
+
+def test_defect_config_outlier_uses_mu():
+    # the maximal-curve law: a node off a curve carrying the maximal
+    # number of n-independent nodes uses that curve
+    for n, k, seed in DEFECT_GRID:
+        cfg = generators.defect_config(n, k, seed)
+        assert curves.node_uses(cfg.outlier, cfg.nodes, n, cfg.mu)
 
 
 def test_defect_config_has_two_curves():

@@ -295,10 +295,13 @@ def test_line_usage_users_match_node_uses(n):
 
 def _three_node_lines(xs):
     """(canonical line, its nodes) for every line through exactly 3 nodes,
-    found by grouping node pairs by their canonical line."""
+    found by grouping node pairs by their line scaled to lead coefficient
+    1."""
     lines = {}
     for a, b in itertools.combinations(xs, 2):
-        line = curves.LineForm.through(a, b).canonical()
+        line = curves.LineForm.through(a, b)
+        lead = line.a if line.a != 0 else line.b
+        line = curves.LineForm(line.a / lead, line.b / lead, line.c / lead)
         lines.setdefault(line, set()).update((a, b))
     return [(line, on) for line, on in lines.items() if len(on) == 3]
 
