@@ -32,7 +32,7 @@ for k in range(1, n + 1):
 
 # A line (k=1) carries at most n+1 independent nodes.  Fill the x-axis.
 axis = LineForm.of(0, 1, 0)  # y = 0
-full = extend_on_curve(NodeSet(), axis, Curve.from_poly(axis.poly()), n)
+full = extend_on_curve(NodeSet(), axis, Curve(axis.poly()), n)
 print("x-axis filled at n =", n, "->", full)
 
 # One more point of the line is now forced to be dependent.
@@ -43,7 +43,7 @@ print("with an extra on-line node, independent:", is_independent(more, n))
 # line as a factor: p = l * r.
 space = vanishing_basis(full, n)
 print("every vanishing element divisible by the line:",
-      space_divisible_by(space, Curve.from_poly(axis.poly())))
+      space_divisible_by(space, Curve(axis.poly())))
 
 # The same machinery works for reducible curves.  A union of two lines is a
 # degree-2 curve; d(4,2) = 9 nodes fit.

@@ -10,7 +10,6 @@ from .curves import (
     Curve,
     LineForm,
     LineUnion,
-    RationalParam,
     extend_on_curve,
     is_maximal_curve,
     max_nodes_on_curve,
@@ -51,7 +50,6 @@ __all__ = [
     "Node",
     "NodeSet",
     "Poly",
-    "RationalParam",
     "TheoremViolation",
     "berzolari_radon",
     "characterize_defect",

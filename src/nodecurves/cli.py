@@ -143,10 +143,8 @@ def _cmd_extend(args) -> str:
     if args.on_curve is None:
         out = nodes.extend_to_poised(xs, n)
     else:
-        lines = _lines_arg(_load_json(args.on_curve))
-        sampler = lines[0] if len(lines) == 1 else LineUnion.of(lines)
-        q = Curve.from_poly(sampler.poly())
-        out = curves.extend_on_curve(xs, sampler, q, n)
+        union = LineUnion.of(_lines_arg(_load_json(args.on_curve)))
+        out = curves.extend_on_curve(xs, union, union.curve(), n)
     return _dumps(out.to_json(n))
 
 

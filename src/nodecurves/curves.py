@@ -14,12 +14,8 @@ degree-k curve can pass through an independent set.
 
 Samplers produce exact rational points on a curve in a fixed order, so
 search results are reproducible: a line is swept by a deterministic
-enumeration of rational parameters, a union of lines round-robin, and a
-rational parametrization by the same parameter sequence minus denominator
-roots.  A rational parametrization refuses a zero denominator when it is
-built, so it skips finitely many parameters.  ``extend_on_curve`` searches
-through ``nodes._grow``, within ``nodes.SEARCH_BUDGET``, the package's one
-budget.
+enumeration of rational parameters, and a union of lines round-robin.  ``extend_on_curve`` searches through
+``nodes._grow``, within ``nodes.SEARCH_BUDGET``, the package's one budget.
 
 A line has one integer parametrization, ``LineForm._point``: the point at
 t = p/q is computed from p, q and the numerators and denominators of the
@@ -38,7 +34,7 @@ from typing import Iterator, Sequence
 
 from . import nodes as _nodes, poly as _poly
 from .linalg import ZERO, IndependenceTracker, RankTracker
-from .nodes import Node, NodeSet, node
+from .nodes import Node, NodeSet
 from .poly import Poly, frac, space_dim
 
 
@@ -59,22 +55,18 @@ def uniqueness_threshold(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class Curve:
-    """Nonconstant polynomial with its declared (= effective) degree."""
+    """Nonconstant polynomial; ``Curve(poly)`` is the constructor, and the
+    degree is the polynomial's effective degree."""
 
     poly: Poly
-    degree: int
 
     def __post_init__(self):
-        _poly.json_int(self.degree, "degree")
-        if self.poly.degree != self.degree or self.degree < 1:
-            raise ValueError("declared degree must match and be >= 1")
-
-    @staticmethod
-    def from_poly(p: Poly) -> "Curve":
-        deg = p.degree
-        if deg is None or deg < 1:
+        if self.degree is None or self.degree < 1:
             raise ValueError("a curve needs effective degree >= 1")
-        return Curve(p, deg)
+
+    @cached_property
+    def degree(self) -> int:
+        return self.poly.degree
 
     def contains(self, p) -> bool:
         p = _nodes._coerce(p)
@@ -85,9 +77,15 @@ class Curve:
 
     @staticmethod
     def from_json(data: dict) -> "Curve":
+        """The curve of ``data["poly"]``; ``data["degree"]`` must be a JSON
+        integer equal to the polynomial's effective degree."""
         if not isinstance(data["poly"], dict):
             raise ValueError('"poly" must be a JSON object')
-        return Curve(Poly.from_json(data["poly"]), data["degree"])
+        p = Poly.from_json(data["poly"])
+        degree = _poly.json_int(data["degree"], "degree")
+        if p.degree != degree or degree < 1:
+            raise ValueError("declared degree must match and be >= 1")
+        return Curve(p)
 
 
 def same_curve(a: Curve, b: Curve) -> bool:
@@ -95,15 +93,9 @@ def same_curve(a: Curve, b: Curve) -> bool:
     return a.poly.normalized().equals(b.poly.normalized())
 
 
-def rational_sequence() -> Iterator[Fraction]:
-    """Every rational exactly once: p/q read off integer spiral points
-    (p, q) with q > 0 and gcd(p, q) = 1, so 0, 1, -1, 2, 1/2, -1/2, -2, ..."""
-    for p, q in _rational_pairs():
-        yield Fraction(p, q)
-
-
 def _rational_pairs() -> Iterator[tuple[int, int]]:
-    """``rational_sequence`` as the pairs (p, q) of its terms p/q."""
+    """Every rational p/q exactly once, as the pair (p, q): integer spiral
+    points with q > 0 and gcd(p, q) = 1, so 0, 1, -1, 2, 1/2, -1/2, -2, ..."""
     for p, q in _nodes._spiral_pairs():
         if q > 0 and gcd(p, q) == 1:
             yield p, q
@@ -168,7 +160,7 @@ class LineForm:
                     Fraction(y0 * q * da - p * a * dy0, dy0 * q * da))
 
     def points(self) -> Iterator[Node]:
-        """``point_at`` over ``rational_sequence``."""
+        """``point_at`` over every rational p/q of ``_rational_pairs``."""
         for p, q in _rational_pairs():
             yield self._point(p, q)
 
@@ -211,7 +203,7 @@ class LineUnion:
         return out
 
     def curve(self) -> Curve:
-        return Curve.from_poly(self.poly())
+        return Curve(self.poly())
 
     def contains(self, p) -> bool:
         """``curve().contains(p)``, decided line by line."""
@@ -223,45 +215,6 @@ class LineUnion:
         streams = [line.points() for line in self.lines]
         for batch in zip(*streams):
             yield from batch
-
-
-@dataclass(frozen=True)
-class RationalParam:
-    """Curve points (xn(t)/xd(t), yn(t)/yd(t)) for univariate rational
-    functions given by ascending coefficient tuples; parameters where a
-    denominator vanishes are skipped.  A zero denominator polynomial is
-    refused, so only finitely many parameters are skipped."""
-
-    x_num: tuple[Fraction, ...]
-    x_den: tuple[Fraction, ...]
-    y_num: tuple[Fraction, ...]
-    y_den: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not any(self.x_den) or not any(self.y_den):
-            raise ValueError("a denominator is the zero polynomial")
-
-    @staticmethod
-    def of(x_num, x_den, y_num, y_den) -> "RationalParam":
-        mk = lambda cs: tuple(frac(c) for c in cs)
-        return RationalParam(mk(x_num), mk(x_den), mk(y_num), mk(y_den))
-
-    def point_at(self, t) -> Node:
-        t = frac(t)
-        ev = lambda cs: sum((c * t ** e for e, c in enumerate(cs)), ZERO)
-        xd, yd = ev(self.x_den), ev(self.y_den)
-        if xd == 0 or yd == 0:
-            raise ZeroDivisionError("parameter hits a denominator root")
-        return node(ev(self.x_num) / xd, ev(self.y_num) / yd)
-
-    def points(self) -> Iterator[Node]:
-        """Points in parameter order, without the denominator roots."""
-        for t in rational_sequence():
-            try:
-                p = self.point_at(t)
-            except ZeroDivisionError:
-                continue
-            yield p
 
 
 def is_maximal_curve(q: Curve, xs: NodeSet, n: int) -> bool:

@@ -103,7 +103,11 @@ class BRSet:
     n: int
     nodes: NodeSet
     lines: tuple[LineForm, ...]
-    counts: tuple[int, ...]
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        """Nodes per line, in line order: n+1, n, ..., 1."""
+        return tuple(range(self.n + 1, 0, -1))
 
 
 def berzolari_radon(n: int, seed: int) -> BRSet:
@@ -118,7 +122,6 @@ def berzolari_radon(n: int, seed: int) -> BRSet:
     rng = SplitMix64(seed)
     lines = random_lines(rng, n + 1)
     placed: list[Node] = []
-    counts = []
     for j, line in enumerate(lines):
         want = n + 1 - j
         got = 0
@@ -129,8 +132,7 @@ def berzolari_radon(n: int, seed: int) -> BRSet:
                 continue
             placed.append(cand)
             got += 1
-        counts.append(want)
-    return BRSet(n, NodeSet(placed), lines, tuple(counts))
+    return BRSet(n, NodeSet(placed), lines)
 
 
 def random_poised(n: int, seed: int) -> NodeSet:
@@ -147,15 +149,18 @@ def random_poised(n: int, seed: int) -> NodeSet:
 @dataclass(frozen=True)
 class DefectConfig:
     """Independent set = maximal nodes on a line-union curve + one outlier
-    off it; at least two degree-k curves pass through the whole set.  The
-    curve ``mu`` is not stored: it is derived from its k-1 lines
-    ``mu_lines``, so the two cannot disagree."""
+    off it; at least two degree-k curves pass through the whole set.
+    Neither k nor the curve ``mu`` is stored: both are derived from its
+    k-1 lines ``mu_lines``, so they cannot disagree."""
 
     n: int
-    k: int
     nodes: NodeSet
     mu_lines: tuple[LineForm, ...]
     outlier: Node
+
+    @property
+    def k(self) -> int:
+        return len(self.mu_lines) + 1
 
     @cached_property
     def mu(self) -> Curve:
@@ -189,4 +194,4 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     # side of that ring
     off_curve = (p for p in _nodes.integer_spiral() if not union.contains(p))
     [outlier] = _nodes._grow(tracker, n, off_curve, 1)
-    return DefectConfig(n, k, NodeSet(on_curve + [outlier]), lines, outlier)
+    return DefectConfig(n, NodeSet(on_curve + [outlier]), lines, outlier)

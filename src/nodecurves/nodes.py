@@ -43,8 +43,7 @@ row grows one tracker, in a single pass: a spanned row stays spanned as
 the set grows.  It reads at most SEARCH_BUDGET candidates more than it
 needs.  SEARCH_BUDGET is the package's only budget:
 ``generators.random_lines`` also takes at most SEARCH_BUDGET draws per
-line, and a stream that could skip points without end, such as a curve
-parametrization with a zero denominator, is refused when it is built.
+line.
 """
 
 from __future__ import annotations

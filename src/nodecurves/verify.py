@@ -149,7 +149,7 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
     [(idx, mu)] = hits.items()
     if mu.degree != k - 1:
         raise TheoremViolation("curve through the rest has the wrong degree")
-    return DefectReport(dim, Curve.from_poly(mu), xs[idx], idx)
+    return DefectReport(dim, Curve(mu), xs[idx], idx)
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def curve_through_extra_node(xs: NodeSet, k: int, a) -> TwoCurveReport:
             raise TheoremViolation("combination misses a node of the set")
     if out.eval(a.x, a.y) != 0:
         raise TheoremViolation("combination misses the extra node")
-    return TwoCurveReport(space.dimension, Curve.from_poly(out))
+    return TwoCurveReport(space.dimension, Curve(out))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from nodecurves.cli import main
 from nodecurves.curves import (
     Curve,
     LineUnion,
-    RationalParam,
     extend_on_curve,
     max_nodes_on_curve,
     same_curve,
@@ -23,7 +22,7 @@ from nodecurves.curves import (
     uniqueness_threshold,
 )
 from nodecurves.generators import SplitMix64
-from nodecurves.nodes import NodeSet
+from nodecurves.nodes import NodeSet, node
 from nodecurves.poly import space_dim
 
 
@@ -78,7 +77,7 @@ def test_line_node_maximum():
             assert nodes.is_independent(on_line, n)
             assert not nodes.is_independent(NodeSet(points), n)
             space = nodes.vanishing_basis(on_line, n)
-            assert space_divisible_by(space, Curve.from_poly(line.poly()))
+            assert space_divisible_by(space, Curve(line.poly()))
 
 
 @criterion(3, "curve node maximum")
@@ -163,10 +162,13 @@ def test_line_usage_counts():
     assert total_reports >= 1
 
 
+def _circle_point(t):
+    # the unit circle, swept by the half-angle parametrization
+    return node((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+
+
 @criterion(9, "dimension identity")
 def test_dimension_identity():
-    # unit circle, swept by the half-angle parameterization
-    circle = RationalParam.of((1, 0, -1), (1, 0, 1), (0, 2), (1, 0, 1))
     for case in range(500):
         n = 1 + case % 4
         rng = SplitMix64(case)
@@ -181,7 +183,7 @@ def test_dimension_identity():
                     points.append(cand)
         elif mode == 2:
             while len(points) < min(size, 8):
-                cand = circle.point_at(rng.rational())
+                cand = _circle_point(rng.rational())
                 if cand not in points:
                     points.append(cand)
         while len(points) < size:

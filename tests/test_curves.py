@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodecurves import curves, nodes, poly
-from nodecurves.curves import Curve, LineForm, LineUnion, RationalParam
+from nodecurves.curves import Curve, LineForm, LineUnion
 from nodecurves.errors import BudgetExceeded
 from nodecurves.nodes import NodeSet, node
 from nodecurves.poly import Poly
@@ -41,48 +41,84 @@ def test_uniqueness_threshold_values():
 
 def test_curve_validation():
     with pytest.raises(ValueError):
-        Curve(Poly.from_terms({(0, 0): 3}, 0), 0)
+        Curve(Poly.from_terms({(0, 0): 3}, 0))
     with pytest.raises(ValueError):
-        Curve.from_poly(Poly.from_terms({}, 1))
-    with pytest.raises(ValueError):
-        Curve(poly.linear(1, 0, 0), 2)
-    for degree in (True, 1.0, "1"):
-        with pytest.raises(TypeError):
-            Curve(poly.linear(1, 0, 0), degree)
-    c = Curve.from_poly(poly.linear(1, 1, -1))
+        Curve(Poly.from_terms({}, 1))
+    c = Curve(poly.linear(1, 1, -1))
     assert c.degree == 1
     assert c.contains((1, 0)) and not c.contains((1, 1))
+    # the degree is the effective one, whatever bound the polynomial has
+    assert Curve(poly.linear(1, 1, -1).with_bound(3)).degree == 1
+
+
+def test_curve_from_json_refuses_a_bad_degree():
+    line = poly.linear(1, 0, 0).to_json()
+    for degree in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            Curve.from_json({"degree": degree, "poly": line})
+    for degree in (0, 2):
+        with pytest.raises(ValueError, match="declared degree"):
+            Curve.from_json({"degree": degree, "poly": line})
+    constant = Poly.from_terms({(0, 0): 3}, 0).to_json()
+    with pytest.raises(ValueError, match="declared degree"):
+        Curve.from_json({"degree": 0, "poly": constant})
+
+
+@st.composite
+def curve_polys(draw):
+    """Polynomials of effective degree 1..4, some with a larger bound."""
+    d = draw(st.integers(1, 4))
+    size = poly.space_dim(d)
+    coeffs = draw(st.lists(coefficients, min_size=size, max_size=size))
+    top = draw(st.integers(poly.space_dim(d - 1), size - 1))
+    coeffs[top] = draw(coefficients.filter(bool))
+    return Poly.from_coeffs(coeffs, d).with_bound(draw(st.integers(d, 5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve_polys())
+def test_curve_json_round_trip(p):
+    c = Curve(p)
+    assert 1 <= c.degree <= 4 and c.degree == p.degree
+    back = Curve.from_json(c.to_json())
+    assert back == c and back.degree == c.degree
 
 
 def test_same_curve_proportionality():
-    a = Curve.from_poly(poly.linear(1, 1, -1))
-    b = Curve.from_poly(poly.linear(-2, -2, 2))
-    c = Curve.from_poly(poly.linear(1, 2, -1))
+    a = Curve(poly.linear(1, 1, -1))
+    b = Curve(poly.linear(-2, -2, 2))
+    c = Curve(poly.linear(1, 2, -1))
     assert curves.same_curve(a, b)
     assert not curves.same_curve(a, c)
     # the degree bound a polynomial is stored with plays no part
-    wide = Curve.from_poly(poly.linear(3, 3, -3).with_bound(4))
+    wide = Curve(poly.linear(3, 3, -3).with_bound(4))
     assert curves.same_curve(a, wide) and curves.same_curve(wide, b)
     assert not curves.same_curve(wide, c)
 
 
-def test_rational_sequence_prefix():
-    got = list(itertools.islice(curves.rational_sequence(), 7))
-    assert got == [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
-                   Fraction(1, 2), Fraction(-1, 2), Fraction(-2)]
-
-
 def _rational_sequence_from_nodes():
-    # rational_sequence as first written: read back the spiral's Fractions
+    # the parameter sequence of a line's points: every rational p/q once,
+    # read back from the integer spiral's nodes (p, q)
     for pt in nodes.integer_spiral():
         p, q = int(pt.x), int(pt.y)
         if q > 0 and gcd(p, q) == 1:
             yield Fraction(p, q)
 
 
+def _x_axis_params(count):
+    # on y = 0 the point at parameter t is (t, 0)
+    return [p.x for p in itertools.islice(line(0, 1, 0).points(), count)]
+
+
+def test_rational_sequence_prefix():
+    assert _x_axis_params(7) == [Fraction(0), Fraction(1), Fraction(-1),
+                                 Fraction(2), Fraction(1, 2),
+                                 Fraction(-1, 2), Fraction(-2)]
+
+
 def test_rational_sequence_matches_spiral_nodes():
     count = 1000
-    got = list(itertools.islice(curves.rational_sequence(), count))
+    got = _x_axis_params(count)
     assert got == list(itertools.islice(_rational_sequence_from_nodes(), count))
     assert len(set(got)) == count
 
@@ -129,7 +165,7 @@ def test_point_at_matches_fraction_formula(l, t):
 @example(LineForm(Fraction(5, 2), Fraction(0), Fraction(-1, 3)))
 @example(LineForm(Fraction(0), Fraction(-4), Fraction(3, 2)))
 def test_points_follow_rational_sequence(l):
-    params = itertools.islice(curves.rational_sequence(), 50)
+    params = itertools.islice(_rational_sequence_from_nodes(), 50)
     assert (list(itertools.islice(l.points(), 50))
             == [l.point_at(t) for t in params])
 
@@ -168,56 +204,36 @@ def test_line_union_squarefree_check():
     assert all(p.x == 0 or p.y == 0 for p in pts)
 
 
-def test_rational_param_circle():
-    # (1-t^2, 2t)/(1+t^2) sweeps the unit circle
-    circle = RationalParam.of([1, 0, -1], [1, 0, 1], [0, 2], [1, 0, 1])
-    pts = list(itertools.islice(circle.points(), 10))
-    assert all(p.x ** 2 + p.y ** 2 == 1 for p in pts)
-    assert len(set(pts)) == 10
+class _OnePoint:
+    """A sampler whose stream repeats one point of the diagonal forever."""
 
-
-def test_rational_param_skips_denominator_roots():
-    # hyperbola (1/t, t); the denominator root t = 0 must be skipped
-    hyper = RationalParam.of([1], [0, 1], [0, 1], [1])
-    pts = list(itertools.islice(hyper.points(), 6))
-    assert all(p.x * p.y == 1 for p in pts)
-    params = [t for t in itertools.islice(curves.rational_sequence(), 7) if t != 0]
-    assert [p.y for p in pts] == params[:6]
-
-
-@pytest.mark.parametrize("dens", [([0], [1]), ([1], [0, 0])],
-                         ids=["x_den", "y_den"])
-def test_rational_param_rejects_zero_denominator(dens):
-    # a zero denominator would make points() skip every parameter
-    x_den, y_den = dens
-    with pytest.raises(ValueError, match="denominator"):
-        RationalParam.of([0, 1], x_den, [0, 1], y_den)
+    def points(self):
+        return itertools.repeat(node(1, 1))
 
 
 def test_rational_param_repeating_stream_is_bounded(monkeypatch):
-    # a constant parametrization repeats one point, which stops growing the
-    # set after it is kept; the search budget ends the stream
+    # a repeating stream stops growing the set after its point is kept;
+    # the search budget ends the stream
     monkeypatch.setattr(nodes, "SEARCH_BUDGET", 5)
-    constant = RationalParam.of([1], [1], [1], [1])
-    diagonal = Curve.from_poly(poly.linear(1, -1, 0))
+    diagonal = Curve(poly.linear(1, -1, 0))
     with pytest.raises(BudgetExceeded):
-        curves.extend_on_curve(NodeSet(), constant, diagonal, 2)
+        curves.extend_on_curve(NodeSet(), _OnePoint(), diagonal, 2)
 
 
 def test_is_maximal_curve_line_cases():
     xs = NodeSet([(0, 0), (1, 0), (-1, 0), (0, 1), (1, 1), (0, -1)])
     assert nodes.is_poised(xs, 2)
-    axis = Curve.from_poly(poly.linear(0, 1, 0))  # y = 0
+    axis = Curve(poly.linear(0, 1, 0))  # y = 0
     assert curves.is_maximal_curve(axis, xs, 2)
-    other = Curve.from_poly(poly.linear(1, 0, 0))  # x = 0 also carries 3
+    other = Curve(poly.linear(1, 0, 0))  # x = 0 also carries 3
     assert curves.is_maximal_curve(other, xs, 2)
-    diag = Curve.from_poly(poly.linear(1, -1, 0))
+    diag = Curve(poly.linear(1, -1, 0))
     assert not curves.is_maximal_curve(diag, xs, 2)
 
 
 def test_is_maximal_curve_preconditions():
     dependent = NodeSet([(0, 0), (1, 0), (2, 0)])
-    axis = Curve.from_poly(poly.linear(0, 1, 0))
+    axis = Curve(poly.linear(0, 1, 0))
     with pytest.raises(ValueError):
         curves.is_maximal_curve(axis, dependent, 1)
     small = NodeSet([(0, 0)])
@@ -228,7 +244,7 @@ def test_is_maximal_curve_preconditions():
 def test_extend_on_curve_line_from_one_node():
     start = NodeSet([(0, 0)])
     axis = line(0, 1, 0)
-    got = curves.extend_on_curve(start, axis, Curve.from_poly(axis.poly()), 2)
+    got = curves.extend_on_curve(start, axis, Curve(axis.poly()), 2)
     assert got == NodeSet([(0, 0), (1, 0), (-1, 0)])
     assert nodes.is_independent(got, 2)
 
@@ -236,7 +252,7 @@ def test_extend_on_curve_line_from_one_node():
 def test_extend_on_curve_already_full():
     xs = NodeSet([(0, 0), (1, 0), (-1, 0)])
     axis = line(0, 1, 0)
-    got = curves.extend_on_curve(xs, axis, Curve.from_poly(axis.poly()), 2)
+    got = curves.extend_on_curve(xs, axis, Curve(axis.poly()), 2)
     assert got == xs
 
 
@@ -253,14 +269,14 @@ def test_extend_on_curve_rejects_off_curve_input():
     axis = line(0, 1, 0)
     with pytest.raises(ValueError):
         curves.extend_on_curve(
-            NodeSet([(0, 1)]), axis, Curve.from_poly(axis.poly()), 2)
+            NodeSet([(0, 1)]), axis, Curve(axis.poly()), 2)
 
 
 def test_extend_on_curve_rejects_an_off_curve_sampler_point():
     # the sampler sweeps y = 0, but the curve is x = 0: (0, 0) lies on
     # both and is kept, (1, 0) is refused when read
     axis = line(0, 1, 0)
-    other = Curve.from_poly(line(1, 0, 0).poly())
+    other = Curve(line(1, 0, 0).poly())
     with pytest.raises(ValueError, match="off the curve"):
         curves.extend_on_curve(NodeSet(), axis, other, 2)
 
@@ -268,7 +284,7 @@ def test_extend_on_curve_rejects_an_off_curve_sampler_point():
 def test_one_more_on_curve_node_is_dependent():
     axis = line(0, 1, 0)
     full = curves.extend_on_curve(
-        NodeSet(), axis, Curve.from_poly(axis.poly()), 3)
+        NodeSet(), axis, Curve(axis.poly()), 3)
     assert len(full) == 4
     extra = next(p for p in axis.points() if p not in full)
     assert not nodes.is_independent(full.with_node(extra), 3)
@@ -276,14 +292,14 @@ def test_one_more_on_curve_node_is_dependent():
 
 def test_node_uses_triangle():
     xs = NodeSet([(0, 0), (1, 0), (0, 1)])
-    opposite = Curve.from_poly(poly.linear(1, 1, -1))  # x + y = 1
+    opposite = Curve(poly.linear(1, 1, -1))  # x + y = 1
     assert curves.node_uses((0, 0), xs, 1, opposite)
     assert not curves.node_uses((1, 0), xs, 1, opposite)
 
 
 def test_node_uses_requires_fundamental():
     xs = NodeSet([(0, 0), (1, 0), (2, 0)])
-    l = Curve.from_poly(poly.linear(0, 1, 0))
+    l = Curve(poly.linear(0, 1, 0))
     with pytest.raises(ValueError):
         curves.node_uses((1, 0), xs, 1, l)
     with pytest.raises(ValueError):
@@ -293,7 +309,7 @@ def test_node_uses_requires_fundamental():
 def test_node_uses_poised_set_with_maximal_line():
     # 2-poised set whose first three nodes fill the line y = 0
     xs = NodeSet([(0, 0), (1, 0), (-1, 0), (0, 1), (1, 1), (0, -1)])
-    axis = Curve.from_poly(poly.linear(0, 1, 0))
+    axis = Curve(poly.linear(0, 1, 0))
     assert curves.is_maximal_curve(axis, xs, 2)
     for p in xs:
         expect = not axis.contains(p)
@@ -302,7 +318,7 @@ def test_node_uses_poised_set_with_maximal_line():
 
 def test_space_divisible_by_line():
     xs = NodeSet([(0, 0), (1, 0), (-1, 0)])
-    axis = Curve.from_poly(poly.linear(0, 1, 0))
+    axis = Curve(poly.linear(0, 1, 0))
     space = nodes.vanishing_basis(xs, 2)
     assert curves.space_divisible_by(space, axis)
     # each basis element on its own is divisible too
@@ -314,7 +330,7 @@ def test_space_divisible_by_line():
 
 def test_curve_of_degree_above_n():
     xs = NodeSet([(0, 0), (1, 0), (0, 1)])
-    conic = Curve.from_poly(Poly.from_terms({(2, 0): 1, (0, 2): 1,
+    conic = Curve(Poly.from_terms({(2, 0): 1, (0, 2): 1,
                                              (0, 0): -1}, 2))
     with pytest.raises(ValueError, match="exceeds n"):
         curves.node_uses((0, 0), xs, 1, conic)

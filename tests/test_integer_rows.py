@@ -95,7 +95,7 @@ def test_vanishing_basis_matches_fraction_nullspace(xs, n):
 @given(node_sets().filter(len), st.integers(1, 3), coords, coords, coords)
 def test_node_uses_matches_fraction_solve(xs, n, a, b, c):
     assume(a != 0 or b != 0)
-    q = Curve.from_poly(poly.linear(a, b, c))
+    q = Curve(poly.linear(a, b, c))
     first = xs[0]
     if nodes.fundamental_polynomial(first, xs, n) is None:
         with pytest.raises(ValueError):

@@ -64,7 +64,7 @@ def test_mul_hand_example():
 def divisible(p: Poly, q: Poly) -> bool:
     """Does q divide p at p's bound?  Asked of the one-element space."""
     return curves.space_divisible_by(VanishingSpace(p.bound, (p,)),
-                                     Curve.from_poly(q))
+                                     Curve(q))
 
 
 def test_quotient_hand_example():

@@ -35,7 +35,7 @@ def _divisible():
     # of x*y
     space = nodes.vanishing_basis(NodeSet([(0, 0), (1, 0), (2, 0), (0, 1),
                                            (0, 2)]), 2)
-    xy = Curve.from_poly(poly.linear(1, 0, 0) * poly.linear(0, 1, 0))
+    xy = Curve(poly.linear(1, 0, 0) * poly.linear(0, 1, 0))
     assert curves.space_divisible_by(space, xy)
 
 

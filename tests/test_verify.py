@@ -157,7 +157,7 @@ def test_characterize_defect_four_node_example():
     assert report.curve_space_dim == 2
     assert report.outlier == nodes.node(0, 1)
     assert report.outlier_index == 3
-    line = Curve.from_poly(poly.linear(0, 1, 0))  # y = 0 through the rest
+    line = Curve(poly.linear(0, 1, 0))  # y = 0 through the rest
     assert curves.same_curve(report.mu, line)
 
 
@@ -285,7 +285,7 @@ def test_line_usage_users_match_node_uses(n):
         users = {rep.line: set(rep.users)
                  for rep in verify.line_usage_reports(xs, n)}
         for line, on_line in _three_node_lines(xs):
-            q = Curve.from_poly(line.poly())
+            q = Curve(line.poly())
             want = {p for p in xs if p not in on_line
                     and curves.node_uses(p, xs, n, q)}
             assert users.get(line, set()) == want
@@ -318,7 +318,7 @@ def test_line_usage_users_match_the_definition():
         users = {rep.line: set(rep.users)
                  for rep in verify.line_usage_reports(xs, n)}
         for line, on_line in _three_node_lines(xs):
-            q = Curve.from_poly(line.poly())
+            q = Curve(line.poly())
             want = {p for p, fp in zip(xs, fps) if p not in on_line
                     and curves.space_divisible_by(
                         nodes.VanishingSpace(n, (fp,)), q)}
