@@ -88,10 +88,11 @@ rank of the accepted rows' first q columns.  Rows accepted exactly are
 missing from the mod-``P`` form and are not counted, so the bound stays
 valid after the fallback.  Two rejections need no elimination at all:
 a row equal to an accepted row, and any row once the rank equals the
-column count.  ``P`` is the largest prime below 2**30, so a residue fits in
-one 30-bit CPython digit and a product of two residues in two digits; a
-61-bit prime needs three digits for a residue and five for a product,
-which makes the elimination slower.
+column count.  ``P`` is the largest prime below 2**26, small enough that a
+packed slot (below) is one 64-bit word for every row of fewer than 4096
+columns.  A smaller prime divides a given minor more often: about 1/P of
+the time, 1.5e-8 here against 9.3e-10 for the largest prime below 2**30.
+That only sends a row to the exact fallback, and never changes an answer.
 
 Rows modulo ``P`` are packed: one int per row, one slot per column, the
 first column lowest, each slot a whole number of 64-bit words so that
@@ -100,11 +101,18 @@ with a shift per slot.  Adding a multiple of a kept row is then one
 big-int multiply-add.  Slots are reduced lazily.  A kept row's slots are
 residues, below ``P``; reducing a row adds one product below ``P**2`` per
 slot for each kept row it meets, at most ``ncols`` of them, so a slot
-stays below 2**(61 + ncols.bit_length()) and never carries into the next
-one (two words cover every ``ncols`` below 2**67).  Only a pivot slot is
-read during the reduction, and reduced when read; the row is reduced mod
-``P`` once, when it is unpacked.  ``IndependenceTracker`` keeps its echelon
-form in these rows, and so does the modular inverse below.
+stays below 2**(2 * P.bit_length() + ncols.bit_length()) and never carries
+into the next one.  That is one word for every ``ncols`` below 4096: every
+tracker up to degree 89 (``space_dim(89) = 4095``), and every [A^T | I]
+of the inverse below up to degree 62 (2 * 2016 columns).  Wider rows take
+two words per slot through the same code.  Adding a row is one pass:
+its residues are packed once; for each kept row in turn, the slot at that
+row's pivot, found by a shift stored with the row, is read, times the
+row's scale (-1/lead mod ``P``, also stored), reduced, and that multiple
+of the row is added; the sum is unpacked and reduced mod ``P`` once, and
+its residues are packed as a new kept row if they are not all 0.
+``IndependenceTracker`` keeps its echelon form in these rows, and so does
+the modular inverse below.
 
 ``solve`` solves A x = b with one right-hand side, and selects the method
 by whether A is square: a square A by Dixon's P-adic lifting (J. D. Dixon,
@@ -145,7 +153,7 @@ from typing import Iterable, Optional, Sequence
 
 ZERO = Fraction(0)
 
-P = 1073741789  # the largest prime below 2**30
+P = 67108859  # the largest prime below 2**26
 
 _WORD = 2**64 - 1
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -277,15 +285,16 @@ class RankTracker:
 def _slot_words(nslots: int) -> int:
     """64-bit words per slot of a packed mod-``P`` row with nslots slots:
     a slot starts below ``P`` and gains at most nslots products below
-    ``P**2``, so it needs 61 + nslots.bit_length() bits."""
-    return (61 + nslots.bit_length() + 63) // 64
+    ``P**2``, so it stays below
+    2**(2 * P.bit_length() + nslots.bit_length())."""
+    return (2 * P.bit_length() + nslots.bit_length() + 63) // 64
 
 
 def _from_words(words: array) -> int:
     """The int whose little-endian 64-bit words these are."""
     if _BIG_ENDIAN:
         words.byteswap()
-    return int.from_bytes(words.tobytes(), "little")
+    return int.from_bytes(words, "little")
 
 
 def _pack(values: Sequence[int], words: int) -> int:
@@ -297,17 +306,11 @@ def _pack(values: Sequence[int], words: int) -> int:
     return _from_words(slots)
 
 
-def _words(packed: int, count: int) -> array:
-    """The count little-endian 64-bit words of a nonnegative int."""
-    words = array("Q", packed.to_bytes(8 * count, "little"))
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return words
-
-
 def _unpack(packed: int, count: int, words: int) -> list[int]:
     """The count slots of a packed nonnegative int, lowest first."""
-    slots = _words(packed, words * count)
+    slots = array("Q", packed.to_bytes(8 * words * count, "little"))
+    if _BIG_ENDIAN:
+        slots.byteswap()
     values = slots[words - 1::words].tolist()
     for j in reversed(range(words - 1)):
         values = [v << 64 | low for v, low in zip(values, slots[j::words])]
@@ -318,52 +321,49 @@ class _ModEchelon:
     """Rows modulo ``P`` in echelon form, in insertion order, packed with
     one slot per column (see the module docstring).
 
-    A kept row is reduced, 0 before its pivot and at every earlier pivot,
-    and scaled to -1 at its pivot, so reducing a row only adds multiples of
-    kept rows; the sums are reduced once, when the row is unpacked.
+    A kept row holds the residues of a reduced row: 0 before its pivot and
+    at every earlier pivot.  It is kept with the bit offset of its pivot's
+    slot and with its scale, -1/lead mod ``P``: scaled, it is -1 at its
+    pivot, so reducing a row only adds multiples of kept rows, and the sums
+    are reduced once, when the row is unpacked.
     """
 
     def __init__(self, nslots: int):
         self.nslots = nslots
         self.words = _slot_words(nslots)
-        self._bits = 64 * self.words
-        self._mask = (1 << self._bits) - 1
-        self.rows: list[int] = []
+        self._mask = (1 << 64 * self.words) - 1
         self.pivots: list[int] = []
+        # (bit offset of the pivot's slot, scale, row), one per kept row
+        self.kept: list[tuple[int, int, int]] = []
 
     def pack(self, values: Sequence[int]) -> int:
-        """The values' residues, packed.
+        """The values' residues, packed."""
+        return self._pack_residues([v % P for v in values])
 
-        A residue fills only the low word of its slot, so only those words
-        are written: ``_pack`` of the residues gives the same int but took
-        2.5 to 2.9 times as long for 28 to 231 slots, and a single
-        fundamental polynomial at n=8 about 8% longer (Python 3.11.7,
-        2 vCPU)."""
-        slots = array("Q", bytes(8 * self.words * len(values)))
-        slots[::self.words] = array("Q", [v % P for v in values])
+    def _pack_residues(self, residues: list[int]) -> int:
+        """Residues, packed: each fills only the low word of its slot, so
+        only those words are written."""
+        slots = array("Q", bytes(8 * self.words * len(residues)))
+        slots[::self.words] = array("Q", residues)
         return _from_words(slots)
 
-    def reduce(self, packed: int) -> list[int]:
-        """Residues of the packed row minus its multiples of the kept
-        rows; 0 at every pivot."""
-        bits, mask = self._bits, self._mask
-        for pivot, base in zip(self.pivots, self.rows):
-            f = ((packed >> bits * pivot) & mask) % P
+    def add(self, values: Sequence[int]) -> Optional[int]:
+        """Reduce the values mod ``P`` by the kept rows in one pass, and
+        keep what is left if it is not 0: return its pivot, or None."""
+        mask = self._mask
+        packed = self.pack(values)
+        for shift, scale, base in self.kept:
+            f = (packed >> shift & mask) * scale % P
             if f:
                 packed += f * base
-        if len(self.rows) < 16:
-            # P + 15 * P**2 < 2**64: every slot still fits its low word
-            low = _words(packed, self.nslots * self.words)[::self.words]
-            return [v % P for v in low]
-        return [v % P for v in _unpack(packed, self.nslots, self.words)]
-
-    def push(self, residues: Sequence[int]) -> Optional[int]:
-        """Keep a reduced row and return its pivot; None if it is 0."""
-        col = next((j for j, v in enumerate(residues) if v), None)
-        if col is not None:
-            scale = P - pow(residues[col], -1, P)
-            self.rows.append(self.pack([v * scale for v in residues]))
-            self.pivots.append(col)
+        residues = [v % P for v in _unpack(packed, self.nslots, self.words)]
+        lead = next(filter(None, residues), 0)
+        if not lead:
+            return None
+        col = residues.index(lead)  # every entry before it is 0
+        self.pivots.append(col)
+        self.kept.append((64 * self.words * col, P - pow(lead, -1, P),
+                          self._pack_residues(residues)))
         return col
 
 
@@ -390,11 +390,6 @@ class IndependenceTracker:
         exactly, after the prime stopped certifying, are not counted."""
         return sum(p < q for p in self._mod.pivots)
 
-    def _grows_mod_p(self, row: Sequence[int]) -> bool:
-        """Reduce the row mod P; if it is not 0, keep it and return True."""
-        mod = self._mod
-        return mod.push(mod.reduce(mod.pack(row))) is not None
-
     def _grows_exact(self, row: Sequence[int]) -> bool:
         if self._exact is None:
             self._exact = RankTracker(self.ncols)
@@ -410,7 +405,7 @@ class IndependenceTracker:
         row = tuple(row)
         if len(self._accepted) == self.ncols or row in self._accepted:
             return False
-        if not (self._certified and self._grows_mod_p(row)):
+        if not (self._certified and self._mod.add(row) is not None):
             if not self._grows_exact(row):
                 return False
             self._certified = False
@@ -502,31 +497,34 @@ def _neg_inverse_columns(columns: Sequence[Sequence[int]]) -> Optional[list[int]
 
     Row j of [A^T | I] is A's column j followed by the unit vector e_j.
     Once every row has a pivot among the first len(columns) columns,
-    clearing the later pivots leaves the row with pivot c as
-    [-e_c | -(row c of A^-T)], and row c of A^-T is column c of A^-1.
+    clearing the later pivots from a kept row and multiplying it by its
+    scale leaves the row with pivot c as [-e_c | -(row c of A^-T)], and
+    row c of A^-T is column c of A^-1.
     """
     size = len(columns)
     echelon = _ModEchelon(2 * size)
     for j, column in enumerate(columns):
         unit = [0] * size
         unit[j] = 1
-        pivot = echelon.push(echelon.reduce(echelon.pack(list(column) + unit)))
+        pivot = echelon.add(list(column) + unit)
         if pivot is None or pivot >= size:
             return None
     words, pivots = echelon.words, echelon.pivots
     shift = 64 * words * size
     low = (1 << shift) - 1
-    # the left half of a row is -e_c once cleared, so only the right
-    # halves are kept; row m > k is already 0 at every pivot but its own
-    right = [row >> shift for row in echelon.rows]
+    # a scaled row's left half is -e_c once cleared, so only the right
+    # halves are kept; row m > k is already 0 at every pivot but its own,
+    # and is scaled and cleared before row k reads it
+    right = [row >> shift for _, _, row in echelon.kept]
     for k in reversed(range(size)):
-        left = _unpack(echelon.rows[k] & low, size, words)
+        _, scale, row = echelon.kept[k]
+        left = _unpack(row & low, size, words)
         acc = right[k]
         for m in range(k + 1, size):
             f = left[pivots[m]]
             if f:
                 acc += f * right[m]
-        right[k] = echelon.pack(_unpack(acc, size, words))
+        right[k] = echelon.pack([v * scale for v in _unpack(acc, size, words)])
     out = [0] * size
     for pivot, half in zip(pivots, right):
         out[pivot] = half

@@ -37,9 +37,14 @@ from .linalg import ZERO
 
 
 def frac(value) -> Fraction:
-    """Coerce an int, string like "3/4", or Fraction to a Fraction."""
+    """Coerce an int, string like "3/4" or "1.5", or Fraction to a Fraction.
+
+    A string with a decimal exponent is refused: "1e10000000" would build a
+    ten-million-digit integer."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"decimal exponent in {value!r}")
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)

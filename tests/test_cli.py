@@ -113,6 +113,22 @@ def test_zero_denominator_is_named(capsys, args):
     assert json.loads(err)["error"] == "zero denominator in '1/0'"
 
 
+@pytest.mark.parametrize("args", [
+    ["indep", "-n", "1", '{"nodes": [["1e10000000", "0"]]}'],
+    ["verify", "twocurves", "-k", "2", "--at=1e10000000,1", FOUR],
+    ["extend", "-n", "1", "--on-curve",
+     '{"a": "1e10000000", "b": "1", "c": "0"}', '{"nodes": []}'],
+    ["render", FOUR, "--curve",
+     '{"n": 1, "coeffs": ["0", "1e10000000", "0"]}'],
+], ids=["node", "at", "on-curve", "curve"])
+def test_decimal_exponent_is_refused(capsys, args):
+    # Fraction("1e10000000") builds a ten-million-digit integer
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "decimal exponent in '1e10000000'"
+
+
 def test_fund_polynomial_and_null(capsys):
     code, out, _ = run(capsys, "fund", "-n", "1", "--node", "0",
                        '{"nodes": [["0","0"],["1","0"],["0","1"]]}')

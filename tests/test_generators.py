@@ -170,6 +170,20 @@ def test_defect_config_outlier_uses_mu():
         assert curves.node_uses(cfg.outlier, cfg.nodes, n, cfg.mu)
 
 
+def test_poised_extension_nodes_off_mu_use_mu():
+    # the maximal-curve law on a poised superset: mu still carries the
+    # maximal number of nodes, so every node off it uses it
+    checked = 0
+    for n, k, seed in DEFECT_GRID:
+        cfg = generators.defect_config(n, k, seed)
+        xs = nodes.extend_to_poised(cfg.nodes, n)
+        for p in xs:
+            if not cfg.mu.contains(p):
+                assert curves.node_uses(p, xs, n, cfg.mu)
+                checked += 1
+    assert checked == 315
+
+
 def test_defect_config_has_two_curves():
     cfg = generators.defect_config(4, 3, 77)
     space = nodes.vanishing_basis(cfg.nodes, 3)

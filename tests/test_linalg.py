@@ -529,14 +529,43 @@ def test_independence_tracker_shortcuts_need_no_exact_tracker():
 # below P**2 per slot of the row; the slot width must hold all of them.
 
 def test_packed_slots_hold_one_product_per_slot():
-    for nslots in (1, 15, 16, 45, 128, 231, 1000):
+    for nslots in (1, 15, 16, 45, 128, 231, 1000, 2047, 4095, 4096):
         words = linalg._slot_words(nslots)
+        # one word per slot below 4096 slots (P < 2**26), two from there
+        assert words == (1 if nslots < 4096 else 2)
         row = linalg._pack([P - 1] * nslots, words)
         acc = row
         for _ in range(nslots):
             acc += (P - 1) * row
         want = (P - 1) + nslots * (P - 1) ** 2
         assert linalg._unpack(acc, nslots, words) == [want] * nslots
+
+
+def test_independence_tracker_with_two_word_slots_matches_rank_tracker():
+    # 4096 columns take two words per slot; sparse rows keep it fast
+    ncols = 4096
+    assert linalg._slot_words(ncols) == 2
+    rng = random.Random(3)
+    fresh = []
+    for _ in range(6):
+        row = [0] * ncols
+        for j in rng.sample(range(ncols), 5):
+            row[j] = rng.randrange(-2**40, 2**40)
+        fresh.append(row)
+    combo = [3 * u - 7 * v for u, v in zip(fresh[0], fresh[2])]
+    multiple_of_p = [0] * ncols
+    multiple_of_p[ncols - 1] = 5 * P
+    rows = fresh[:3] + [fresh[1], combo] + fresh[3:] + [multiple_of_p]
+    fast, exact = IndependenceTracker(ncols), RankTracker(ncols)
+    grew = []
+    for row in rows:
+        grew.append(fast.add(row))
+        assert grew[-1] == exact.add(row)
+        assert fast.rank == exact.rank
+    # the duplicate and the combination are rejected; the multiple of P is
+    # 0 mod P and reaches the exact path, which accepts it
+    assert grew == [True] * 3 + [False] * 2 + [True] * 4
+    assert fast._exact is not None and not fast._certified
 
 
 def test_independence_tracker_rejects_combinations_of_many_rows():

@@ -16,6 +16,13 @@ def test_frac_parses_canonical_strings():
     assert poly.frac(5) == Fraction(5)
     assert str(Fraction(-3, 4)) == "-3/4"
     assert str(Fraction(8, 4)) == "2"
+    assert poly.frac("1.5") == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "2E3", "1.5e-9999999"])
+def test_frac_refuses_decimal_exponents(text):
+    with pytest.raises(ValueError, match="decimal exponent in"):
+        poly.frac(text)
 
 
 def test_space_dim_values():
