@@ -37,16 +37,21 @@ def _emit_error(message: str) -> None:
 def _load_json(arg: str):
     """Accept a file path, inline JSON, or '-' for standard input."""
     if arg == "-":
-        return json.loads(sys.stdin.read())
-    if arg.lstrip()[:1] in ("{", "["):
-        return json.loads(arg)
-    with open(arg, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = sys.stdin.read()
+    elif arg.lstrip()[:1] in ("{", "["):
+        text = arg
+    else:
+        with open(arg, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _nodes_arg(args) -> tuple[NodeSet, int]:
     xs, file_n = NodeSet.from_json(_load_json(args.nodes))
-    n = args.n if getattr(args, "n", None) is not None else file_n
+    n = args.n if args.n is not None else file_n
     if n is None:
         raise ValueError("degree -n is required (flag or \"n\" field)")
     if n < 0:
@@ -214,39 +219,32 @@ def _build_parser() -> argparse.ArgumentParser:
                     "verification, and SVG rendering.")
     sub = parser.add_subparsers(dest="command", required=True)
     nodes_help = "node-set JSON: a file path, inline JSON, or - for stdin"
-    out_kw = dict(default=None,
-                  help="write output to a file instead of stdout")
 
     p = sub.add_parser("indep", help="independence and Hilbert function")
     p.add_argument("-n", type=int, default=None, help="total degree bound")
     p.add_argument("nodes", help=nodes_help)
-    p.add_argument("-o", "--output", **out_kw)
     p.set_defaults(func=_cmd_indep)
 
     p = sub.add_parser("poised", help="unisolvence check for a set")
     p.add_argument("-n", type=int, default=None, help="total degree bound")
     p.add_argument("nodes", help=nodes_help)
-    p.add_argument("-o", "--output", **out_kw)
     p.set_defaults(func=_cmd_poised)
 
     p = sub.add_parser("basis", help="vanishing-space basis of a set")
     p.add_argument("-n", type=int, default=None, help="total degree bound")
     p.add_argument("nodes", help=nodes_help)
-    p.add_argument("-o", "--output", **out_kw)
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("fund", help="fundamental polynomial of one node")
     p.add_argument("-n", type=int, default=None, help="total degree bound")
     p.add_argument("--node", type=int, required=True, help="node index")
     p.add_argument("nodes", help=nodes_help)
-    p.add_argument("-o", "--output", **out_kw)
     p.set_defaults(func=_cmd_fund)
 
     p = sub.add_parser("dstar", help="on-curve node maximum and the "
                        "uniqueness threshold")
     p.add_argument("-n", type=int, required=True, help="total degree bound")
     p.add_argument("-k", type=int, required=True, help="curve degree")
-    p.add_argument("-o", "--output", **out_kw)
     p.set_defaults(func=_cmd_dstar)
 
     p = sub.add_parser("gen", help="deterministic seeded set generators")
@@ -255,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=None, help="curve degree "
                    "(defect only)")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--output", **out_kw)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("extend", help="grow a set to a distinguished size")
@@ -263,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--on-curve", default=None, metavar="LINES",
                    help="line or line-list JSON; extend along that curve")
     p.add_argument("nodes", help=nodes_help)
-    p.add_argument("-o", "--output", **out_kw)
     p.set_defaults(func=_cmd_extend)
 
     p = sub.add_parser("verify", help="structure checks with JSON reports")
@@ -274,15 +270,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default=None, metavar="X,Y",
                    help="extra point for twocurves")
     p.add_argument("nodes", help=nodes_help)
-    p.add_argument("-o", "--output", **out_kw)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="SVG figure of nodes and curves")
     p.add_argument("--curve", action="append", default=None, metavar="CURVE",
                    help="curve JSON to draw; may repeat")
     p.add_argument("nodes", help=nodes_help)
-    p.add_argument("-o", "--output", **out_kw)
     p.set_defaults(func=_cmd_render)
+
+    # every subcommand writes one output, and -o comes last in its help
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", default=None,
+                       help="write output to a file instead of stdout")
     return parser
 
 
@@ -309,7 +308,7 @@ def main(argv=None) -> int:
         _emit_error(str(exc))
         return 1
     except (ValueError, KeyError, IndexError, TypeError, OSError,
-            ZeroDivisionError) as exc:
+            ArithmeticError) as exc:
         _emit_error(str(exc) if not isinstance(exc, KeyError)
                     else f"missing field {exc}")
         return 1

@@ -220,8 +220,7 @@ class LineUnion:
 def is_maximal_curve(q: Curve, xs: NodeSet, n: int) -> bool:
     """Does q pass through exactly max_nodes_on_curve(n, deg q) nodes of the
     n-independent set xs?"""
-    if not _nodes.is_independent(xs, n):
-        raise ValueError("set is not independent at this degree")
+    _nodes._independent_tracker(xs, n)
     if q.degree > n:
         raise ValueError("curve degree exceeds n")
     want = max_nodes_on_curve(n, q.degree)

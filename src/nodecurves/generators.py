@@ -24,7 +24,8 @@ Three generators are provided:
   on a degree-(k-1) union of lines.  Such sets admit at least two distinct
   degree-k curves, which is what the defect verifier characterizes.  The
   configuration keeps the k-1 lines; its curve ``mu`` is derived from
-  them when read, and the outlier search tests the lines one by one.
+  them when read, and the outlier search tests the lines one by one.  The
+  outlier is always the last node, so it is read off the nodes too.
 """
 
 from __future__ import annotations
@@ -98,11 +99,14 @@ def random_lines(rng: SplitMix64, count: int) -> tuple[LineForm, ...]:
 @dataclass(frozen=True)
 class BRSet:
     """Nodes distributed over lines with the classical count profile
-    n+1, n, ..., 1."""
+    n+1, n, ..., 1; the degree n is one less than the number of lines."""
 
-    n: int
     nodes: NodeSet
     lines: tuple[LineForm, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.lines) - 1
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -132,7 +136,7 @@ def berzolari_radon(n: int, seed: int) -> BRSet:
                 continue
             placed.append(cand)
             got += 1
-    return BRSet(n, NodeSet(placed), lines)
+    return BRSet(NodeSet(placed), lines)
 
 
 def random_poised(n: int, seed: int) -> NodeSet:
@@ -151,12 +155,12 @@ class DefectConfig:
     """Independent set = maximal nodes on a line-union curve + one outlier
     off it; at least two degree-k curves pass through the whole set.
     Neither k nor the curve ``mu`` is stored: both are derived from its
-    k-1 lines ``mu_lines``, so they cannot disagree."""
+    k-1 lines ``mu_lines``, so they cannot disagree.  The outlier is the
+    last node, so neither it nor its index is stored either."""
 
     n: int
     nodes: NodeSet
     mu_lines: tuple[LineForm, ...]
-    outlier: Node
 
     @property
     def k(self) -> int:
@@ -168,8 +172,12 @@ class DefectConfig:
         return LineUnion.of(self.mu_lines).curve()
 
     @property
+    def outlier(self) -> Node:
+        return self.nodes[-1]
+
+    @property
     def outlier_index(self) -> int:
-        return self.nodes.index(self.outlier)
+        return len(self.nodes) - 1
 
 
 def defect_config(n: int, k: int, seed: int) -> DefectConfig:
@@ -194,4 +202,4 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     # side of that ring
     off_curve = (p for p in _nodes.integer_spiral() if not union.contains(p))
     [outlier] = _nodes._grow(tracker, n, off_curve, 1)
-    return DefectConfig(n, NodeSet(on_curve + [outlier]), lines, outlier)
+    return DefectConfig(n, NodeSet(on_curve + [outlier]), lines)

@@ -16,7 +16,7 @@ that matrix exactly:
 
 ``collocation_matrix`` returns integer rows: a node's row is
 ``poly.homogeneous_row``, the monomials scaled by e^n, where e is the
-common denominator of the node's coordinates, so the scale is entry 0.
+common denominator of the node's coordinates; the scale is entry 0.
 That scale changes no rank and no vanishing space; a fundamental
 polynomial's solve puts it on the right-hand side instead of 1.  Fractions
 appear only in results.  In graded-lex order the first space_dim(k)
@@ -151,8 +151,8 @@ class NodeSet:
 
 
 def _monomial_row(p: Node, n: int) -> list[int]:
-    """The node's collocation row times its scale, in integers."""
-    return _poly.homogeneous_row(p.x, p.y, n)[0]
+    """The node's collocation row times its scale, its entry 0."""
+    return _poly.homogeneous_row(p.x, p.y, n)
 
 
 def collocation_matrix(xs: NodeSet, n: int) -> list[list[int]]:

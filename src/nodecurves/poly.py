@@ -13,11 +13,11 @@ polynomial has no degree (reported as None).
 
 Evaluation is integer arithmetic.  ``homogeneous_row`` writes a point as
 (A/e, C/e) over a common denominator e and returns the monomials at it as
-the integers A^i C^j e^(n-i-j), with the scale e^n they were multiplied
-by.  The same rows feed the elimination kernel (see ``linalg``); a
-``Poly`` keeps its coefficients as integers over one denominator, so
-``eval`` is an integer dot product and builds a single ``Fraction``, the
-result.
+the integers A^i C^j e^(n-i-j); the scale e^n they were multiplied by is
+entry 0, the constant monomial's.  The same rows feed the elimination
+kernel (see ``linalg``); a ``Poly`` keeps its coefficients as integers
+over one denominator, so ``eval`` is an integer dot product and builds a
+single ``Fraction``, the result.
 
 ``multiplication_matrix`` returns the multiples of q by the monomials as
 integer coefficient rows.  They span everything q divides at a degree
@@ -77,12 +77,13 @@ def monomial_exponents(index: int) -> tuple[int, int]:
     return t - offset, offset
 
 
-def homogeneous_row(x, y, n: int) -> tuple[list[int], int]:
-    """Degree-n monomials at (x, y) times ``scale``, as integers.
+def homogeneous_row(x, y, n: int) -> list[int]:
+    """Degree-n monomials at (x, y) times a scale, as integers.
 
     With x = A/e and y = C/e over e = lcm(den x, den y), the entry of
-    x^i y^j is A^i C^j e^(n-i-j) and ``scale`` is e^n, the lcm of the
-    denominators of all entries.  Order is graded-lex, as for coefficients.
+    x^i y^j is A^i C^j e^(n-i-j), and the scale e^n, the lcm of the
+    denominators of all entries, is entry 0.  Order is graded-lex, as for
+    coefficients.
     """
     e = lcm(x.denominator, y.denominator)
     a = x.numerator * (e // x.denominator)
@@ -98,7 +99,7 @@ def homogeneous_row(x, y, n: int) -> tuple[list[int], int]:
     for et in reversed(e_pows[:-1]):
         block = [a * block[0], *[c * v for v in block]]
         row += [v * et for v in block] if et != 1 else block
-    return row, e_pows[n]
+    return row
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,9 @@ class Poly:
         return [c.numerator * (d // c.denominator) for c in self.coeffs], d
 
     def eval(self, x, y) -> Fraction:
-        row, scale = homogeneous_row(frac(x), frac(y), self.bound)
+        row = homogeneous_row(frac(x), frac(y), self.bound)
         coeffs, den = self._integer_coeffs
-        return Fraction(sum(map(mul, coeffs, row)), den * scale)
+        return Fraction(sum(map(mul, coeffs, row)), den * row[0])
 
     def eval_float(self, x: float, y: float) -> float:
         # float path for rendering only; decisions always use eval()
@@ -169,14 +170,15 @@ class Poly:
         return total
 
     def with_bound(self, bound: int) -> "Poly":
-        """Same polynomial re-stored with another degree bound."""
-        deg = self.degree
-        if deg is not None and deg > bound:
+        """Same polynomial re-stored with another degree bound.
+
+        In graded-lex order a lower bound's monomials are a prefix, so the
+        coefficients are padded with zeros or cut to that prefix."""
+        size = space_dim(bound)
+        if any(self.coeffs[size:]):
             raise ValueError("effective degree exceeds requested bound")
-        coeffs = [ZERO] * space_dim(bound)
-        for i, j, c in self.terms():
-            coeffs[monomial_index(i, j)] = c
-        return Poly(bound, tuple(coeffs))
+        return Poly(bound, self.coeffs[:size]
+                    + (ZERO,) * (size - len(self.coeffs)))
 
     def equals(self, other: "Poly") -> bool:
         """Mathematical equality, ignoring degree bounds."""
@@ -189,21 +191,6 @@ class Poly:
         if lead is None or lead == 1:
             return self
         return Poly(self.bound, tuple(c / lead for c in self.coeffs))
-
-    def scale(self, value) -> "Poly":
-        v = frac(value)
-        return Poly(self.bound, tuple(c * v for c in self.coeffs))
-
-    def __neg__(self) -> "Poly":
-        return self.scale(-1)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        bound = max(self.bound, other.bound)
-        a, b = self.with_bound(bound), other.with_bound(bound)
-        return Poly(bound, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         bound = self.bound + other.bound

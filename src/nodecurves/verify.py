@@ -58,8 +58,8 @@ from typing import Optional
 from . import curves as _curves, linalg, nodes as _nodes
 from .curves import Curve, LineForm
 from .errors import TheoremViolation
-from .nodes import Node, NodeSet, VanishingSpace
-from .poly import space_dim
+from .nodes import NodeSet, VanishingSpace
+from .poly import Poly, space_dim
 
 
 def curves_through(xs: NodeSet, k: int) -> VanishingSpace:
@@ -77,8 +77,7 @@ def verify_uniqueness(xs: NodeSet, n: int, k: int) -> int:
         raise ValueError("need 2 <= k <= n")
     if len(xs) != _curves.uniqueness_threshold(n, k):
         raise ValueError("set size must equal the uniqueness threshold")
-    if not _nodes.is_independent(xs, n):
-        raise ValueError("set is not independent at this degree")
+    _nodes._independent_tracker(xs, n)
     dim = curves_through(xs, k).dimension
     if dim > 1:
         raise TheoremViolation(f"{dim} independent curves at the threshold")
@@ -90,14 +89,13 @@ class DefectReport:
     """Outcome of characterize_defect.
 
     When the set splits into a maximal degree-(k-1) curve plus one
-    outlier, ``mu`` and ``outlier`` describe the split; otherwise they and
-    ``outlier_index`` are None.  Below k = n a split exists exactly when
-    the dimension is >= 2.
+    outlier, ``mu`` is the curve and ``outlier_index`` the outlier's
+    position in the set; otherwise both are None.  Below k = n a split
+    exists exactly when the dimension is >= 2.
     """
 
     curve_space_dim: int
     mu: Optional[Curve]
-    outlier: Optional[Node]
     outlier_index: Optional[int]
 
 
@@ -134,7 +132,7 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
         raise TheoremViolation(
             f"curve space of dimension {dim} at k = n, expected 2")
     if dim <= 1:
-        return DefectReport(dim, None, None, None)
+        return DefectReport(dim, None, None)
 
     if hits and rank != space_dim(k - 1):
         raise TheoremViolation("curve through the rest is not unique")
@@ -142,14 +140,14 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
         if mu.eval(xs[i].x, xs[i].y) == 0:
             raise TheoremViolation("freed curve passes through the outlier")
     if not hits and k == n:
-        return DefectReport(dim, None, None, None)
+        return DefectReport(dim, None, None)
     if len(hits) != 1:
         raise TheoremViolation(
             f"expected exactly one outlier, found {len(hits)}")
     [(idx, mu)] = hits.items()
     if mu.degree != k - 1:
         raise TheoremViolation("curve through the rest has the wrong degree")
-    return DefectReport(dim, Curve(mu), xs[idx], idx)
+    return DefectReport(dim, Curve(mu), idx)
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,9 @@ def curve_through_extra_node(xs: NodeSet, k: int, a) -> TwoCurveReport:
     elif v2 == 0:
         out = s2
     else:
-        out = s1.scale(v2) - s2.scale(v1)
+        # both basis polynomials have bound k
+        out = Poly(k, tuple(v2 * c1 - v1 * c2
+                            for c1, c2 in zip(s1.coeffs, s2.coeffs)))
     for p in xs:
         if out.eval(p.x, p.y) != 0:
             raise TheoremViolation("combination misses a node of the set")

@@ -118,7 +118,7 @@ def test_defect_round_trip(defect_grid):
         assert nodes.is_independent(cfg.nodes, cfg.n)
         report = verify.characterize_defect(cfg.nodes, cfg.n, cfg.k)
         assert report.curve_space_dim == 2
-        assert report.outlier == cfg.outlier
+        assert cfg.nodes[report.outlier_index] == cfg.outlier
         assert report.outlier_index == cfg.outlier_index
         assert same_curve(report.mu, cfg.mu)
 

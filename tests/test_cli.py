@@ -129,6 +129,45 @@ def test_decimal_exponent_is_refused(capsys, args):
     assert json.loads(err)["error"] == "decimal exponent in '1e10000000'"
 
 
+DEEP = '{"nodes": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize("source", ["stdin", "file", "inline"])
+def test_deeply_nested_json_is_refused(tmp_path, capsys, monkeypatch,
+                                       source):
+    # json.loads raises RecursionError, which used to end in a traceback
+    arg = DEEP
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(DEEP))
+        arg = "-"
+    elif source == "file":
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP, encoding="utf-8")
+        arg = str(path)
+    code, out, err = run(capsys, "indep", "-n", "1", arg)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "JSON nested too deeply"}
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("args", [
+    ["render", '{"nodes": [["%s", "0"]]}' % HUGE],
+    ["render", FOUR, "--curve", '{"n": 1, "coeffs": ["0", "%s", "1"]}' % HUGE],
+], ids=["node", "curve"])
+def test_render_beyond_float_range_exits_1(capsys, args):
+    # the figure is drawn in floats; OverflowError used to end in a
+    # traceback
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "error" in json.loads(err)
+
+
 def test_fund_polynomial_and_null(capsys):
     code, out, _ = run(capsys, "fund", "-n", "1", "--node", "0",
                        '{"nodes": [["0","0"],["1","0"],["0","1"]]}')

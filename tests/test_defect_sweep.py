@@ -24,11 +24,10 @@ def sweep(n: int, k: int) -> Counter:
             counts["precondition"] += 1
             continue
         if report.outlier_index is None:
-            assert report.mu is None and report.outlier is None
+            assert report.mu is None
             counts[f"dim {report.curve_space_dim}, no split"] += 1
             continue
         outlier = xs[report.outlier_index]
-        assert report.outlier == outlier
         assert report.mu.degree == k - 1
         assert not report.mu.contains(outlier)
         assert all(report.mu.contains(p) for p in xs if p != outlier)

@@ -148,6 +148,16 @@ def test_defect_config_mu_is_the_product_of_its_lines():
             cfg.mu, curves.LineUnion.of(cfg.mu_lines).curve())
 
 
+def test_defect_config_outlier_is_the_one_node_off_mu():
+    # outlier and outlier_index are read off the last node; mu decides
+    # which node is off it
+    for n, k, seed in DEFECT_GRID:
+        cfg = generators.defect_config(n, k, seed)
+        off = [i for i, p in enumerate(cfg.nodes) if not cfg.mu.contains(p)]
+        assert off == [cfg.outlier_index]
+        assert [cfg.nodes[i] for i in off] == [cfg.outlier]
+
+
 def test_defect_config_outlier_filter_is_mu():
     # the outlier scan reads the spiral through the lines, not through mu
     spiral = list(itertools.islice(nodes.integer_spiral(), 300))

@@ -50,7 +50,7 @@ def test_monomial_row_is_scaled_fraction_row(p, n):
     got = nodes._monomial_row(p, n)
     assert all(type(v) is int for v in got)
     assert got == [scale * v for v in want]
-    assert poly.homogeneous_row(p.x, p.y, n) == (got, scale)
+    assert poly.homogeneous_row(p.x, p.y, n) == got
     assert nodes.collocation_matrix(NodeSet([p]), n) == [got]
     assert got[0] == scale
 

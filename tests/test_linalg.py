@@ -397,7 +397,7 @@ def sparse_row_streams(draw):
         n = draw(st.sampled_from([4, 5]))
         xs = generators.berzolari_radon(n, draw(st.integers(1, 99))).nodes
         rows = draw(st.permutations(
-            [poly.homogeneous_row(p.x, p.y, n)[0] for p in xs]))
+            [poly.homogeneous_row(p.x, p.y, n) for p in xs]))
         return poly.space_dim(n), rows[:draw(st.integers(1, len(rows)))]
     widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     ncols, rows, start = sum(widths), [], 0
@@ -757,8 +757,8 @@ def test_square_solve_stops_soon_after_the_solution_is_determined(
     for target in range(0, len(xs), 4):
         rows = []
         for i, p in enumerate(xs):
-            row, scale = poly.homogeneous_row(p.x, p.y, 6)
-            rows.append(row + [scale if i == target else 0])
+            row = poly.homogeneous_row(p.x, p.y, 6)
+            rows.append(row + [row[0] if i == target else 0])
         moduli.clear()
         x = linalg.solve(rows, len(rows))
         den = math.lcm(*[v.denominator for v in x])

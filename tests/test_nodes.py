@@ -287,7 +287,7 @@ def test_maximal_subset_spans_same_vanishing_space(xs, n):
     # greedy scan in set order, keeping nodes that add a new condition
     tracker = linalg.RankTracker(poly.space_dim(n))
     sub = NodeSet(p for p in xs
-                  if tracker.add(poly.homogeneous_row(p.x, p.y, n)[0]))
+                  if tracker.add(poly.homogeneous_row(p.x, p.y, n)))
     assert nodes.is_independent(sub, n)
     assert nodes.hilbert_function(sub, n) == nodes.hilbert_function(xs, n)
     full = [q._integer_coeffs[0] for q in nodes.vanishing_basis(xs, n).basis]

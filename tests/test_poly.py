@@ -120,6 +120,36 @@ def test_with_bound_raises_on_truncation():
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
 
+def with_bound_reference(p: Poly, bound: int) -> Poly:
+    # term by term: each nonzero coefficient moves to its index at bound
+    coeffs = [Fraction(0)] * poly.space_dim(bound)
+    for i, j, c in p.terms():
+        coeffs[poly.monomial_index(i, j)] = c
+    return Poly(bound, tuple(coeffs))
+
+
+@st.composite
+def padded_polys(draw):
+    """Degree at most d, stored at a bound d + extra: a lower bound than
+    the stored one can still hold it."""
+    d = draw(st.integers(0, 3))
+    cs = draw(st.lists(small_fracs, min_size=poly.space_dim(d),
+                       max_size=poly.space_dim(d)))
+    stored = d + draw(st.integers(0, 2))
+    return Poly.from_coeffs(cs + [0] * (poly.space_dim(stored) - len(cs)),
+                            stored)
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_polys(), st.integers(0, 6))
+def test_with_bound_matches_termwise_reference(p, bound):
+    if p.degree is None or p.degree <= bound:
+        assert p.with_bound(bound) == with_bound_reference(p, bound)
+    else:
+        with pytest.raises(ValueError, match="effective degree exceeds"):
+            p.with_bound(bound)
+
+
 def polys(max_bound=3):
     return st.integers(0, max_bound).flatmap(
         lambda n: st.lists(

@@ -76,7 +76,7 @@ def test_characterize_defect_round_trip():
         cfg = generators.defect_config(n, k, seed)
         report = verify.characterize_defect(cfg.nodes, n, k)
         assert report.curve_space_dim == 2
-        assert report.outlier == cfg.outlier
+        assert cfg.nodes[report.outlier_index] == cfg.outlier
         assert report.outlier_index == cfg.outlier_index
         assert curves.same_curve(report.mu, cfg.mu)
 
@@ -122,7 +122,7 @@ def test_characterize_defect_generic_set_has_no_defect():
     assert len(xs) == curves.max_nodes_on_curve(3, 1) + 1
     report = verify.characterize_defect(xs, 3, 2)
     assert report.curve_space_dim <= 1
-    assert report.mu is None and report.outlier is None
+    assert report.mu is None and report.outlier_index is None
 
 
 def test_characterize_defect_square_has_no_split():
@@ -130,7 +130,7 @@ def test_characterize_defect_square_has_no_split():
     # no 3 collinear nodes, so it carries no curve-plus-outlier split
     square = NodeSet([(0, 0), (1, 0), (0, 1), (1, 1)])
     report = verify.characterize_defect(square, 2, 2)
-    assert report == verify.DefectReport(2, None, None, None)
+    assert report == verify.DefectReport(2, None, None)
 
 
 def test_characterize_defect_at_k_equal_n_needs_dimension_two(monkeypatch):
@@ -155,7 +155,7 @@ def test_characterize_defect_preconditions():
 def test_characterize_defect_four_node_example():
     report = verify.characterize_defect(FOUR, 2, 2)
     assert report.curve_space_dim == 2
-    assert report.outlier == nodes.node(0, 1)
+    assert FOUR[report.outlier_index] == nodes.node(0, 1)
     assert report.outlier_index == 3
     line = Curve(poly.linear(0, 1, 0))  # y = 0 through the rest
     assert curves.same_curve(report.mu, line)
