@@ -153,8 +153,8 @@ def _cmd_extend(args) -> str:
     return _dumps(out.to_json(n))
 
 
-def _report(theorem: str, params: dict, dim: Optional[int],
-            outlier_index: Optional[int], mu: Optional[dict],
+def _report(theorem: str, params: dict, dim: Optional[int] = None,
+            outlier_index: Optional[int] = None, mu: Optional[dict] = None,
             **extra) -> str:
     # a failed check raises TheoremViolation (exit 2), so a report is ok
     data = {"theorem": theorem, "params": params, "dim": dim,
@@ -164,24 +164,25 @@ def _report(theorem: str, params: dict, dim: Optional[int],
 
 
 def _cmd_verify(args) -> str:
-    if args.theorem == "uniqueness":
+    theorem, k = args.theorem, args.k
+    if theorem == "twocurves":
+        # the curve degree alone fixes the space, so no -n is read
+        xs, _ = NodeSet.from_json(_load_json(args.nodes))
+    else:
         xs, n = _nodes_arg(args)
-        if args.k is None:
-            raise ValueError("verify uniqueness requires -k")
-        dim = verify.verify_uniqueness(xs, n, args.k)
-        return _report("uniqueness", {"n": n, "k": args.k}, dim, None, None)
-    if args.theorem == "defect":
-        xs, n = _nodes_arg(args)
-        if args.k is None:
-            raise ValueError("verify defect requires -k")
-        rep = verify.characterize_defect(xs, n, args.k)
+    if k is None and theorem != "lineusage":
+        raise ValueError(f"verify {theorem} requires -k")
+    if theorem == "uniqueness":
+        return _report(theorem, {"n": n, "k": k},
+                       dim=verify.verify_uniqueness(xs, n, k))
+    if theorem == "defect":
+        rep = verify.characterize_defect(xs, n, k)
         mu = rep.mu.to_json() if rep.mu is not None else None
-        return _report("defect", {"n": n, "k": args.k}, rep.curve_space_dim,
-                       rep.outlier_index, mu)
-    if args.theorem == "lineusage":
-        xs, n = _nodes_arg(args)
+        return _report(theorem, {"n": n, "k": k}, dim=rep.curve_space_dim,
+                       outlier_index=rep.outlier_index, mu=mu)
+    if theorem == "lineusage":
         reports = verify.line_usage_reports(xs, n)
-        return _report("lineusage", {"n": n}, None, None, None, reports=[
+        return _report(theorem, {"n": n}, reports=[
             {
                 "line": r.line.to_json(),
                 "nodes_on_line": r.nodes_on_line.to_json()["nodes"],
@@ -190,19 +191,15 @@ def _cmd_verify(args) -> str:
             }
             for r in reports
         ])
-    # twocurves
-    xs, _ = NodeSet.from_json(_load_json(args.nodes))
-    if args.k is None:
-        raise ValueError("verify twocurves requires -k")
     if args.at is None:
         raise ValueError("verify twocurves requires --at x,y")
     parts = args.at.split(",")
     if len(parts) != 2:
         raise ValueError("--at expects two comma-separated rationals")
     a = nodes.node(*parts)
-    rep = verify.curve_through_extra_node(xs, args.k, a)
-    return _report("twocurves", {"k": args.k, "at": [str(a.x), str(a.y)]},
-                   rep.curve_space_dim, None, None, curve=rep.curve.to_json())
+    rep = verify.curve_through_extra_node(xs, k, a)
+    return _report(theorem, {"k": k, "at": [str(a.x), str(a.y)]},
+                   dim=rep.curve_space_dim, curve=rep.curve.to_json())
 
 
 def _cmd_render(args) -> str:
@@ -218,70 +215,50 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact interpolation-node analysis, generation, "
                     "verification, and SVG rendering.")
     sub = parser.add_subparsers(dest="command", required=True)
-    nodes_help = "node-set JSON: a file path, inline JSON, or - for stdin"
-
-    p = sub.add_parser("indep", help="independence and Hilbert function")
-    p.add_argument("-n", type=int, default=None, help="total degree bound")
-    p.add_argument("nodes", help=nodes_help)
-    p.set_defaults(func=_cmd_indep)
-
-    p = sub.add_parser("poised", help="unisolvence check for a set")
-    p.add_argument("-n", type=int, default=None, help="total degree bound")
-    p.add_argument("nodes", help=nodes_help)
-    p.set_defaults(func=_cmd_poised)
-
-    p = sub.add_parser("basis", help="vanishing-space basis of a set")
-    p.add_argument("-n", type=int, default=None, help="total degree bound")
-    p.add_argument("nodes", help=nodes_help)
-    p.set_defaults(func=_cmd_basis)
-
-    p = sub.add_parser("fund", help="fundamental polynomial of one node")
-    p.add_argument("-n", type=int, default=None, help="total degree bound")
-    p.add_argument("--node", type=int, required=True, help="node index")
-    p.add_argument("nodes", help=nodes_help)
-    p.set_defaults(func=_cmd_fund)
-
-    p = sub.add_parser("dstar", help="on-curve node maximum and the "
-                       "uniqueness threshold")
-    p.add_argument("-n", type=int, required=True, help="total degree bound")
-    p.add_argument("-k", type=int, required=True, help="curve degree")
-    p.set_defaults(func=_cmd_dstar)
-
-    p = sub.add_parser("gen", help="deterministic seeded set generators")
-    p.add_argument("kind", choices=["br", "poised", "defect"])
-    p.add_argument("-n", type=int, required=True, help="total degree bound")
-    p.add_argument("-k", type=int, default=None, help="curve degree "
-                   "(defect only)")
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("extend", help="grow a set to a distinguished size")
-    p.add_argument("-n", type=int, default=None, help="total degree bound")
-    p.add_argument("--on-curve", default=None, metavar="LINES",
-                   help="line or line-list JSON; extend along that curve")
-    p.add_argument("nodes", help=nodes_help)
-    p.set_defaults(func=_cmd_extend)
-
-    p = sub.add_parser("verify", help="structure checks with JSON reports")
-    p.add_argument("theorem",
-                   choices=["uniqueness", "defect", "lineusage", "twocurves"])
-    p.add_argument("-n", type=int, default=None, help="total degree bound")
-    p.add_argument("-k", type=int, default=None, help="curve degree")
-    p.add_argument("--at", default=None, metavar="X,Y",
-                   help="extra point for twocurves")
-    p.add_argument("nodes", help=nodes_help)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("render", help="SVG figure of nodes and curves")
-    p.add_argument("--curve", action="append", default=None, metavar="CURVE",
-                   help="curve JSON to draw; may repeat")
-    p.add_argument("nodes", help=nodes_help)
-    p.set_defaults(func=_cmd_render)
-
-    # every subcommand writes one output, and -o comes last in its help
-    for p in sub.choices.values():
-        p.add_argument("-o", "--output", default=None,
+    # one row per subcommand: (name, help, handler, arguments in help
+    # order), each argument a (flag, add_argument keywords) pair
+    n_opt = ("-n", {"type": int, "help": "total degree bound"})
+    n_req = ("-n", {**n_opt[1], "required": True})
+    xs = ("nodes", {"help": "node-set JSON: a file path, inline JSON, "
+                            "or - for stdin"})
+    commands = [
+        ("indep", "independence and Hilbert function", _cmd_indep,
+         [n_opt, xs]),
+        ("poised", "unisolvence check for a set", _cmd_poised, [n_opt, xs]),
+        ("basis", "vanishing-space basis of a set", _cmd_basis, [n_opt, xs]),
+        ("fund", "fundamental polynomial of one node", _cmd_fund,
+         [n_opt, ("--node", {"type": int, "required": True,
+                             "help": "node index"}), xs]),
+        ("dstar", "on-curve node maximum and the uniqueness threshold",
+         _cmd_dstar,
+         [n_req, ("-k", {"type": int, "required": True,
+                         "help": "curve degree"})]),
+        ("gen", "deterministic seeded set generators", _cmd_gen,
+         [("kind", {"choices": ["br", "poised", "defect"]}), n_req,
+          ("-k", {"type": int, "help": "curve degree (defect only)"}),
+          ("--seed", {"type": int, "required": True})]),
+        ("extend", "grow a set to a distinguished size", _cmd_extend,
+         [n_opt, ("--on-curve", {"metavar": "LINES", "help": "line or "
+                                 "line-list JSON; extend along that curve"}),
+          xs]),
+        ("verify", "structure checks with JSON reports", _cmd_verify,
+         [("theorem", {"choices": ["uniqueness", "defect", "lineusage",
+                                   "twocurves"]}), n_opt,
+          ("-k", {"type": int, "help": "curve degree"}),
+          ("--at", {"metavar": "X,Y", "help": "extra point for twocurves"}),
+          xs]),
+        ("render", "SVG figure of nodes and curves", _cmd_render,
+         [("--curve", {"action": "append", "metavar": "CURVE",
+                       "help": "curve JSON to draw; may repeat"}), xs]),
+    ]
+    for name, help_text, func, arguments in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        # every subcommand writes one output, and -o comes last in its help
+        p.add_argument("-o", "--output",
                        help="write output to a file instead of stdout")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -304,11 +281,8 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         _emit_error(str(exc))
         return 2
-    except BudgetExceeded as exc:
-        _emit_error(str(exc))
-        return 1
     except (ValueError, KeyError, IndexError, TypeError, OSError,
-            ArithmeticError) as exc:
+            ArithmeticError, BudgetExceeded) as exc:
         _emit_error(str(exc) if not isinstance(exc, KeyError)
                     else f"missing field {exc}")
         return 1

@@ -30,6 +30,7 @@ Three generators are provided:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -127,23 +128,15 @@ def berzolari_radon(n: int, seed: int) -> BRSet:
     lines = random_lines(rng, n + 1)
     placed: list[Node] = []
     for j, line in enumerate(lines):
-        want = n + 1 - j
-        got = 0
-        for cand in line.points():
-            if got == want:
-                break
-            if any(prev.eval(cand.x, cand.y) == 0 for prev in lines[:j]):
-                continue
-            placed.append(cand)
-            got += 1
+        off_earlier = (p for p in line.points()
+                       if all(prev.eval(p.x, p.y) != 0 for prev in lines[:j]))
+        placed.extend(itertools.islice(off_earlier, n + 1 - j))
     return BRSet(NodeSet(placed), lines)
 
 
 def random_poised(n: int, seed: int) -> NodeSet:
     """Full-size n-poised set of seeded random nodes, drawn with rank
     resampling."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     rng = SplitMix64(seed)
     draws = iter(lambda: random_node(rng), None)
     tracker = IndependenceTracker(space_dim(n))

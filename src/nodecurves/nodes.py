@@ -274,37 +274,26 @@ def integer_spiral() -> Iterator[Node]:
     (1,1), ...
 
     Points are grouped by max(|x|,|y|), then by |x|+|y|, then swept
-    counterclockwise from the positive x-axis; all comparisons are exact.
+    counterclockwise from the positive x-axis.
     """
     for x, y in _spiral_pairs():
         yield Node(Fraction(x), Fraction(y))
 
 
 def _spiral_pairs() -> Iterator[tuple[int, int]]:
-    """The integer spiral's points as pairs of ints."""
+    """The integer spiral's points as pairs of ints, built in order: on
+    ring r, |x|+|y| = r+t gives (r, t) and (t, r) in the first quadrant,
+    and three quarter turns (x, y) -> (-y, x) sweep the others."""
     yield 0, 0
     for radius in itertools.count(1):
-        side = range(-radius, radius + 1)
-        ring = [(x, y) for x in (-radius, radius) for y in side]
-        ring += [(x, y) for y in (-radius, radius) for x in side[1:-1]]
-        ring.sort(key=_spiral_key)
-        yield from ring
-
-
-def _spiral_key(pt: tuple[int, int]) -> tuple[int, int, int]:
-    """(|x|+|y|, quadrant, position in the quadrant).  On a ring with fixed
-    |x|+|y|, the angle's tangent within a quadrant grows with one
-    coordinate, so that coordinate orders the sweep."""
-    x, y = pt
-    if x > 0 and y >= 0:
-        quadrant = 0
-    elif x <= 0 and y > 0:
-        quadrant = 1
-    elif x < 0 and y <= 0:
-        quadrant = 2
-    else:
-        quadrant = 3
-    return abs(x) + abs(y), quadrant, (y, -x, -y, x)[quadrant]
+        for t in range(radius + 1):
+            quarter = [(radius, t)]
+            if 0 < t < radius:
+                quarter.append((t, radius))
+            yield from quarter
+            for _ in range(3):
+                quarter = [(-y, x) for x, y in quarter]
+                yield from quarter
 
 
 def _independent_tracker(xs: NodeSet, n: int) -> IndependenceTracker:

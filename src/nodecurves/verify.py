@@ -106,8 +106,9 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
     nodes.  If fewer than two degree-k curves pass through it, the report
     carries the dimension alone.  Otherwise the unique node A whose removal
     leaves a degree-(k-1) curve through everything else (missing A) is
-    located; anything other than exactly one such node, a one-dimensional
-    curve space behind it, or a clean degree k-1 is a TheoremViolation.
+    located; a curve space of dimension above 2, anything other than
+    exactly one such node, a one-dimensional curve space behind it, or a
+    clean degree k-1 is a TheoremViolation.
     At k = n the dimension must be exactly 2 and the set may have no such
     node, which gives the report without a split; more than one raises.
     When the mod-P bound is 2 and such a node exists, the dimension 2 is
@@ -131,6 +132,9 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
     if k == n and dim != 2:
         raise TheoremViolation(
             f"curve space of dimension {dim} at k = n, expected 2")
+    if dim > 2:
+        raise TheoremViolation(
+            f"curve space of dimension {dim}, expected at most 2")
     if dim <= 1:
         return DefectReport(dim, None, None)
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -5,7 +6,7 @@ import json
 import pytest
 
 from nodecurves import generators, nodes, verify
-from nodecurves.cli import main
+from nodecurves.cli import _build_parser, main
 from nodecurves.nodes import NodeSet
 
 SQUARE = '{"nodes": [["0","0"],["1","0"],["0","1"],["1","1"]]}'
@@ -460,6 +461,65 @@ def test_extend_refuses_on_curve_items_that_are_not_objects(capsys, lines):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# each action as (option strings or dest, required, default, type,
+# choices, metavar, help)
+HELP = (("-h", "--help"), False, argparse.SUPPRESS, None, None, None,
+        "show this help message and exit")
+N = (("-n",), False, None, int, None, None, "total degree bound")
+N_REQUIRED = (("-n",), True, None, int, None, None, "total degree bound")
+NODES = ("nodes", True, None, None, None, None,
+         "node-set JSON: a file path, inline JSON, or - for stdin")
+OUTPUT = (("-o", "--output"), False, None, None, None, None,
+          "write output to a file instead of stdout")
+CLI_SURFACE = [
+    ("indep", "independence and Hilbert function", [HELP, N, NODES, OUTPUT]),
+    ("poised", "unisolvence check for a set", [HELP, N, NODES, OUTPUT]),
+    ("basis", "vanishing-space basis of a set", [HELP, N, NODES, OUTPUT]),
+    ("fund", "fundamental polynomial of one node", [
+        HELP, N, (("--node",), True, None, int, None, None, "node index"),
+        NODES, OUTPUT]),
+    ("dstar", "on-curve node maximum and the uniqueness threshold", [
+        HELP, N_REQUIRED,
+        (("-k",), True, None, int, None, None, "curve degree"), OUTPUT]),
+    ("gen", "deterministic seeded set generators", [
+        HELP, ("kind", True, None, None, ["br", "poised", "defect"], None,
+               None),
+        N_REQUIRED,
+        (("-k",), False, None, int, None, None, "curve degree (defect only)"),
+        (("--seed",), True, None, int, None, None, None), OUTPUT]),
+    ("extend", "grow a set to a distinguished size", [
+        HELP, N, (("--on-curve",), False, None, None, None, "LINES",
+                  "line or line-list JSON; extend along that curve"),
+        NODES, OUTPUT]),
+    ("verify", "structure checks with JSON reports", [
+        HELP, ("theorem", True, None, None,
+               ["uniqueness", "defect", "lineusage", "twocurves"], None, None),
+        N, (("-k",), False, None, int, None, None, "curve degree"),
+        (("--at",), False, None, None, None, "X,Y",
+         "extra point for twocurves"),
+        NODES, OUTPUT]),
+    ("render", "SVG figure of nodes and curves", [
+        HELP, (("--curve",), False, None, None, None, "CURVE",
+               "curve JSON to draw; may repeat"),
+        NODES, OUTPUT]),
+]
+
+
+def test_cli_surface_is_pinned():
+    # --help text differs across Python versions ("optional arguments:"
+    # before 3.10), so every subcommand's actions are compared instead
+    [sub] = [a for a in _build_parser()._actions if a.dest == "command"]
+    got = [
+        (choice.dest, choice.help, [
+            (tuple(a.option_strings) or a.dest, a.required, a.default,
+             a.type, a.choices, a.metavar, a.help)
+            for a in sub.choices[choice.dest]._actions
+        ])
+        for choice in sub._choices_actions
+    ]
+    assert got == CLI_SURFACE
 
 
 def test_verify_output_bytes_are_pinned(capsys):

@@ -1,10 +1,12 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nodecurves import curves, generators, linalg, nodes, poly, verify
+from nodecurves import (cli, curves, generators, linalg, nodes, poly,
+                        verify)
 from nodecurves.curves import Curve
 from nodecurves.errors import TheoremViolation
 from nodecurves.nodes import NodeSet
@@ -140,6 +142,27 @@ def test_characterize_defect_at_k_equal_n_needs_dimension_two(monkeypatch):
     monkeypatch.setattr(verify, "curves_through", wide)
     with pytest.raises(TheoremViolation):
         verify.characterize_defect(square, 2, 2)
+
+
+def test_characterize_defect_above_dimension_two_is_violation(monkeypatch,
+                                                               capsys):
+    # with the bound lifted, a 3-dimensional curve space below k = n must
+    # raise even though the planted split is still found
+    cfg = generators.defect_config(5, 3, 1)
+    wide = verify.curves_through(cfg.nodes.subset(range(7)), 3)
+    assert wide.dimension == 3
+    monkeypatch.setattr(linalg.IndependenceTracker, "prefix_rank_bound",
+                        lambda self, q: 0)
+    monkeypatch.setattr(verify, "curves_through", lambda xs, k: wide)
+    with pytest.raises(TheoremViolation, match="dimension 3"):
+        verify.characterize_defect(cfg.nodes, 5, 3)
+    code = cli.main(["verify", "defect", "-n", "5", "-k", "3",
+                     json.dumps(cfg.nodes.to_json())])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "dimension 3" in json.loads(err)["error"]
 
 
 def test_characterize_defect_preconditions():
