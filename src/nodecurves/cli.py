@@ -208,6 +208,25 @@ def _cmd_render(args) -> str:
     return render_svg(xs, polys)
 
 
+# flags that a subcommand takes for one of its kinds or theorems and that
+# the others do not read; each is refused rather than dropped
+_UNREAD = {
+    ("gen", "br"): ("-k",),
+    ("gen", "poised"): ("-k",),
+    ("verify", "uniqueness"): ("--at",),
+    ("verify", "defect"): ("--at",),
+    ("verify", "lineusage"): ("-k", "--at"),
+    ("verify", "twocurves"): ("-n",),
+}
+
+
+def _refuse_unread(args) -> None:
+    choice = getattr(args, "kind", None) or getattr(args, "theorem", None)
+    for flag in _UNREAD.get((args.command, choice), ()):
+        if getattr(args, flag.lstrip("-")) is not None:
+            raise ValueError(f"{args.command} {choice} does not read {flag}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -272,6 +291,7 @@ def main(argv=None) -> int:
         _emit_error("invalid arguments")
         return 1
     try:
+        _refuse_unread(args)
         out = args.func(args)
         if args.output is None:
             sys.stdout.write(out)

@@ -14,8 +14,19 @@ degree-k curve can pass through an independent set.
 
 Samplers produce exact rational points on a curve in a fixed order, so
 search results are reproducible: a line is swept by a deterministic
-enumeration of rational parameters, and a union of lines round-robin.  ``extend_on_curve`` searches through
-``nodes._grow``, within ``nodes.SEARCH_BUDGET``, the package's one budget.
+enumeration of rational parameters, and a union of lines round-robin.
+``extend_on_curve`` searches through ``nodes._grow``, within
+``nodes.SEARCH_BUDGET``, the package's one budget.
+
+The count max_nodes_on_curve(n, k) is also the number of standard
+monomials of q: with x^s y^t the graded-lex leading monomial of q, the
+monomials of degree <= n that x^s y^t does not divide.  Dividing any f
+of degree <= n by q leaves a remainder on those monomials, and f equals
+its remainder at every point of q.  So the rows of points of q have the
+same dependencies on those max_nodes_on_curve(n, k) columns as on all
+space_dim(n), and ``extend_on_curve`` decides rank there, once every
+node and candidate is checked to lie on q.  A ``LineUnion`` reads its
+leading monomial off its lines (``LineUnion.lead``), with no ``Poly``.
 
 A line has one integer parametrization, ``LineForm._point``: the point at
 t = p/q is computed from p, q and the numerators and denominators of the
@@ -205,6 +216,14 @@ class LineUnion:
     def curve(self) -> Curve:
         return Curve(self.poly())
 
+    @property
+    def lead(self) -> tuple[int, int]:
+        """Exponents (s, t) of the leading monomial x^s y^t of ``poly()``,
+        read off the lines: a line's is y, or x when b = 0, and leading
+        monomials multiply (see ``Poly.leading_exponents``)."""
+        s = sum(1 for line in self.lines if line.b == 0)
+        return s, len(self.lines) - s
+
     def contains(self, p) -> bool:
         """``curve().contains(p)``, decided line by line."""
         p = _nodes._coerce(p)
@@ -269,7 +288,9 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
     Candidates are taken in sampler order and kept when they add a new
     interpolation condition; at most ``nodes.SEARCH_BUDGET`` candidates more
     than it needs are tried.  The sampler must emit points of q (checked);
-    xs must lie on q and be n-independent.
+    xs must lie on q (checked first) and be n-independent.  Both checks
+    let every rank be decided on q's standard-monomial rows (see the
+    module docstring).
     """
     if q.degree > n:
         raise ValueError("curve degree exceeds n")
@@ -278,8 +299,10 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
         raise ValueError("set larger than the on-curve maximum")
     if any(not q.contains(p) for p in xs):
         raise ValueError("set must lie on the curve")
-    tracker = _nodes._independent_tracker(xs, n)
-    found = _nodes._grow(tracker, n, _checked(sampler.points(), q), want)
+    lead = q.poly.leading_exponents
+    tracker = _nodes._independent_tracker(xs, n, lead)
+    found = _nodes._grow(tracker, n, _checked(sampler.points(), q), want,
+                         lead)
     return NodeSet(list(xs) + found)
 
 

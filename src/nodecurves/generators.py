@@ -26,6 +26,11 @@ Three generators are provided:
   configuration keeps the k-1 lines; its curve ``mu`` is derived from
   them when read, and the outlier search tests the lines one by one.  The
   outlier is always the last node, so it is read off the nodes too.
+
+The on-mu search sees every candidate on mu, so it decides rank on mu's
+standard monomials only (see ``nodes``), and mu's leading monomial is
+read off its lines, so no polynomial is built.  The outlier needs no rank
+test at all: mu(A) != 0 certifies that it keeps the set n-independent.
 """
 
 from __future__ import annotations
@@ -179,20 +184,27 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     mu is a product of k-1 random pairwise non-proportional lines; the
     first max_nodes_on_curve(n, k-1) nodes are an on-mu extension from
     empty, and the last node is the first integer spiral point off every
-    line that keeps the set n-independent.
+    line.
+
+    Every on-mu candidate is a point of one of the lines, so its rank is
+    decided on mu's standard-monomial rows (see ``nodes``): the
+    max_nodes_on_curve(n, k-1) monomials of degree <= n that mu's leading
+    monomial does not divide.  The outlier needs no rank test: a
+    dependency row_A = sum(c_i * row_i) on the on-mu nodes p_i would give
+    mu(A) = sum(c_i * mu(p_i)) = 0, so any point A with mu(A) != 0 keeps
+    the set n-independent.  At most ``nodes.SEARCH_BUDGET`` spiral points
+    are read for it.
     """
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n")
     rng = SplitMix64(seed)
     lines = random_lines(rng, k - 1)
     union = LineUnion.of(lines)
-    # one tracker for both phases: the on-curve rows are eliminated once
-    tracker = IndependenceTracker(space_dim(n))
+    tracker = _nodes._independent_tracker(NodeSet(), n, union.lead)
     on_curve = _nodes._grow(tracker, n, union.points(),
-                            _curves.max_nodes_on_curve(n, k - 1))
-    # _grow bounds the filtered stream, and the filter cannot starve: a
-    # line meets a spiral ring in at most 2 points unless it contains a
-    # side of that ring
-    off_curve = (p for p in _nodes.integer_spiral() if not union.contains(p))
-    [outlier] = _nodes._grow(tracker, n, off_curve, 1)
+                            _curves.max_nodes_on_curve(n, k - 1), union.lead)
+    spiral = itertools.islice(_nodes.integer_spiral(), _nodes.SEARCH_BUDGET)
+    outlier = next((p for p in spiral if not union.contains(p)), None)
+    if outlier is None:
+        raise BudgetExceeded("no point off the curve found within budget")
     return DefectConfig(n, NodeSet(on_curve + [outlier]), lines)

@@ -43,7 +43,23 @@ row grows one tracker, in a single pass: a spanned row stays spanned as
 the set grows.  It reads at most SEARCH_BUDGET candidates more than it
 needs.  SEARCH_BUDGET is the package's only budget:
 ``generators.random_lines`` also takes at most SEARCH_BUDGET draws per
-line.
+line, and ``generators.defect_config`` reads at most SEARCH_BUDGET spiral
+points for its outlier.
+
+A search along a curve q of degree m decides rank on fewer columns.  In
+graded-lex order, a monomial order, let x^s y^t (s + t = m) be q's
+leading monomial.  Division by q writes every f of degree <= n as
+f = q*g + r, with r supported on the standard monomials: those of degree
+<= n that x^s y^t does not divide.  There are space_dim(n) -
+space_dim(n - m) of them, the most n-independent nodes q can carry.  At a
+point of q, f equals r, so a combination of rows of points of q vanishes
+iff it vanishes on the standard-monomial columns: over Q those rows have
+the same dependencies as the full rows, and their rank modulo the prime
+is a lower bound on that common rank, so the tracker's certificate holds
+as before.  ``_grow`` and ``_independent_tracker`` take q's
+``lead`` = (s, t) and then build only those columns; the precondition is
+that every node and candidate lies on q, and the callers check it or
+draw from q's own points.
 """
 
 from __future__ import annotations
@@ -150,9 +166,12 @@ class NodeSet:
         return nodes, (_poly.json_int(n, "n") if n is not None else None)
 
 
-def _monomial_row(p: Node, n: int) -> list[int]:
-    """The node's collocation row times its scale, its entry 0."""
-    return _poly.homogeneous_row(p.x, p.y, n)
+def _monomial_row(p: Node, n: int,
+                  lead: Optional[tuple[int, int]] = None) -> list[int]:
+    """The node's collocation row times its scale, its entry 0; with
+    ``lead``, only the entries of the standard monomials (see the module
+    docstring)."""
+    return _poly.homogeneous_row(p.x, p.y, n, lead)
 
 
 def collocation_matrix(xs: NodeSet, n: int) -> list[list[int]]:
@@ -296,17 +315,23 @@ def _spiral_pairs() -> Iterator[tuple[int, int]]:
                 yield from quarter
 
 
-def _independent_tracker(xs: NodeSet, n: int) -> IndependenceTracker:
-    tracker = IndependenceTracker(space_dim(n))
-    if not all(tracker.add(_monomial_row(p, n)) for p in xs):
+def _independent_tracker(xs: NodeSet, n: int,
+                         lead: Optional[tuple[int, int]] = None
+                         ) -> IndependenceTracker:
+    """A tracker holding the set's degree-n rows, or, with ``lead``, their
+    standard-monomial rows; every node must then lie on the curve."""
+    tracker = IndependenceTracker(len(_poly.row_exponents(n, lead)))
+    if not all(tracker.add(_monomial_row(p, n, lead)) for p in xs):
         raise ValueError("set is not independent at this degree")
     return tracker
 
 
 def _grow(tracker: IndependenceTracker, n: int, candidates: Iterable[Node],
-          want: int) -> list[Node]:
+          want: int, lead: Optional[tuple[int, int]] = None) -> list[Node]:
     """The first ``want`` candidates whose degree-n rows grow the tracker,
-    each added as it is read.
+    each added as it is read.  With ``lead``, the rows are the
+    standard-monomial rows of a curve with that leading monomial, which
+    decide exactly when every candidate lies on the curve.
 
     At most SEARCH_BUDGET + want candidates are read, and none after the
     last one needed; a stream that runs out or over budget first raises
@@ -318,7 +343,7 @@ def _grow(tracker: IndependenceTracker, n: int, candidates: Iterable[Node],
         cand = next(stream, None)
         if cand is None:
             raise BudgetExceeded("no independent node found within budget")
-        if tracker.add(_monomial_row(cand, n)):
+        if tracker.add(_monomial_row(cand, n, lead)):
             found.append(cand)
     return found
 

@@ -14,10 +14,13 @@ polynomial has no degree (reported as None).
 Evaluation is integer arithmetic.  ``homogeneous_row`` writes a point as
 (A/e, C/e) over a common denominator e and returns the monomials at it as
 the integers A^i C^j e^(n-i-j); the scale e^n they were multiplied by is
-entry 0, the constant monomial's.  The same rows feed the elimination
-kernel (see ``linalg``); a ``Poly`` keeps its coefficients as integers
-over one denominator, so ``eval`` is an integer dot product and builds a
-single ``Fraction``, the result.
+entry 0, the constant monomial's.  Each entry is one product of powers
+read off a cached exponent table, ``row_exponents``; the row restricted
+to the standard monomials of a curve's leading monomial (those it does
+not divide) is the same product over a filtered copy of that table.  The
+same rows feed the elimination kernel (see ``linalg``); a ``Poly`` keeps
+its coefficients as integers over one denominator, so ``eval`` is an
+integer dot product and builds a single ``Fraction``, the result.
 
 ``multiplication_matrix`` returns the multiples of q by the monomials as
 integer coefficient rows.  They span everything q divides at a degree
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import isqrt, lcm
 from operator import mul
 from typing import Iterator, Optional
@@ -77,29 +80,48 @@ def monomial_exponents(index: int) -> tuple[int, int]:
     return t - offset, offset
 
 
-def homogeneous_row(x, y, n: int) -> list[int]:
+@cache
+def row_exponents(n: int, lead: Optional[tuple[int, int]] = None
+                  ) -> tuple[tuple[int, int, int], ...]:
+    """The exponents (i, j, n-i-j) of the monomials x^i y^j of degree <= n
+    in graded-lex order, the columns of a degree-n row.
+
+    With ``lead`` = (s, t), the exponents of a curve's leading monomial,
+    only the standard monomials: those x^s y^t does not divide.  There are
+    space_dim(n) - space_dim(n - s - t) of them.
+    """
+    table = tuple((i, d - i, n - d)
+                  for d in range(n + 1) for i in range(d, -1, -1))
+    if lead is None:
+        return table
+    s, t = lead
+    return tuple(e for e in table if not (e[0] >= s and e[1] >= t))
+
+
+def _powers(v: int, n: int) -> list[int]:
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * v)
+    return out
+
+
+def homogeneous_row(x, y, n: int,
+                    lead: Optional[tuple[int, int]] = None) -> list[int]:
     """Degree-n monomials at (x, y) times a scale, as integers.
 
     With x = A/e and y = C/e over e = lcm(den x, den y), the entry of
     x^i y^j is A^i C^j e^(n-i-j), and the scale e^n, the lcm of the
-    denominators of all entries, is entry 0.  Order is graded-lex, as for
-    coefficients.
+    denominators of all entries, is entry 0.  The row is one product per
+    entry of ``row_exponents(n, lead)``, so its order is graded-lex, as
+    for coefficients; with ``lead`` it keeps only the standard monomials'
+    entries, and entry 0 is still the scale.
     """
     e = lcm(x.denominator, y.denominator)
     a = x.numerator * (e // x.denominator)
     c = y.numerator * (e // y.denominator)
-    e_pows = [1]
-    for _ in range(n):
-        e_pows.append(e_pows[-1] * e)
-    # block t is A^i C^(t-i), i descending: A times the first entry of
-    # block t-1, then C times each of its entries; the row holds it times
-    # e^(n-t), a pass that e = 1 skips
-    block = [1]
-    row = [e_pows[n]]
-    for et in reversed(e_pows[:-1]):
-        block = [a * block[0], *[c * v for v in block]]
-        row += [v * et for v in block] if et != 1 else block
-    return row
+    a_pows, c_pows, e_pows = _powers(a, n), _powers(c, n), _powers(e, n)
+    return [a_pows[i] * c_pows[j] * e_pows[k]
+            for i, j, k in row_exponents(n, lead)]
 
 
 @dataclass(frozen=True)
@@ -132,16 +154,21 @@ class Poly:
         return all(c == 0 for c in self.coeffs)
 
     @property
+    def leading_exponents(self) -> Optional[tuple[int, int]]:
+        """Exponents (s, t) of the leading monomial x^s y^t, the nonzero
+        coefficient with the highest graded-lex index; None for the zero
+        polynomial.  The order is a monomial order (graded, then y before
+        x), so the leading monomial of a product is the product of the
+        factors' leading monomials."""
+        top = next((idx for idx in range(len(self.coeffs) - 1, -1, -1)
+                    if self.coeffs[idx] != 0), None)
+        return None if top is None else monomial_exponents(top)
+
+    @property
     def degree(self) -> Optional[int]:
         """Effective total degree; None for the zero polynomial."""
-        top = None
-        for idx, c in enumerate(self.coeffs):
-            if c != 0:
-                top = idx
-        if top is None:
-            return None
-        i, j = monomial_exponents(top)
-        return i + j
+        lead = self.leading_exponents
+        return None if lead is None else sum(lead)
 
     def terms(self) -> Iterator[tuple[int, int, Fraction]]:
         for idx, c in enumerate(self.coeffs):

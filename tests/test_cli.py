@@ -279,6 +279,33 @@ def test_verify_argument_errors_exit_1(capsys, args, message):
     assert message in json.loads(err)["error"]
 
 
+BR = object()  # stands for the output of `gen br -n 3 --seed 5`
+
+
+@pytest.mark.parametrize("args, flag", [
+    # the three commands that used to drop a flag without a word
+    (["verify", "lineusage", "-n", "3", "-k", "99", "--at", "5,5", BR], "-k"),
+    (["verify", "twocurves", "-n", "1", "-k", "2", "--at=1,1", FOUR], "-n"),
+    (["gen", "poised", "-n", "2", "-k", "7", "--seed", "1"], "-k"),
+    # one case per refused flag
+    (["gen", "br", "-n", "3", "-k", "2", "--seed", "1"], "-k"),
+    (["gen", "poised", "-n", "3", "-k", "2", "--seed", "1"], "-k"),
+    (["verify", "lineusage", "-n", "3", "-k", "2", BR], "-k"),
+    (["verify", "uniqueness", "-n", "2", "-k", "2", "--at=1,1", FOUR],
+     "--at"),
+    (["verify", "defect", "-n", "2", "-k", "2", "--at=1,1", FOUR], "--at"),
+    (["verify", "lineusage", "-n", "3", "--at=1,1", BR], "--at"),
+    (["verify", "twocurves", "-n", "2", "-k", "2", "--at=1,1", FOUR], "-n"),
+])
+def test_unread_flags_exit_1(capsys, args, flag):
+    br = json.dumps(generators.berzolari_radon(3, 5).nodes.to_json(3))
+    code, out, err = run(capsys, *[br if a is BR else a for a in args])
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert json.loads(line)["error"].endswith(f"does not read {flag}")
+
+
 def test_search_over_budget_exits_1(capsys, monkeypatch):
     # the spiral starts at (0, 0), whose row repeats the set's first one;
     # with no budget for rejections the search gives up there

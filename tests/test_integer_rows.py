@@ -55,6 +55,37 @@ def test_monomial_row_is_scaled_fraction_row(p, n):
     assert got[0] == scale
 
 
+def block_recurrence_row(x, y, n):
+    """The row as built before the exponent table: block t is A^i C^(t-i),
+    i descending, A times the first entry of block t-1 and C times each
+    of its entries, and the row holds it times e^(n-t)."""
+    e = lcm(x.denominator, y.denominator)
+    a = x.numerator * (e // x.denominator)
+    c = y.numerator * (e // y.denominator)
+    e_pows = [1]
+    for _ in range(n):
+        e_pows.append(e_pows[-1] * e)
+    block = [1]
+    row = [e_pows[n]]
+    for et in reversed(e_pows[:-1]):
+        block = [a * block[0], *[c * v for v in block]]
+        row += [v * et for v in block] if et != 1 else block
+    return row
+
+
+integer_points = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).map(
+    lambda p: node(*p))
+
+
+@settings(max_examples=50, deadline=None)
+@given(points, integer_points)
+def test_homogeneous_row_matches_the_block_recurrence(rational, integer):
+    for p in (rational, integer):
+        for n in range(13):
+            assert poly.homogeneous_row(p.x, p.y, n) == \
+                block_recurrence_row(p.x, p.y, n)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 4).flatmap(
     lambda n: st.lists(coords, min_size=poly.space_dim(n),
