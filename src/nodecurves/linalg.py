@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the rationals, on integer rows.
 
 Every decision is exact; no floating point is involved.  Every function
-takes integer rows, a solve's rows followed by their right-hand sides.
+takes integer rows, a solve's rows each followed by its entry of b.
 One exact elimination kernel, :class:`RankTracker`, does all the exact
 elimination; ``rank`` runs through :class:`IndependenceTracker`.  The
 canonical forms matter to the rest of the package and are fixed:
@@ -18,24 +18,28 @@ pivot column, and content (the gcd of its entries) 1, so ``R_i / d_i`` is
 in lowest terms.  The sign of ``d_i`` is free: every reader divides by it
 exactly.  ``RankTracker(ncols)`` chooses pivots only in the first
 ``ncols`` columns; a longer row carries its right-hand sides along in the
-columns after them.  Reducing a row ``w`` is
-``L*w - sum(w[p_i] * (L/d_i) * R_i)`` over the kept rows it meets, those
-with ``w[p_i] != 0``, where ``L`` is the lcm of their ``d_i``; there is no
-division.  A reduced row w that is not 0 is divided by its content and
-becomes a new pivot at its first nonzero column c, with ``lead = w[c]``.
-It rewrites only the kept rows with ``f = R_i[c] != 0``, each as
-``a*R_i - b*w`` with ``g = gcd(f, lead)``, ``a = lead/g`` and
-``b = f/g``, divided by its content.  That content divides the old
-``d_i``: the new pivot entry is ``a*d_i``, and a prime dividing both the
-content and ``a`` would divide ``b*w``, while ``gcd(a, b) = 1`` and ``w``
-has content 1.  So the content's gcd starts from ``d_i``: it never grows
-past ``d_i``, and once it reaches 1 the rest of the row costs nothing.
-One reader, ``RankTracker.coordinates``, hands the RREF out: each column's
-entries in the canonical nullspace basis, over 1 for a free column and
-over ``d_i`` for kept row i's pivot, so every pair is in lowest terms.
-``nullspace`` and the dependency rows of ``nodes`` read it, and
-``solve_columns`` reads a solution off the kept rows' right-hand sides the
-same way.  A kept row is 0 before its pivot: a new pivot is the first
+columns after them.  Only ``nodes._curves_missing_one`` carries any: an
+identity block, read by ``RankTracker.unit_rows`` (below).  Reducing a row
+``w`` is ``L*w - sum(w[p_i] * (L/d_i) * R_i)`` over the kept rows it
+meets, those with ``w[p_i] != 0``, where ``L`` is the lcm of their
+``d_i``; there is no division.  A reduced row w that is not 0 is divided
+by its content and becomes a new pivot at its first nonzero column c,
+with ``lead = w[c]``.  It rewrites only the kept rows with
+``f = R_i[c] != 0``, each as ``a*R_i - b*w`` with ``g = gcd(f, lead)``,
+``a = lead/g`` and ``b = f/g``, divided by its content.  That content
+divides the old ``d_i``: the new pivot entry is ``a*d_i``, and a prime
+dividing both the content and ``a`` would divide ``b*w``, while
+``gcd(a, b) = 1`` and ``w`` has content 1.  So the content's gcd starts
+from ``d_i``: it never grows past ``d_i``, and once it reaches 1 the rest
+of the row costs nothing.  One reader, ``RankTracker.coordinates``, hands
+the RREF out: each column's entries in the canonical nullspace basis,
+over 1 for a free column and over ``d_i`` for kept row i's pivot, so
+every pair is in lowest terms.  ``nullspace``, the dependency rows of
+``nodes`` and ``solve_columns`` read it.  ``solve_columns`` eliminates
+[A | b] as ``ncols + 1`` ordinary columns: the system is inconsistent iff
+b's column becomes a pivot, and otherwise that column is the last free
+one, whose basis vector is (-x, 1) for the canonical solution x, free
+variables 0.  A kept row is 0 before its pivot: a new pivot is the first
 nonzero column of a reduced row, and it rewrites only kept rows that are
 nonzero in its column, whose pivots therefore lie before it.  So, sorted
 by pivot, the kept rows are the usual RREF.  ``RankTracker.unit_rows``
@@ -237,21 +241,14 @@ class RankTracker:
         return any(den * row[j] != sum(f * base[j] for f, base in terms)
                    for j in range(self.ncols) if j not in pivots)
 
-    def _absorb(self, row: Sequence[int]) -> Optional[Sequence[int]]:
-        """Reduce the row and, if it is not 0 in the first ``ncols``
-        columns, keep it with its leading column as a new pivot and return
-        None.  Otherwise return the reduced row: 0 up to ``ncols``, and
-        the right-hand sides' residues after."""
+    def add(self, row: Sequence[int]) -> bool:
+        """Add a row; returns True iff the rank grew."""
         w = self._reduce(row)
         col = next((j for j in range(self.ncols) if w[j]), None)
         if col is None:
-            return w
+            return False
         self._push(w, col)
-        return None
-
-    def add(self, row: Sequence[int]) -> bool:
-        """Add a row; returns True iff the rank grew."""
-        return self._absorb(row) is None
+        return True
 
     def coordinates(self) -> list[tuple[list[int], int]]:
         """Each column's entries in the canonical basis of the vectors
@@ -262,11 +259,14 @@ class RankTracker:
         terms when the rows carry no right-hand sides."""
         owner = dict(zip(self._pivots, self._rows))
         free = [j for j in range(self.ncols) if j not in owner]
-        out = []
+        out, k = [], 0
         for j in range(self.ncols):
             row = owner.get(j)
             if row is None:
-                out.append(([int(f == j) for f in free], 1))
+                unit = [0] * len(free)
+                unit[k] = 1
+                k += 1
+                out.append((unit, 1))
             else:
                 out.append(([-row[f] for f in free], row[j]))
         return out
@@ -437,40 +437,28 @@ def nullspace(rows: Iterable[Sequence[int]],
             for vec in zip(*[nums for nums, _ in coords])]
 
 
-def solve_columns(rows: Iterable[Sequence[int]], ncols: int,
-                  nrhs: int) -> list[Optional[tuple[Fraction, ...]]]:
-    """Solve A x = b for nrhs right-hand sides with one elimination.
+def solve_columns(rows: Iterable[Sequence[int]],
+                  ncols: int) -> Optional[tuple[Fraction, ...]]:
+    """Solve A x = b by one exact elimination of [A | b].
 
-    Each row is an integer row of A followed by that row's entry of every
-    right-hand side.  Returns, per right-hand side, the canonical
-    free-variables-zero solution, or None when that right-hand side is
-    inconsistent.
+    Each row is an integer row of A followed by that row's entry of b.
+    Returns the canonical free-variables-zero solution, or None when the
+    system is inconsistent: when b's column is a pivot of [A | b].
     """
-    tracker = RankTracker(ncols)
-    consistent = [True] * nrhs
+    tracker = RankTracker(ncols + 1)
     for row in rows:
-        w = tracker._absorb(row)
-        if w is not None:
-            for c in range(nrhs):
-                if w[ncols + c]:
-                    consistent[c] = False
-    kept = list(zip(tracker._pivots, tracker._rows))
-    solutions: list[Optional[tuple[Fraction, ...]]] = []
-    for c, ok in enumerate(consistent, ncols):
-        if not ok:
-            solutions.append(None)
-            continue
-        x = [ZERO] * ncols
-        for p, row in kept:
-            x[p] = Fraction(row[c], row[p])
-        solutions.append(tuple(x))
-    return solutions
+        tracker.add(row)
+    coords = tracker.coordinates()
+    if not any(coords[ncols][0]):
+        return None
+    # b's column is the last free column: its basis vector is (-x, 1)
+    return tuple(Fraction(-nums[-1], den) if nums[-1] else ZERO
+                 for nums, den in coords[:ncols])
 
 
 def solve(rows: Iterable[Sequence[int]],
           ncols: int) -> Optional[tuple[Fraction, ...]]:
-    """Solve A x = b for one right-hand side; the answer is
-    ``solve_columns(rows, ncols, 1)[0]``.
+    """Solve A x = b; the answer is ``solve_columns(rows, ncols)``.
 
     Each row is an integer row of A followed by that row's entry of b.  A
     square A is lifted P-adically, and the solution, rebuilt over one
@@ -488,7 +476,7 @@ def solve(rows: Iterable[Sequence[int]],
             x = _lift(rows, columns, neg_inverse)
             if x is not None:
                 return x
-    return solve_columns(rows, ncols, 1)[0]
+    return solve_columns(rows, ncols)
 
 
 def _neg_inverse_columns(columns: Sequence[Sequence[int]]) -> Optional[list[int]]:

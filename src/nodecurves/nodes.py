@@ -32,9 +32,9 @@ a set of exactly space_dim(n) nodes solves its square system with
 ``linalg.solve``, lifted P-adically and checked exactly, which falls
 back to the exact kernel only when the set is not poised modulo the prime.
 Vanishing spaces, the dependencies among the rows, each node's curve
-through the other nodes (``_curves_missing_one``),
-``fundamental_polynomials`` (all nodes at once) and the fundamental
+through the other nodes (``_curves_missing_one``) and the fundamental
 polynomial of a set of any other size read the exact ``RankTracker``.
+``fundamental_polynomials`` is one ``fundamental_polynomial`` per node.
 
 Every node search in the package runs through ``_grow``: it reads a
 fixed stream of candidates (the integer spiral, a curve sampler, seeded
@@ -262,30 +262,21 @@ def _curves_missing_one(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
     return transpose.rank, curves
 
 
-def _fundamentals(xs: NodeSet, n: int,
-                  targets: list[int]) -> list[Optional[Poly]]:
-    """Fundamental polynomials of the nodes at the target indices, solved
-    together; a row scaled by s, its entry 0, asks for the value s at its
-    target.  One target is solved by ``linalg.solve``, which lifts a
-    square system; several take one exact elimination."""
-    rows = [row + [row[0] if i == t else 0 for t in targets]
-            for i, row in enumerate(collocation_matrix(xs, n))]
-    if len(targets) == 1:
-        sols = [linalg.solve(rows, space_dim(n))]
-    else:
-        sols = linalg.solve_columns(rows, space_dim(n), len(targets))
-    return [None if s is None else Poly(n, s) for s in sols]
-
-
 def fundamental_polynomial(a, xs: NodeSet, n: int) -> Optional[Poly]:
-    """Canonical p with p(a) = 1 and p = 0 on the rest of xs, or None."""
+    """Canonical p with p(a) = 1 and p = 0 on the rest of xs, or None.
+
+    A row scaled by s, its entry 0, asks for the value s at a, and
+    ``linalg.solve`` lifts the system when it is square."""
     idx = xs.index(_coerce(a))  # raises ValueError if a is not a node of xs
-    return _fundamentals(xs, n, [idx])[0]
+    rows = [row + [row[0] if i == idx else 0]
+            for i, row in enumerate(collocation_matrix(xs, n))]
+    sol = linalg.solve(rows, space_dim(n))
+    return None if sol is None else Poly(n, sol)
 
 
 def fundamental_polynomials(xs: NodeSet, n: int) -> list[Optional[Poly]]:
-    """All fundamental polynomials with a single elimination."""
-    return _fundamentals(xs, n, list(range(len(xs))))
+    """Every node's fundamental polynomial, in order."""
+    return [fundamental_polynomial(p, xs, n) for p in xs]
 
 
 def integer_spiral() -> Iterator[Node]:

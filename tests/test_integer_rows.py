@@ -106,7 +106,7 @@ def test_fundamental_polynomials_match_fraction_solves(xs, n):
     for idx in range(len(xs)):
         rows = [as_integers(fraction_row(p, n) + [Fraction(int(i == idx))])
                 for i, p in enumerate(xs)]
-        sol = linalg.solve_columns(rows, poly.space_dim(n), 1)[0]
+        sol = linalg.solve_columns(rows, poly.space_dim(n))
         want.append(None if sol is None else Poly(n, sol))
     assert nodes.fundamental_polynomials(xs, n) == want
     for idx, p in enumerate(xs):
@@ -137,5 +137,5 @@ def test_node_uses_matches_fraction_solve(xs, n, a, b, c):
                          for v in fraction_row(p, n - 1)]
                         + [Fraction(int(i == 0))])
             for i, p in enumerate(xs)]
-    want = linalg.solve_columns(rows, poly.space_dim(n - 1), 1)[0] is not None
+    want = linalg.solve_columns(rows, poly.space_dim(n - 1)) is not None
     assert curves.node_uses(first, xs, n, q) == want

@@ -70,9 +70,30 @@ def test_solve_inconsistent_returns_none():
 
 
 def test_solve_columns_mixed_consistency():
-    got = linalg.solve_columns([[1, 0, 1, 0], [1, 0, 1, 1]], 2, 2)
-    assert got[0] == (F(1), F(0))
-    assert got[1] is None
+    m, columns = fractions([[1, 0], [1, 0]]), [[1, 1], [0, 1]]
+    got = [linalg.solve_columns(as_integers(augmented(m, [b])), 2)
+           for b in columns]
+    assert got == ref_solve_columns(m, 2, columns)
+    assert got == [(F(1), F(0)), None]
+
+
+def test_solve_columns_inconsistent_first_row():
+    # [0 0 | 1] makes b's column the first pivot, and the consistent rows
+    # after it leave it a pivot
+    m, b = fractions([[0, 0], [1, 0], [0, 1]]), [1, 2, 3]
+    rows = as_integers(augmented(m, [b]))
+    assert linalg.solve_columns(rows, 2) is None
+    assert ref_solve_columns(m, 2, [b]) == [None]
+    assert linalg.solve_columns(rows[1:], 2) == (F(2), F(3))
+
+
+def test_solve_columns_edges():
+    # no rows: every column is free and x is 0
+    assert linalg.solve_columns([], 3) == (F(0), F(0), F(0))
+    # no unknowns: consistent iff b is 0
+    assert linalg.solve_columns([[0], [0]], 0) == ()
+    assert linalg.solve_columns([[0], [5]], 0) is None
+    assert linalg.solve_columns([], 0) == ()
 
 
 def test_empty_matrix_edges():
@@ -303,8 +324,8 @@ def test_solve_columns_matches_reference(m, dens, data):
         else:
             columns.append([Fraction(data.draw(numerators), den)
                             for _ in range(len(m))])
-    got = linalg.solve_columns(as_integers(augmented(m, columns)), ncols,
-                               len(columns))
+    got = [linalg.solve_columns(as_integers(augmented(m, [b])), ncols)
+           for b in columns]
     assert got == ref_solve_columns(m, ncols, columns)
     assert [linalg.solve(as_integers(augmented(m, [b])), ncols)
             for b in columns] == got
@@ -440,8 +461,8 @@ def test_sparse_rows_match_reference(stream, data):
         else:
             columns.append(data.draw(st.lists(
                 st.integers(-9, 9), min_size=len(rows), max_size=len(rows))))
-    system = [row + [b[i] for b in columns] for i, row in enumerate(rows)]
-    assert (linalg.solve_columns(system, ncols, len(columns))
+    systems = [[row + [b[i]] for i, row in enumerate(rows)] for b in columns]
+    assert ([linalg.solve_columns(system, ncols) for system in systems]
             == ref_solve_columns(m, ncols, columns))
 
 
@@ -653,7 +674,7 @@ def singular_systems(draw, max_size=6):
 @settings(max_examples=150, deadline=None)
 @given(square_systems())
 def test_square_solve_matches_solve_columns(rows):
-    want = linalg.solve_columns(rows, len(rows), 1)[0]
+    want = linalg.solve_columns(rows, len(rows))
     if _rank_mod_p([row[:-1] for row in rows]) < len(rows):
         assert linalg.solve(rows, len(rows)) == want
         return
@@ -671,7 +692,7 @@ def test_square_solve_matches_solve_columns(rows):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(singular_mod_p_systems(), singular_systems()))
 def test_square_solve_falls_back_when_singular_mod_p(rows):
-    want = linalg.solve_columns(rows, len(rows), 1)[0]
+    want = linalg.solve_columns(rows, len(rows))
     assert linalg._neg_inverse_columns(list(zip(*rows))[:len(rows)]) is None
     assert linalg.solve(rows, len(rows)) == want
 
@@ -709,7 +730,7 @@ def test_square_solve_refuses_a_candidate_the_exact_check_fails(
     for rows in _random_systems(3, 10, 4, 40):
         spoiled.clear()
         assert (linalg.solve(rows, len(rows))
-                == linalg.solve_columns(rows, 4, 1)[0])
+                == linalg.solve_columns(rows, 4))
         assert spoiled
 
 
@@ -717,7 +738,7 @@ def test_square_solve_stops_at_the_step_cap(monkeypatch):
     # a reconstruction that never verifies lifts up to the cap derived
     # from the Hadamard bound, then the exact elimination answers
     rows = _random_systems(5, 1, 5, 30)[0]
-    want = linalg.solve_columns(rows, 5, 1)[0]
+    want = linalg.solve_columns(rows, 5)
     moduli, original = [], linalg._numerators
 
     def recording(x, modulus, den):

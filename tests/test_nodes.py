@@ -89,28 +89,34 @@ def test_fundamental_polynomial_examples():
         nodes.fundamental_polynomial((9, 9), TRIANGLE, 1)
 
 
+def exact_fundamental(xs, n, idx):
+    """Node idx's fundamental polynomial from one exact elimination of its
+    collocation system, the reference for the lifted solve."""
+    rows = [row + [row[0] if i == idx else 0]
+            for i, row in enumerate(nodes.collocation_matrix(xs, n))]
+    sol = linalg.solve_columns(rows, poly.space_dim(n))
+    return None if sol is None else Poly(n, sol)
+
+
 def test_fundamental_polynomials_batch_matches_single():
-    for xs, n in [(FOUR, 2), (COLLINEAR3, 1)]:
-        batch = nodes.fundamental_polynomials(xs, n)
+    for xs, n in [(FOUR, 2), (COLLINEAR3, 1), (TRIANGLE, 1)]:
+        want = [exact_fundamental(xs, n, i) for i in range(len(xs))]
+        assert nodes.fundamental_polynomials(xs, n) == want
         for i, p in enumerate(xs):
-            single = nodes.fundamental_polynomial(p, xs, n)
-            if single is None:
-                assert batch[i] is None
-            else:
-                assert batch[i] == single
+            assert nodes.fundamental_polynomial(p, xs, n) == want[i]
 
 
 def test_fundamental_polynomial_of_a_poised_set_needs_no_elimination(
         monkeypatch):
     # a poised set is square: the certified solve answers alone
     xs = generators.random_poised(6, 1)
-    want = nodes.fundamental_polynomials(xs, 6)
+    want = {i: exact_fundamental(xs, 6, i) for i in (0, 13, 27)}
 
     def refuse(*args):
         raise AssertionError("exact elimination")
     monkeypatch.setattr(linalg, "solve_columns", refuse)
-    for i in (0, 13, 27):
-        assert nodes.fundamental_polynomial(xs[i], xs, 6) == want[i]
+    for i, p in want.items():
+        assert nodes.fundamental_polynomial(xs[i], xs, 6) == p
 
 
 def test_integer_spiral_prefix():
