@@ -16,7 +16,8 @@ Samplers produce exact rational points on a curve in a fixed order, so
 search results are reproducible: a line is swept by a deterministic
 enumeration of rational parameters, and a union of lines round-robin.
 ``extend_on_curve`` searches through ``nodes._grow``, within
-``nodes.SEARCH_BUDGET``, the package's one budget.
+``nodes.SEARCH_BUDGET``, the package's one budget; how it decides each
+candidate depends on the number of lines (below).
 
 The count max_nodes_on_curve(n, k) is also the number of standard
 monomials of q: with x^s y^t the graded-lex leading monomial of q, the
@@ -32,6 +33,41 @@ A line has one integer parametrization, ``LineForm._point``: the point at
 t = p/q is computed from p, q and the numerators and denominators of the
 line's coefficients, and each coordinate is reduced by one ``Fraction``.
 ``point_at``, ``points`` and every generator read line points through it.
+Membership reads one integer form too, ``LineForm._coefficients``: a
+node (x/dx, y/dy) lies on A*x + B*y + C = 0 iff A*x*dy + B*y*dx + C*dx*dy
+is 0, with no ``Fraction`` arithmetic (``LineForm.contains``,
+``LineUnion.contains``).
+
+On one or two lines, n-independence is a count.  Take nodes on m <= 2
+distinct lines, and call O the lines' common point when there are two and
+they meet; a node at O counts on both lines.  The nodes are
+n-independent iff no line carries more than n + 1 of them and there are
+at most d(n, m) in total: d(n, 1) = n + 1 and d(n, 2) = 2n + 1.
+
+* Necessity: d(n, m) is the bound above, and n + 2 nodes of one line are
+  n-dependent.
+* Sufficiency: restricted to a line, the degree-n polynomials are the
+  polynomials of degree <= n in the line's parameter, which interpolate
+  at any n + 1 points, so up to n + 1 nodes of one line are independent.
+  On two lines, name them so that l1 carries at least as many nodes off
+  O as l2.  A set within the counts extends, on the lines, to n + 1
+  nodes on l1 and n + 1 on l2 when O is among them, or n + 1 on l1 and n
+  on l2 when it is not: 2n + 1 nodes either way.  A degree-n p vanishing
+  on them has n + 1 roots on l1, so l1 divides p; the quotient, of
+  degree n - 1, has n roots on l2 off l1, so l2 divides it.  The
+  vanishing space is l1*l2*P_(n-2), of dimension space_dim(n) - (2n + 1),
+  so the 2n + 1 nodes are independent, and so is every subset.
+
+``LineCount`` keeps these counts.  A search on one or two lines runs
+through it, with no row and no rank, and a search on three or more lines
+decides rank on the curve's standard monomials, as above
+(``_search_decider`` picks the path from the number of lines).  Three
+lines need rank: the 3x3 grid {0, 1, 2}^2 puts 3 nodes on each of the
+lines x = 0, 1, 2, within the counts at n = 3 (3 <= n + 1 nodes per line,
+9 <= d(3, 3) = 9 in all), yet x(x-1)(x-2) and y(y-1)(y-2) both vanish on
+it, so it is 3-dependent.  That is the Cayley-Bacharach phenomenon: the
+nodes of a complete intersection of two cubics fail to be independent,
+and no count of nodes per line sees it.
 """
 
 from __future__ import annotations
@@ -40,7 +76,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from . import nodes as _nodes, poly as _poly
@@ -175,6 +211,24 @@ class LineForm:
         for p, q in _rational_pairs():
             yield self._point(p, q)
 
+    @cached_property
+    def _coefficients(self) -> tuple[int, int, int]:
+        """(A, B, C): a, b and c times their common denominator."""
+        den = lcm(self.a.denominator, self.b.denominator, self.c.denominator)
+        return tuple(v.numerator * (den // v.denominator)
+                     for v in (self.a, self.b, self.c))
+
+    def _meets(self, x: int, dx: int, y: int, dy: int) -> bool:
+        """Is the point (x/dx, y/dy) on the line?"""
+        a, b, c = self._coefficients
+        return a * x * dy + b * y * dx + c * dx * dy == 0
+
+    def contains(self, p) -> bool:
+        """Is p on the line?  Decided on ``_coefficients``."""
+        p = _nodes._coerce(p)
+        return self._meets(p.x.numerator, p.x.denominator,
+                           p.y.numerator, p.y.denominator)
+
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
 
@@ -227,13 +281,72 @@ class LineUnion:
     def contains(self, p) -> bool:
         """``curve().contains(p)``, decided line by line."""
         p = _nodes._coerce(p)
-        return any(line.eval(p.x, p.y) == 0 for line in self.lines)
+        return self._meets(p.x.numerator, p.x.denominator,
+                           p.y.numerator, p.y.denominator)
+
+    def _meets(self, x: int, dx: int, y: int, dy: int) -> bool:
+        """Is the point (x/dx, y/dy) on one of the lines?"""
+        return any(line._meets(x, dx, y, dy) for line in self.lines)
 
     def points(self) -> Iterator[Node]:
         """Round-robin over the component lines' samplers."""
         streams = [line.points() for line in self.lines]
         for batch in zip(*streams):
             yield from batch
+
+
+class LineCount:
+    """The n-independence of a growing set of nodes on one or two lines,
+    decided by counting (see the module docstring).
+
+    ``add`` accepts a node iff it is new, the set holds fewer than
+    d(n, m) nodes for the m lines, and every line through the node holds
+    fewer than n + 1; a node on no line raises ValueError.
+    """
+
+    def __init__(self, lines: Sequence[LineForm], n: int):
+        if not 1 <= len(lines) <= 2:
+            raise ValueError("a count decides on one or two lines")
+        self.lines = tuple(lines)
+        self.n = n
+        self._room = n + 1 if len(lines) == 1 else 2 * n + 1  # d(n, m)
+        self._counts = [0] * len(lines)
+        self._seen: set[tuple[int, int, int, int]] = set()
+
+    def add(self, p: Node) -> bool:
+        """Add a node of the lines; returns True iff the set stays
+        n-independent with it, and then keeps it."""
+        key = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+        if key in self._seen or len(self._seen) == self._room:
+            return False
+        through = [i for i, line in enumerate(self.lines) if line._meets(*key)]
+        if not through:
+            raise ValueError("node off the lines")
+        counts = self._counts
+        if any(counts[i] > self.n for i in through):
+            return False
+        for i in through:
+            counts[i] += 1
+        self._seen.add(key)
+        return True
+
+
+def _search_decider(xs: NodeSet, lines: Sequence[LineForm], n: int,
+                    lead: tuple[int, int]
+                    ) -> LineCount | _nodes._RankDecider:
+    """What decides a search from xs whose candidates lie on the lines:
+    a ``LineCount`` when there are one or two lines and they carry xs,
+    otherwise the rank of the standard-monomial rows for ``lead``, the
+    leading exponents of a curve through xs and the candidates.  Either
+    holds xs; a set xs that is not n-independent raises ValueError."""
+    if 1 <= len(lines) <= 2 and all(
+            any(line.contains(p) for line in lines) for p in xs):
+        count = LineCount(lines, n)
+        if not all(count.add(p) for p in xs):
+            raise ValueError("set is not independent at this degree")
+        return count
+    return _nodes._RankDecider(_nodes._independent_tracker(xs, n, lead),
+                               n, lead)
 
 
 def is_maximal_curve(q: Curve, xs: NodeSet, n: int) -> bool:
@@ -288,9 +401,11 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
     Candidates are taken in sampler order and kept when they add a new
     interpolation condition; at most ``nodes.SEARCH_BUDGET`` candidates more
     than it needs are tried.  The sampler must emit points of q (checked);
-    xs must lie on q (checked first) and be n-independent.  Both checks
-    let every rank be decided on q's standard-monomial rows (see the
-    module docstring).
+    xs must lie on q (checked first) and be n-independent.  A sampler that
+    is a ``LineForm``, or a ``LineUnion`` of at most two lines, and whose
+    lines carry xs, has each candidate decided by ``LineCount``; any other
+    has rank decided on q's standard-monomial rows, which both checks
+    allow (see the module docstring).
     """
     if q.degree > n:
         raise ValueError("curve degree exceeds n")
@@ -299,10 +414,10 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
         raise ValueError("set larger than the on-curve maximum")
     if any(not q.contains(p) for p in xs):
         raise ValueError("set must lie on the curve")
-    lead = q.poly.leading_exponents
-    tracker = _nodes._independent_tracker(xs, n, lead)
-    found = _nodes._grow(tracker, n, _checked(sampler.points(), q), want,
-                         lead)
+    lines = ((sampler,) if isinstance(sampler, LineForm)
+             else sampler.lines if isinstance(sampler, LineUnion) else ())
+    decider = _search_decider(xs, lines, n, q.poly.leading_exponents)
+    found = _nodes._grow(decider, _checked(sampler.points(), q), want)
     return NodeSet(list(xs) + found)
 
 

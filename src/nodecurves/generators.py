@@ -27,10 +27,18 @@ Three generators are provided:
   them when read, and the outlier search tests the lines one by one.  The
   outlier is always the last node, so it is read off the nodes too.
 
-The on-mu search sees every candidate on mu, so it decides rank on mu's
-standard monomials only (see ``nodes``), and mu's leading monomial is
-read off its lines, so no polynomial is built.  The outlier needs no rank
-test at all: mu(A) != 0 certifies that it keeps the set n-independent.
+The on-mu search sees every candidate on mu's lines, and the number of
+lines picks how it decides each one (``curves._search_decider``).  On one
+or two lines, k <= 3, it counts nodes per line and in all
+(``curves.LineCount``; the module docstring of ``curves`` proves that the
+counts decide n-independence there), with no row and no rank.  On three
+or more lines the counts no longer suffice, and it decides rank on mu's
+standard monomials only (see ``nodes``); mu's leading monomial is read
+off its lines, so no polynomial is built.  Both paths accept the same
+candidates, so the output does not depend on the path.  The outlier needs
+no rank test at all: mu(A) != 0 certifies that it keeps the set
+n-independent, and the spiral is scanned as integer pairs, with one
+``Node`` built, for the point kept.
 """
 
 from __future__ import annotations
@@ -134,7 +142,7 @@ def berzolari_radon(n: int, seed: int) -> BRSet:
     placed: list[Node] = []
     for j, line in enumerate(lines):
         off_earlier = (p for p in line.points()
-                       if all(prev.eval(p.x, p.y) != 0 for prev in lines[:j]))
+                       if not any(prev.contains(p) for prev in lines[:j]))
         placed.extend(itertools.islice(off_earlier, n + 1 - j))
     return BRSet(NodeSet(placed), lines)
 
@@ -144,8 +152,8 @@ def random_poised(n: int, seed: int) -> NodeSet:
     resampling."""
     rng = SplitMix64(seed)
     draws = iter(lambda: random_node(rng), None)
-    tracker = IndependenceTracker(space_dim(n))
-    return NodeSet(_nodes._grow(tracker, n, draws, space_dim(n)))
+    decider = _nodes._RankDecider(IndependenceTracker(space_dim(n)), n)
+    return NodeSet(_nodes._grow(decider, draws, space_dim(n)))
 
 
 @dataclass(frozen=True)
@@ -186,10 +194,11 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     empty, and the last node is the first integer spiral point off every
     line.
 
-    Every on-mu candidate is a point of one of the lines, so its rank is
-    decided on mu's standard-monomial rows (see ``nodes``): the
-    max_nodes_on_curve(n, k-1) monomials of degree <= n that mu's leading
-    monomial does not divide.  The outlier needs no rank test: a
+    Every on-mu candidate is a point of one of the lines.  For k <= 3 it
+    is decided by counting nodes per line (``curves.LineCount``); above,
+    its rank is decided on mu's standard-monomial rows (see ``nodes``):
+    the max_nodes_on_curve(n, k-1) monomials of degree <= n that mu's
+    leading monomial does not divide.  The outlier needs no rank test: a
     dependency row_A = sum(c_i * row_i) on the on-mu nodes p_i would give
     mu(A) = sum(c_i * mu(p_i)) = 0, so any point A with mu(A) != 0 keeps
     the set n-independent.  At most ``nodes.SEARCH_BUDGET`` spiral points
@@ -200,11 +209,13 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     rng = SplitMix64(seed)
     lines = random_lines(rng, k - 1)
     union = LineUnion.of(lines)
-    tracker = _nodes._independent_tracker(NodeSet(), n, union.lead)
-    on_curve = _nodes._grow(tracker, n, union.points(),
-                            _curves.max_nodes_on_curve(n, k - 1), union.lead)
-    spiral = itertools.islice(_nodes.integer_spiral(), _nodes.SEARCH_BUDGET)
-    outlier = next((p for p in spiral if not union.contains(p)), None)
-    if outlier is None:
+    decider = _curves._search_decider(NodeSet(), lines, n, union.lead)
+    on_curve = _nodes._grow(decider, union.points(),
+                            _curves.max_nodes_on_curve(n, k - 1))
+    spiral = itertools.islice(_nodes._spiral_pairs(), _nodes.SEARCH_BUDGET)
+    off = next(((x, y) for x, y in spiral if not union._meets(x, 1, y, 1)),
+               None)
+    if off is None:
         raise BudgetExceeded("no point off the curve found within budget")
+    outlier = Node(Fraction(off[0]), Fraction(off[1]))
     return DefectConfig(n, NodeSet(on_curve + [outlier]), lines)

@@ -31,15 +31,18 @@ divides the old ``d_i``: the new pivot entry is ``a*d_i``, and a prime
 dividing both the content and ``a`` would divide ``b*w``, while
 ``gcd(a, b) = 1`` and ``w`` has content 1.  So the content's gcd starts
 from ``d_i``: it never grows past ``d_i``, and once it reaches 1 the rest
-of the row costs nothing.  One reader, ``RankTracker.coordinates``, hands
-the RREF out: each column's entries in the canonical nullspace basis,
-over 1 for a free column and over ``d_i`` for kept row i's pivot, so
-every pair is in lowest terms.  ``nullspace``, the dependency rows of
-``nodes`` and ``solve_columns`` read it.  ``solve_columns`` eliminates
-[A | b] as ``ncols + 1`` ordinary columns: the system is inconsistent iff
-b's column becomes a pivot, and otherwise that column is the last free
-one, whose basis vector is (-x, 1) for the canonical solution x, free
-variables 0.  A kept row is 0 before its pivot: a new pivot is the first
+of the row costs nothing.  ``RankTracker.coordinates`` hands the RREF
+out: each column's entries in the canonical nullspace basis, over 1 for
+a free column and over ``d_i`` for kept row i's pivot, so every pair is
+in lowest terms.  ``nullspace`` and the dependency rows of ``nodes``
+read it.  ``solve_columns`` eliminates [A | b] as ``ncols + 1`` ordinary
+columns and reads b's column alone, by ``RankTracker.free_column``: the
+system is inconsistent iff that column is a pivot, and otherwise it is
+the last free one, whose basis vector is (-x, 1) for the canonical
+solution x, free variables 0, so x is ``R_i[ncols] / d_i`` at kept row
+i's pivot.  Building every free column's vector instead would cost
+O(ncols * nfree) steps for one column's worth of answer.  A kept row is
+0 before its pivot: a new pivot is the first
 nonzero column of a reduced row, and it rewrites only kept rows that are
 nonzero in its column, whose pivots therefore lie before it.  So, sorted
 by pivot, the kept rows are the usual RREF.  ``RankTracker.unit_rows``
@@ -271,6 +274,14 @@ class RankTracker:
                 out.append(([-row[f] for f in free], row[j]))
         return out
 
+    def free_column(self, j: int) -> Optional[list[tuple[int, int, int]]]:
+        """None when column j is a pivot; otherwise (p_i, R_i[j], d_i) for
+        each kept row i, by pivot p_i: the entries at the pivots of free
+        column j's canonical basis vector are ``-R_i[j] / d_i``."""
+        if j in self._pivots:
+            return None
+        return [(p, row[j], row[p]) for p, row in zip(self._pivots, self._rows)]
+
     def unit_rows(self) -> dict[int, list[int]]:
         """The kept rows that are 0 at every free column, so ``d_i`` times
         a unit vector in the first ``ncols`` columns, by pivot column: each
@@ -448,12 +459,16 @@ def solve_columns(rows: Iterable[Sequence[int]],
     tracker = RankTracker(ncols + 1)
     for row in rows:
         tracker.add(row)
-    coords = tracker.coordinates()
-    if not any(coords[ncols][0]):
+    entries = tracker.free_column(ncols)
+    if entries is None:
         return None
-    # b's column is the last free column: its basis vector is (-x, 1)
-    return tuple(Fraction(-nums[-1], den) if nums[-1] else ZERO
-                 for nums, den in coords[:ncols])
+    # b's column is free, with basis vector (-x, 1): x is R_i[ncols] / d_i
+    # at kept row i's pivot, and 0 at every free column
+    x = [ZERO] * ncols
+    for p, num, den in entries:
+        if num:
+            x[p] = Fraction(num, den)
+    return tuple(x)
 
 
 def solve(rows: Iterable[Sequence[int]],

@@ -38,10 +38,23 @@ polynomial of a set of any other size read the exact ``RankTracker``.
 
 Every node search in the package runs through ``_grow``: it reads a
 fixed stream of candidates (the integer spiral, a curve sampler, seeded
-draws), so its output is reproducible everywhere, and keeps each one whose
-row grows one tracker, in a single pass: a spanned row stays spanned as
-the set grows.  It reads at most SEARCH_BUDGET candidates more than it
-needs.  SEARCH_BUDGET is the package's only budget:
+draws), so its output is reproducible everywhere, and keeps each one that
+one decider accepts, in a single pass: a node that would make the set
+dependent still would once the set has grown.  The decider says whether
+the set stays n-independent with the node, and keeps it if so.  Which one
+a search takes is read off its input:
+
+* on one or two lines (``extend_on_curve`` with a ``curves.LineForm`` or
+  a ``curves.LineUnion`` of at most two lines as sampler, whose lines
+  carry the start set; ``generators.defect_config`` for k <= 3), a
+  ``curves.LineCount``, which counts nodes per line and in all, with no
+  row (the ``curves`` module docstring proves that the counts decide);
+* everywhere else, a ``_RankDecider``: the node's row must grow an
+  ``IndependenceTracker``.  Along a curve, such as a union of three or
+  more lines, that row is the curve's standard-monomial row (below).
+
+``_grow`` reads at most SEARCH_BUDGET candidates more than it needs,
+whichever decider it is given.  SEARCH_BUDGET is the package's only budget:
 ``generators.random_lines`` also takes at most SEARCH_BUDGET draws per
 line, and ``generators.defect_config`` reads at most SEARCH_BUDGET spiral
 points for its outlier.
@@ -56,7 +69,7 @@ point of q, f equals r, so a combination of rows of points of q vanishes
 iff it vanishes on the standard-monomial columns: over Q those rows have
 the same dependencies as the full rows, and their rank modulo the prime
 is a lower bound on that common rank, so the tracker's certificate holds
-as before.  ``_grow`` and ``_independent_tracker`` take q's
+as before.  ``_RankDecider`` and ``_independent_tracker`` take q's
 ``lead`` = (s, t) and then build only those columns; the precondition is
 that every node and candidate lies on q, and the callers check it or
 draw from q's own points.
@@ -317,12 +330,23 @@ def _independent_tracker(xs: NodeSet, n: int,
     return tracker
 
 
-def _grow(tracker: IndependenceTracker, n: int, candidates: Iterable[Node],
-          want: int, lead: Optional[tuple[int, int]] = None) -> list[Node]:
-    """The first ``want`` candidates whose degree-n rows grow the tracker,
-    each added as it is read.  With ``lead``, the rows are the
-    standard-monomial rows of a curve with that leading monomial, which
-    decide exactly when every candidate lies on the curve.
+class _RankDecider(NamedTuple):
+    """A search's rank test: ``add`` accepts a node iff its degree-n row,
+    or with ``lead`` its standard-monomial row, grows the tracker, and
+    then keeps it.  With ``lead``, every node must lie on the curve."""
+
+    tracker: IndependenceTracker
+    n: int
+    lead: Optional[tuple[int, int]] = None
+
+    def add(self, p: Node) -> bool:
+        return self.tracker.add(_monomial_row(p, self.n, self.lead))
+
+
+def _grow(decider, candidates: Iterable[Node], want: int) -> list[Node]:
+    """The first ``want`` candidates the decider accepts, each offered to
+    its ``add`` as it is read: a ``_RankDecider`` or a
+    ``curves.LineCount``.
 
     At most SEARCH_BUDGET + want candidates are read, and none after the
     last one needed; a stream that runs out or over budget first raises
@@ -334,7 +358,7 @@ def _grow(tracker: IndependenceTracker, n: int, candidates: Iterable[Node],
         cand = next(stream, None)
         if cand is None:
             raise BudgetExceeded("no independent node found within budget")
-        if tracker.add(_monomial_row(cand, n, lead)):
+        if decider.add(cand):
             found.append(cand)
     return found
 
@@ -347,8 +371,8 @@ def next_independent_node(xs: NodeSet, n: int) -> Node:
     """
     if len(xs) >= space_dim(n):
         raise ValueError("set already has full size")
-    tracker = _independent_tracker(xs, n)
-    return _grow(tracker, n, integer_spiral(), 1)[0]
+    decider = _RankDecider(_independent_tracker(xs, n), n)
+    return _grow(decider, integer_spiral(), 1)[0]
 
 
 def extend_to_poised(xs: NodeSet, n: int) -> NodeSet:
@@ -356,6 +380,6 @@ def extend_to_poised(xs: NodeSet, n: int) -> NodeSet:
     adding next_independent_node's picks in one pass over the spiral."""
     if len(xs) > space_dim(n):
         raise ValueError("set larger than the space dimension")
-    tracker = _independent_tracker(xs, n)
-    found = _grow(tracker, n, integer_spiral(), space_dim(n) - len(xs))
+    decider = _RankDecider(_independent_tracker(xs, n), n)
+    found = _grow(decider, integer_spiral(), space_dim(n) - len(xs))
     return NodeSet(list(xs) + found)

@@ -168,7 +168,11 @@ def curve_through_extra_node(xs: NodeSet, k: int, a) -> TwoCurveReport:
 
     Needs a curve space of dimension >= 2 and a outside xs.  With basis
     (s1, s2) and values (v1, v2) at a, the combination is s1 if v1 = 0,
-    s2 if only v2 = 0, else v2*s1 - v1*s2.
+    s2 if only v2 = 0, else v2*s1 - v1*s2.  It is formed and checked on
+    integers: with c1 = d1*s1 and c2 = d2*s2 integer and a's integer row
+    r, V1 = c1.r and V2 = c2.r, v2*s1 - v1*s2 is (V2*c1 - V1*c2) over
+    d1*d2*r[0].  The integer rows of the nodes and of a must all be
+    orthogonal to the combination's numerators.
     """
     a = _nodes._coerce(a)
     if a in xs:
@@ -177,20 +181,21 @@ def curve_through_extra_node(xs: NodeSet, k: int, a) -> TwoCurveReport:
     if space.dimension < 2:
         raise ValueError("need at least two curves through the set")
     s1, s2 = space.basis[0], space.basis[1]
-    v1 = s1.eval(a.x, a.y)
-    v2 = s2.eval(a.x, a.y)
+    (c1, d1), (c2, d2) = s1._integer_coeffs, s2._integer_coeffs
+    row = _nodes._monomial_row(a, k)
+    v1, v2 = sum(map(mul, c1, row)), sum(map(mul, c2, row))
     if v1 == 0:
-        out = s1
+        out, nums = s1, c1
     elif v2 == 0:
-        out = s2
+        out, nums = s2, c2
     else:
+        nums = [v2 * u - v1 * w for u, w in zip(c1, c2)]
+        den = d1 * d2 * row[0]
         # both basis polynomials have bound k
-        out = Poly(k, tuple(v2 * c1 - v1 * c2
-                            for c1, c2 in zip(s1.coeffs, s2.coeffs)))
-    for p in xs:
-        if out.eval(p.x, p.y) != 0:
-            raise TheoremViolation("combination misses a node of the set")
-    if out.eval(a.x, a.y) != 0:
+        out = Poly(k, tuple(Fraction(v, den) for v in nums))
+    if any(sum(map(mul, nums, r)) for r in _nodes.collocation_matrix(xs, k)):
+        raise TheoremViolation("combination misses a node of the set")
+    if sum(map(mul, nums, row)):
         raise TheoremViolation("combination misses the extra node")
     return TwoCurveReport(space.dimension, Curve(out))
 

@@ -199,7 +199,7 @@ def _counted(points):
 def test_grow_reads_nothing_when_nothing_is_wanted():
     stream, reads = _counted([])
     tracker = linalg.IndependenceTracker(poly.space_dim(1))
-    assert nodes._grow(tracker, 1, stream, 0) == []
+    assert nodes._grow(nodes._RankDecider(tracker, 1), stream, 0) == []
     assert reads == [0]
 
 
@@ -208,7 +208,7 @@ def test_grow_stops_at_the_last_candidate_it_needs():
     stream, reads = _counted([node(0, 0), node(1, 0), node(2, 0),
                               node(0, 1)])
     tracker = linalg.IndependenceTracker(poly.space_dim(1))
-    got = nodes._grow(tracker, 1, stream, 3)
+    got = nodes._grow(nodes._RankDecider(tracker, 1), stream, 3)
     assert got == [node(0, 0), node(1, 0), node(0, 1)]
     assert reads == [4] and tracker.rank == 3
 
@@ -220,7 +220,7 @@ def test_grow_reads_exactly_the_budget(monkeypatch):
     stream, reads = _counted([node(0, 0)] * 100)
     tracker = linalg.IndependenceTracker(poly.space_dim(2))
     with pytest.raises(BudgetExceeded):
-        nodes._grow(tracker, 2, stream, 2)
+        nodes._grow(nodes._RankDecider(tracker, 2), stream, 2)
     assert reads == [9]
 
 
@@ -231,7 +231,8 @@ def test_grow_keeps_more_nodes_than_the_budget(monkeypatch):
     xs = NodeSet([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
     stream, reads = _counted(list(xs))
     tracker = linalg.IndependenceTracker(poly.space_dim(2))
-    assert nodes._grow(tracker, 2, stream, 6) == list(xs)
+    assert nodes._grow(nodes._RankDecider(tracker, 2), stream, 6) == \
+        list(xs)
     assert reads == [6]
     assert nodes.extend_to_poised(NodeSet(), 2) == \
         NodeSet(itertools.islice(nodes.integer_spiral(), 6))
@@ -240,7 +241,8 @@ def test_grow_keeps_more_nodes_than_the_budget(monkeypatch):
 def test_grow_raises_when_the_stream_runs_out():
     tracker = linalg.IndependenceTracker(poly.space_dim(1))
     with pytest.raises(BudgetExceeded):
-        nodes._grow(tracker, 1, iter([node(0, 0), node(1, 0)]), 3)
+        nodes._grow(nodes._RankDecider(tracker, 1),
+                    iter([node(0, 0), node(1, 0)]), 3)
 
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=3)

@@ -1,17 +1,22 @@
-"""On-curve searches decide rank on the curve's standard monomials.
+"""On-curve searches decide by a count on one or two lines, and by rank on
+the curve's standard monomials on more.
 
 For points of a curve q with graded-lex leading monomial x^s y^t, the
 degree-n rows restricted to the monomials x^s y^t does not divide have the
-same dependencies as the full rows.  The property tests feed one candidate
-stream to a full-row tracker and to a standard-monomial tracker and compare
-every accept and reject.  The reference tests copy the search as it was
-before it read standard monomials (full rows, and the defect outlier added
-to the tracker) and check that the generators and ``extend_on_curve``
-return the same nodes.
+same dependencies as the full rows.  On one or two lines, the counts of
+``curves.LineCount`` decide n-independence.  The property tests feed one
+candidate stream to a full-row tracker and to a standard-monomial tracker,
+or to a ``LineCount``, and compare every accept and reject.  The reference
+tests copy the search as it was before it read standard monomials or
+counted (full rows, and the defect outlier added to the tracker) and check
+that the generators and ``extend_on_curve`` return the same nodes.
 """
 
 import itertools
+from fractions import Fraction
 from math import lcm
+
+import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,7 +25,7 @@ from nodecurves import curves, generators, linalg, nodes, poly
 from nodecurves.curves import LineForm, LineUnion
 from nodecurves.errors import BudgetExceeded
 from nodecurves.generators import SplitMix64
-from nodecurves.linalg import IndependenceTracker
+from nodecurves.linalg import ZERO, IndependenceTracker
 from nodecurves.nodes import Node, NodeSet
 
 
@@ -109,7 +114,120 @@ def test_standard_rows_reach_the_exact_fallback():
     assert tracker._exact is not None and not tracker._certified
 
 
-# The search as it was before it read standard monomials.
+def compare_count(lines, n, candidates):
+    """Feed the candidates to a full-row tracker and to a ``LineCount`` and
+    assert that they agree on each."""
+    full = IndependenceTracker(poly.space_dim(n))
+    count = curves.LineCount(lines, n)
+    for p in candidates:
+        grew = full.add(poly.homogeneous_row(p.x, p.y, n))
+        assert count.add(p) == grew, (p, grew)
+    return full.rank
+
+
+rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+rational_lines = st.one_of(
+    st.builds(line, rational.filter(bool), st.just(0), rational),  # vertical
+    st.tuples(rational, rational, rational).filter(
+        lambda t: t[0] or t[1]).map(lambda t: line(*t)))
+
+
+def common_point(lines):
+    """The lines' common point, or None for one line or parallel lines."""
+    if len(lines) < 2:
+        return None
+    (a, b, c), (d, e, f) = ((l.a, l.b, l.c) for l in lines)
+    det = a * e - b * d
+    if det == 0:
+        return None
+    return Node((b * f - c * e) / det, (c * d - a * f) / det)
+
+
+@st.composite
+def nodes_on_lines(draw):
+    """One or two distinct rational lines, a degree n and a node list on
+    them: either n + 1 nodes of each of two lines, none at their common
+    point, in a drawn order, or a drawn list of picks, each a run of up to
+    n + 2 consecutive nodes of one line's stream, the common point, or a
+    repeat of an earlier node, possibly after the common point."""
+    lines = draw(st.lists(rational_lines, min_size=2, max_size=2))
+    assume(distinct(lines))
+    if draw(st.booleans()):
+        lines = lines[:1]
+    n = draw(st.integers(0, 4))
+    common = common_point(lines)
+    streams = [[p for p in itertools.islice(l.points(), 2 * n + 4)
+                if p != common] for l in lines]
+    if len(lines) == 2 and draw(st.booleans()):
+        pts = streams[0][:n + 1] + streams[1][:n + 1]
+        return lines, n, draw(st.permutations(pts))
+    pts = [common] if common is not None and draw(st.booleans()) else []
+    runs = st.tuples(st.integers(0, len(lines) - 1), st.integers(0, n + 1),
+                     st.integers(1, n + 2))
+    for pick in draw(st.lists(st.one_of(runs, st.sampled_from(
+            ["common", "again"])), max_size=6)):
+        if pick == "common" and common is not None:
+            pts.append(common)
+        elif pick == "again" and pts:
+            pts.append(draw(st.sampled_from(pts)))
+        elif isinstance(pick, tuple):
+            i, start, length = pick
+            pts += streams[i][start:start + length]
+    return lines, n, pts
+
+
+@settings(max_examples=100, deadline=None)
+@given(nodes_on_lines())
+def test_line_count_decides_as_full_rows(drawn):
+    lines, n, pts = drawn
+    assert all(any(l.contains(p) for l in lines) for p in pts)
+    compare_count(lines, n, pts)
+
+
+def test_line_count_cases():
+    half = line(1, 0, Fraction(-1, 2))  # the vertical line x = 1/2
+    on_half = [half.point_at(t) for t in range(5)]
+    # n + 2 nodes of one line: the last is refused
+    assert compare_count([half], 3, on_half) == 4
+    # the axes meet at (0, 0), which counts on both
+    axes = [line(1, 0, 0), line(0, 1, 0)]
+    stream = list(itertools.islice(LineUnion.of(axes).points(), 14))
+    assert stream[0] == stream[1] == Node(ZERO, ZERO)
+    assert compare_count(axes, 3, stream) == 7
+    origin = Node(ZERO, ZERO)
+    # after the common point, each line takes only n more nodes
+    for axis in axes:
+        rest = [q for q in itertools.islice(axis.points(), 6) if q != origin]
+        assert compare_count(axes, 3, [origin] + rest) == 4
+    # 2n + 2 nodes, n + 1 on each line and none at the common point: each
+    # line is within n + 1, but the total is past 2n + 1, and the common
+    # point after them is refused too
+    off = [p for l in axes for p in itertools.islice(
+        (q for q in l.points() if q != origin), 4)]
+    assert compare_count(axes, 3, off + [origin]) == 7
+    # parallel lines have no common point
+    assert compare_count([line(1, 0, 0), half], 2,
+                         list(itertools.islice(
+                             LineUnion.of([line(1, 0, 0), half]).points(),
+                             8))) == 5
+
+
+def test_line_count_refuses_a_node_off_its_lines():
+    count = curves.LineCount([line(1, 0, 0)], 2)
+    with pytest.raises(ValueError, match="off the lines"):
+        count.add(Node(Fraction(1), ZERO))
+    with pytest.raises(ValueError):
+        curves.LineCount([], 2)
+
+
+def test_extend_on_curve_refuses_a_dependent_start_on_two_lines():
+    union = LineUnion.of([line(1, 0, 0), line(0, 1, 0)])
+    five = NodeSet((0, t) for t in range(5))  # n + 2 nodes of x = 0
+    with pytest.raises(ValueError, match="not independent"):
+        curves.extend_on_curve(five, union, union.curve(), 3)
+
+
+# The search as it was before it read standard monomials or counted.
 
 def reference_grow(tracker, n, candidates, want):
     found = []
@@ -155,6 +273,9 @@ def test_extend_on_curve_matches_the_full_row_search():
     samplers = [
         line(1, 0, -2),  # x = 2, leading monomial x
         LineUnion.of([line(1, 0, 0), line(1, -1, 1), line(2, 3, -1)]),
+        # y = x and x + y = 2 meet at (1, 1), the point at t = -1 on the
+        # first and t = 1 on the second: it is read twice
+        LineUnion.of([line(1, -1, 0), line(1, 1, -2)]),
     ]
     for sampler in samplers:
         q = curves.Curve(sampler.poly())
