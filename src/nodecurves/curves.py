@@ -38,36 +38,97 @@ node (x/dx, y/dy) lies on A*x + B*y + C = 0 iff A*x*dy + B*y*dx + C*dx*dy
 is 0, with no ``Fraction`` arithmetic (``LineForm.contains``,
 ``LineUnion.contains``).
 
-On one or two lines, n-independence is a count.  Take nodes on m <= 2
-distinct lines, and call O the lines' common point when there are two and
-they meet; a node at O counts on both lines.  The nodes are
-n-independent iff no line carries more than n + 1 of them and there are
-at most d(n, m) in total: d(n, 1) = n + 1 and d(n, 2) = 2n + 1.
+On a few lines, n-independence is a count and, near the end of a
+search, a small rank.  Take m distinct lines, no three through one
+point, finite or at infinity: no three concurrent and no three parallel
+(``_general_position``: the 3x3 determinants of their coefficients are
+not 0).  Parametrize line i by ``LineForm._point`` as base_i + t*D_i with
+D_i = (b_i, -a_i).  A degree-n f restricts to f_i(t) = f(base_i + t*D_i),
+of degree <= n in t, and [t^n] f_i = f_top(D_i), where f_top is the
+degree-n homogeneous part of f.  Write d(n, m) = space_dim(n) -
+space_dim(n - m), with space_dim 0 below degree 0.
 
-* Necessity: d(n, m) is the bound above, and n + 2 nodes of one line are
-  n-dependent.
-* Sufficiency: restricted to a line, the degree-n polynomials are the
-  polynomials of degree <= n in the line's parameter, which interpolate
-  at any n + 1 points, so up to n + 1 nodes of one line are independent.
-  On two lines, name them so that l1 carries at least as many nodes off
-  O as l2.  A set within the counts extends, on the lines, to n + 1
-  nodes on l1 and n + 1 on l2 when O is among them, or n + 1 on l1 and n
-  on l2 when it is not: 2n + 1 nodes either way.  A degree-n p vanishing
-  on them has n + 1 roots on l1, so l1 divides p; the quotient, of
-  degree n - 1, has n roots on l2 off l1, so l2 divides it.  The
-  vanishing space is l1*l2*P_(n-2), of dimension space_dim(n) - (2n + 1),
-  so the 2n + 1 nodes are independent, and so is every subset.
+Lemma 1.  For m <= n + 2, the restrictions (f_1, ..., f_m) of the
+degree-n polynomials are exactly the tuples of polynomials of degree <= n
+in t that meet one condition per pair of lines:
 
-``LineCount`` keeps these counts.  A search on one or two lines runs
-through it, with no row and no rank, and a search on three or more lines
-decides rank on the curve's standard monomials, as above
-(``_search_decider`` picks the path from the number of lines).  Three
-lines need rank: the 3x3 grid {0, 1, 2}^2 puts 3 nodes on each of the
-lines x = 0, 1, 2, within the counts at n = 3 (3 <= n + 1 nodes per line,
-9 <= d(3, 3) = 9 in all), yet x(x-1)(x-2) and y(y-1)(y-2) both vanish on
-it, so it is 3-dependent.  That is the Cayley-Bacharach phenomenon: the
-nodes of a complete intersection of two cubics fail to be independent,
-and no count of nodes per line sees it.
+* lines i and j meet at a finite point O = P_i(t_ij) = P_j(t_ji):
+  f_i(t_ij) = f_j(t_ji);
+* lines i and j are parallel with D_j = lambda*D_i:
+  [t^n] f_j = lambda^n [t^n] f_i.
+
+Proof.  Every restriction meets them: both sides are f(O), or
+f_top(D_j) = f_top(lambda*D_i) = lambda^n f_top(D_i).  The kernel of the
+restriction is l_1*...*l_m*P_(n-m), since a polynomial vanishing on a
+line is divisible by it, so the restrictions span d(n, m) = m(n + 1) -
+C(m, 2) dimensions.  The C(m, 2) conditions are independent on the
+tuples: on the last line's block they are evaluations at its m - 1 - e
+finite meeting points, distinct because no three lines are concurrent,
+and e <= 1 top coefficients, since no three lines are parallel.
+Evaluations at k distinct points and a top coefficient are independent on
+the polynomials of degree <= n when k <= n (the Lagrange polynomials of
+the points have degree < n, and prod(t - tau)*t^(n-k) vanishes at them
+with top coefficient 1), and k <= n + 1 evaluations alone are.  Here
+k <= n + 1 - e.  So in a vanishing combination of the conditions, those
+on the last line have coefficient 0 (apply it to tuples that are 0 off
+that line), and by induction on m so do the rest.  The tuples
+meeting them span m(n + 1) - C(m, 2) dimensions and contain the
+restrictions, which span as many, so the two are equal.
+
+Lemma 2.  Let X be nodes on the lines, c_i the number on line i (a node
+at a meeting point counts on both lines) and w_i = prod(t - tau) over the
+parameters tau of line i's nodes.  X is n-independent iff every
+c_i <= n + 1 and the conditions at meeting points that are not nodes of
+X, together with every parallel condition, are independent on the tuples
+W = (w_1*P_(n-c_1), ..., w_m*P_(n-c_m)).
+
+Proof.  n + 2 nodes of one line are n-dependent, since the restrictions
+to a line span only n + 1 dimensions; so let every c_i <= n + 1.
+Evaluation at X factors through the restriction, so X is independent iff
+evaluating the tuples of Lemma 1 at X is onto, iff the tuples of Lemma 1
+that vanish on X, those in W, span d(n, m) - |X| dimensions.  A condition
+at a meeting point that is a node holds on all of W, both sides being 0;
+say s of them.  W spans m(n + 1) - sum(c_i) = m(n + 1) - |X| - s
+dimensions, so if the other C(m, 2) - s conditions have rank r on W, the
+tuples of Lemma 1 in W span m(n + 1) - |X| - s - r, which is d(n, m) -
+|X| iff r = C(m, 2) - s.
+
+Deciding.  Line i's room is R_i = n + 1 - c_i, the dimension of its block
+w_i*P_(R_i - 1).  On that block, line i's open conditions are
+evaluations at meeting points that are not nodes, where w_i is not 0,
+and at most one top coefficient, [t^(R_i - 1)] of the cofactor since w_i
+is monic; by the count above they are independent on the block iff
+their number is at most R_i.  Such a line can be dropped with its
+conditions: in a vanishing combination they get 0, since no other
+condition touches the block, so the rest is independent iff all is.
+``LineDecider`` drops such lines while it can (``_core``).  If none is
+left, X is independent.  Otherwise the lines left are the core, and its
+open conditions decide, one integer row each on the coefficients of the
+core's cofactors (``_block`` scales each row to integers).  Their rank
+is taken modulo P first, and full rank there certifies independence;
+``linalg.rank`` takes it exactly otherwise.  The parameters tau are read
+only there.  Refusals come before any of it: a node held already, a node
+on a line that holds n + 1, and a node past d(n, m) in all.  On m <= 2
+lines no core is left within that count, so there the counts alone
+decide: a line peels when it has no open condition, and with one open
+condition a core needs both rooms at 0, 2n + 2 nodes and none at the
+meeting point, one past d(n, 2) = 2n + 1.
+
+Counts alone do not decide three lines.  Take l1*l2*l3 and m1*m2*m3, two
+cubics, each a product of three lines, with l1, l2, l3 in general
+position and no m_j through a meeting point of two l_i, and let X be the
+nine points where an l_i meets an m_j.  The rooms on l1, l2, l3 are 1, 1,
+1 at n = 3, and there are 9 <= d(3, 3) nodes in all, yet every cubic
+through eight of them passes through the ninth (Cayley-Bacharach), so X
+is 3-dependent.  The peel leaves the three lines as a core, and its three
+conditions have rank 2.
+
+``_search_decider`` takes a ``LineDecider`` for at most four lines,
+m <= n + 2, in general position and carrying the start set, and the
+standard-monomial rank otherwise: for concurrent or parallel triples, for
+curves that are not lines, and, by cost, for five or more lines, where a
+core forms for much of the search and its rank per candidate costs more
+than one incremental row.
 """
 
 from __future__ import annotations
@@ -79,7 +140,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
-from . import nodes as _nodes, poly as _poly
+from . import linalg, nodes as _nodes, poly as _poly
 from .linalg import ZERO, IndependenceTracker, RankTracker
 from .nodes import Node, NodeSet
 from .poly import Poly, frac, space_dim
@@ -223,6 +284,17 @@ class LineForm:
         a, b, c = self._coefficients
         return a * x * dy + b * y * dx + c * dx * dy == 0
 
+    def _parameter(self, x: int, dx: int, y: int,
+                   dy: int) -> tuple[int, int]:
+        """The t at which ``_point`` gives the point (x/dx, y/dy) of the
+        line, as an integer numerator and a nonzero denominator: x / b,
+        since the base point has x = 0, or -y / a when b = 0, since it
+        then has y = 0."""
+        _, _, _, _, b, db, a, da = self._integer_form
+        if b:
+            return x * db, dx * b
+        return -y * da, dy * a
+
     def contains(self, p) -> bool:
         """Is p on the line?  Decided on ``_coefficients``."""
         p = _nodes._coerce(p)
@@ -295,56 +367,219 @@ class LineUnion:
             yield from batch
 
 
-class LineCount:
-    """The n-independence of a growing set of nodes on one or two lines,
-    decided by counting (see the module docstring).
+def _general_position(lines: Sequence[LineForm]) -> bool:
+    """Do no three of the lines pass through one point, finite or at
+    infinity?  Three lines do iff their coefficient vectors are linearly
+    dependent, iff the determinant of their ``_coefficients`` is 0."""
+    return all(
+        a1 * (b2 * c3 - b3 * c2) - b1 * (a2 * c3 - a3 * c2)
+        + c1 * (a2 * b3 - a3 * b2)
+        for (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) in itertools.combinations(
+            [line._coefficients for line in lines], 3))
 
-    ``add`` accepts a node iff it is new, the set holds fewer than
-    d(n, m) nodes for the m lines, and every line through the node holds
-    fewer than n + 1; a node on no line raises ValueError.
+
+class LineDecider:
+    """The n-independence of a growing set of nodes on m <= n + 2 lines,
+    no three through one point, finite or at infinity, decided by counts,
+    peeling and, at a core, a small rank (see the module docstring).
+
+    ``add`` refuses a node that is held already, a node past d(n, m) in
+    all, and a node on a line that holds n + 1; with m <= 2 lines it
+    accepts every other node.  A node off the lines raises ValueError.
     """
 
     def __init__(self, lines: Sequence[LineForm], n: int):
-        if not 1 <= len(lines) <= 2:
-            raise ValueError("a count decides on one or two lines")
+        m = len(lines)
+        if not 1 <= m <= n + 2:
+            raise ValueError("a line decider takes 1 to n + 2 lines")
+        if not _general_position(lines):
+            raise ValueError("three of the lines pass through one point")
         self.lines = tuple(lines)
         self.n = n
-        self._room = n + 1 if len(lines) == 1 else 2 * n + 1  # d(n, m)
-        self._counts = [0] * len(lines)
+        self._size = m * (n + 1) - m * (m - 1) // 2  # d(n, m)
+        self._rooms = [n + 1] * m
+        # self._open[i]: each line j whose meeting condition with line i
+        # no held node meets; self._on[i]: the keys of line i's nodes
+        self._open = [set(range(m)) - {i} for i in range(m)]
+        self._on: list[list[tuple[int, int, int, int]]] = [[] for _ in lines]
         self._seen: set[tuple[int, int, int, int]] = set()
+        self._meetings: dict[tuple[int, int], tuple] = {}
+        self._peeled = True  # the held set leaves no core
 
     def add(self, p: Node) -> bool:
         """Add a node of the lines; returns True iff the set stays
         n-independent with it, and then keeps it."""
         key = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
-        if key in self._seen or len(self._seen) == self._room:
+        if key in self._seen or len(self._seen) == self._size:
             return False
         through = [i for i, line in enumerate(self.lines) if line._meets(*key)]
         if not through:
             raise ValueError("node off the lines")
-        counts = self._counts
-        if any(counts[i] > self.n for i in through):
+        rooms = self._rooms
+        if not all(rooms[i] for i in through):
             return False
-        for i in through:
-            counts[i] += 1
+        if len(rooms) <= 2:
+            # on one or two lines, d(n, m) leaves no core (module docstring)
+            for i in through:
+                rooms[i] -= 1
+        elif not self._keeps(key, through):
+            return False
         self._seen.add(key)
         return True
+
+    def _keeps(self, key: tuple[int, int, int, int],
+               through: list[int]) -> bool:
+        """Place the node, on three or more lines, and keep it iff the open
+        conditions stay independent.  A set that peeled still peels when
+        the node's lines hold their open conditions: they go first, and
+        the rest as before.  Otherwise the core decides."""
+        self._place(key, through, -1)
+        rooms = self._rooms
+        if self._peeled and all(rooms[i] >= len(self._open[i])
+                                for i in through):
+            return True
+        core = self._core()
+        if core and not self._core_independent(core):
+            self._place(key, through, 1)
+            return False
+        self._peeled = not core
+        return True
+
+    def _place(self, key: tuple[int, int, int, int], through: list[int],
+               step: int) -> None:
+        """Put the node on its lines (step -1) or take it off (step 1): a
+        node at the meeting point of two lines meets their condition."""
+        for i in through:
+            self._rooms[i] += step
+            if step < 0:
+                self._on[i].append(key)
+            else:
+                self._on[i].pop()
+        if len(through) == 2:
+            i, j = through
+            if step < 0:
+                self._open[i].discard(j)
+                self._open[j].discard(i)
+            else:
+                self._open[i].add(j)
+                self._open[j].add(i)
+
+    def _core(self) -> list[int]:
+        """The lines left after peeling, one at a time, every line whose
+        room is at least its number of open conditions with the lines
+        still there."""
+        rooms, opened = self._rooms, self._open
+        load = [len(js) for js in opened]
+        alive = [True] * len(rooms)
+        stack = [i for i, room in enumerate(rooms) if room >= load[i]]
+        while stack:
+            i = stack.pop()
+            if not alive[i]:
+                continue
+            alive[i] = False
+            for j in opened[i]:
+                if alive[j]:
+                    load[j] -= 1
+                    if load[j] == rooms[j]:
+                        stack.append(j)
+        return [i for i, live in enumerate(alive) if live]
+
+    def _core_independent(self, core: list[int]) -> bool:
+        """Are the core's open conditions independent?  One integer row
+        per condition, on the coefficients of each core line's cofactor
+        g_i in P_(room - 1), decided modulo P first (``linalg.rank``)."""
+        rooms = self._rooms
+        offsets = {}
+        width = 0
+        for i in core:
+            offsets[i] = width
+            width += rooms[i]
+        pairs = [(i, j) for i in core for j in self._open[i]
+                 if i < j and j in offsets]
+        if len(pairs) > width:
+            return False
+        params = {i: [self.lines[i]._parameter(*key) for key in self._on[i]]
+                  for i in core}
+        rows = []
+        for i, j in pairs:
+            row = [0] * width
+            parallel, first, second = self._meeting(i, j)
+            if parallel:  # [t^n] f_j - lambda^n [t^n] f_i, times den
+                if rooms[i]:
+                    row[offsets[i] + rooms[i] - 1] = -first
+                if rooms[j]:
+                    row[offsets[j] + rooms[j] - 1] = second
+            else:  # f_i(t_ij) - f_j(t_ji), times both blocks' scales
+                ei, si = _block(params[i], *first, rooms[i])
+                ej, sj = _block(params[j], *second, rooms[j])
+                row[offsets[i]:offsets[i] + rooms[i]] = [e * sj for e in ei]
+                row[offsets[j]:offsets[j] + rooms[j]] = [-e * si for e in ej]
+            rows.append(row)
+        return linalg.rank(rows, width) == len(pairs)
+
+    def _meeting(self, i: int, j: int) -> tuple:
+        """The meeting of lines i < j, computed once: (False, (p, q),
+        (p', q')) when they meet at the points t = p/q of line i and
+        t = p'/q' of line j, or (True, num, den) with num/den = lambda^n
+        when they are parallel with D_j = lambda * D_i."""
+        meeting = self._meetings.get((i, j))
+        if meeting is None:
+            li, lj = self.lines[i], self.lines[j]
+            (a1, b1, c1), (a2, b2, c2) = li._coefficients, lj._coefficients
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                lam = lj.b / li.b if li.b else lj.a / li.a
+                meeting = (True, lam.numerator ** self.n,
+                           lam.denominator ** self.n)
+            else:
+                point = (b1 * c2 - b2 * c1, det, c1 * a2 - c2 * a1, det)
+                meeting = (False, li._parameter(*point),
+                           lj._parameter(*point))
+            self._meetings[i, j] = meeting
+        return meeting
+
+
+def _block(params: list[tuple[int, int]], p: int, q: int,
+           room: int) -> tuple[list[int], int]:
+    """A line's block of a condition at its parameter t = p/q, as integer
+    entries over one scale: w(t) * t^k for k < room, where w is the
+    product of t - u/v over the params (u, v) of the line's nodes.  With
+    w(t) = W / V, the entries are W * p^k * q^(room - 1 - k) over
+    V * q^(room - 1)."""
+    num = den = 1
+    for u, v in params:
+        num *= p * v - u * q
+        den *= q * v
+    if not room:
+        return [], den
+    return ([num * p ** k * q ** (room - 1 - k) for k in range(room)],
+            den * q ** (room - 1))
+
+
+# A core costs one rank over its open conditions, up to C(m, 2) rows, for
+# each candidate it decides, and on m lines a core forms once the rooms
+# fall below m - 1.  On five or more lines that rank per candidate costs
+# more than the standard-monomial path's one incremental row (module
+# docstring), so the line decider takes at most four.
+_DECIDER_LINES = 4
 
 
 def _search_decider(xs: NodeSet, lines: Sequence[LineForm], n: int,
                     lead: tuple[int, int]
-                    ) -> LineCount | _nodes._RankDecider:
+                    ) -> LineDecider | _nodes._RankDecider:
     """What decides a search from xs whose candidates lie on the lines:
-    a ``LineCount`` when there are one or two lines and they carry xs,
-    otherwise the rank of the standard-monomial rows for ``lead``, the
+    a ``LineDecider`` when there are at most n + 2 and at most
+    ``_DECIDER_LINES`` lines, no three through one point, and they carry
+    xs, otherwise the rank of the standard-monomial rows for ``lead``, the
     leading exponents of a curve through xs and the candidates.  Either
     holds xs; a set xs that is not n-independent raises ValueError."""
-    if 1 <= len(lines) <= 2 and all(
+    if 1 <= len(lines) <= min(n + 2, _DECIDER_LINES) and _general_position(
+            lines) and all(
             any(line.contains(p) for line in lines) for p in xs):
-        count = LineCount(lines, n)
-        if not all(count.add(p) for p in xs):
+        decider = LineDecider(lines, n)
+        if not all(decider.add(p) for p in xs):
             raise ValueError("set is not independent at this degree")
-        return count
+        return decider
     return _nodes._RankDecider(_nodes._independent_tracker(xs, n, lead),
                                n, lead)
 
@@ -402,10 +637,13 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
     interpolation condition; at most ``nodes.SEARCH_BUDGET`` candidates more
     than it needs are tried.  The sampler must emit points of q (checked);
     xs must lie on q (checked first) and be n-independent.  A sampler that
-    is a ``LineForm``, or a ``LineUnion`` of at most two lines, and whose
-    lines carry xs, has each candidate decided by ``LineCount``; any other
-    has rank decided on q's standard-monomial rows, which both checks
-    allow (see the module docstring).
+    is a ``LineForm`` or a ``LineUnion``, whose lines carry xs, number at
+    most four and at most n + 2, and have no three through one point, has
+    each candidate decided by a ``LineDecider``; any other has rank
+    decided on q's standard-monomial rows, which both checks allow (see
+    the module docstring).  The points of a ``LineForm`` or ``LineUnion``
+    sampler whose every line is a component of q lie on q, and are not
+    checked one by one.
     """
     if q.degree > n:
         raise ValueError("curve degree exceeds n")
@@ -417,8 +655,19 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
     lines = ((sampler,) if isinstance(sampler, LineForm)
              else sampler.lines if isinstance(sampler, LineUnion) else ())
     decider = _search_decider(xs, lines, n, q.poly.leading_exponents)
-    found = _nodes._grow(decider, _checked(sampler.points(), q), want)
+    points = sampler.points()
+    if not (lines and all(_component(line, q) for line in lines)):
+        points = _checked(points, q)
+    found = _nodes._grow(decider, points, want)
     return NodeSet(list(xs) + found)
+
+
+def _component(line: LineForm, q: Curve) -> bool:
+    """Is the line a component of q?  Restricted to the line, q is a
+    polynomial of degree <= deg q in the line's parameter, so it is 0
+    iff it vanishes at deg q + 1 points of the line."""
+    return all(q.contains(p)
+               for p in itertools.islice(line.points(), q.degree + 1))
 
 
 def _checked(points: Iterator[Node], q: Curve) -> Iterator[Node]:

@@ -27,15 +27,19 @@ Three generators are provided:
   them when read, and the outlier search tests the lines one by one.  The
   outlier is always the last node, so it is read off the nodes too.
 
-The on-mu search sees every candidate on mu's lines, and the number of
-lines picks how it decides each one (``curves._search_decider``).  On one
-or two lines, k <= 3, it counts nodes per line and in all
-(``curves.LineCount``; the module docstring of ``curves`` proves that the
-counts decide n-independence there), with no row and no rank.  On three
-or more lines the counts no longer suffice, and it decides rank on mu's
-standard monomials only (see ``nodes``); mu's leading monomial is read
-off its lines, so no polynomial is built.  Both paths accept the same
-candidates, so the output does not depend on the path.  The outlier needs
+The on-mu search sees every candidate on mu's lines, and the lines pick
+how it decides each one (``curves._search_decider``).  On at most four
+lines, k <= 5, with no three through one point, finite or at infinity,
+it runs a ``curves.LineDecider``: counts of nodes per line and in all,
+then a peel of every line whose room holds its meeting conditions, and a
+rank only on the few conditions left, with no row of monomials (the
+module docstring of ``curves`` proves that this decides n-independence;
+on one or two lines, k <= 3, the counts alone do).  Otherwise, when
+three lines are concurrent or parallel or there are five or more, it
+decides rank on mu's standard monomials only (see ``nodes``); mu's
+leading monomial is read off its lines, so no polynomial is built.  Both
+paths accept the same candidates, so the output does not depend on the
+path.  The outlier needs
 no rank test at all: mu(A) != 0 certifies that it keeps the set
 n-independent, and the spiral is scanned as integer pairs, with one
 ``Node`` built, for the point kept.
@@ -194,11 +198,12 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     empty, and the last node is the first integer spiral point off every
     line.
 
-    Every on-mu candidate is a point of one of the lines.  For k <= 3 it
-    is decided by counting nodes per line (``curves.LineCount``); above,
-    its rank is decided on mu's standard-monomial rows (see ``nodes``):
-    the max_nodes_on_curve(n, k-1) monomials of degree <= n that mu's
-    leading monomial does not divide.  The outlier needs no rank test: a
+    Every on-mu candidate is a point of one of the lines.  For k <= 5,
+    on lines with no three through one point, it is decided by a
+    ``curves.LineDecider``; otherwise its rank is decided on mu's
+    standard-monomial rows (see ``nodes``): the max_nodes_on_curve(n,
+    k-1) monomials of degree <= n that mu's leading monomial does not
+    divide.  The outlier needs no rank test: a
     dependency row_A = sum(c_i * row_i) on the on-mu nodes p_i would give
     mu(A) = sum(c_i * mu(p_i)) = 0, so any point A with mu(A) != 0 keeps
     the set n-independent.  At most ``nodes.SEARCH_BUDGET`` spiral points

@@ -44,14 +44,18 @@ dependent still would once the set has grown.  The decider says whether
 the set stays n-independent with the node, and keeps it if so.  Which one
 a search takes is read off its input:
 
-* on one or two lines (``extend_on_curve`` with a ``curves.LineForm`` or
-  a ``curves.LineUnion`` of at most two lines as sampler, whose lines
-  carry the start set; ``generators.defect_config`` for k <= 3), a
-  ``curves.LineCount``, which counts nodes per line and in all, with no
-  row (the ``curves`` module docstring proves that the counts decide);
+* on at most four lines, no three through one point, finite or at
+  infinity (``extend_on_curve`` with a ``curves.LineForm`` or a
+  ``curves.LineUnion`` as sampler, whose lines carry the start set;
+  ``generators.defect_config`` for k <= 5), a ``curves.LineDecider``: it
+  counts nodes per line and in all, drops every line whose room holds its
+  meeting conditions, and takes a rank only on the few conditions left,
+  with no row of monomials (the ``curves`` module docstring proves that
+  this decides; on one or two lines the counts alone do);
 * everywhere else, a ``_RankDecider``: the node's row must grow an
-  ``IndependenceTracker``.  Along a curve, such as a union of three or
-  more lines, that row is the curve's standard-monomial row (below).
+  ``IndependenceTracker``.  Along a curve, such as a union of concurrent
+  or parallel triples or of five or more lines, that row is the curve's
+  standard-monomial row (below).
 
 ``_grow`` reads at most SEARCH_BUDGET candidates more than it needs,
 whichever decider it is given.  SEARCH_BUDGET is the package's only budget:
@@ -115,7 +119,10 @@ class NodeSet:
 
     def __init__(self, nodes: Iterable = ()):
         items = tuple(_coerce(v) for v in nodes)
-        if len(set(items)) != len(items):
+        # equal coordinates have equal numerators and denominators, whose
+        # hashes, unlike a Fraction's, need no modular inverse
+        if len({(p.x.numerator, p.x.denominator, p.y.numerator,
+                 p.y.denominator) for p in items}) != len(items):
             raise ValueError("duplicate nodes")
         self._nodes = items
 
@@ -346,7 +353,7 @@ class _RankDecider(NamedTuple):
 def _grow(decider, candidates: Iterable[Node], want: int) -> list[Node]:
     """The first ``want`` candidates the decider accepts, each offered to
     its ``add`` as it is read: a ``_RankDecider`` or a
-    ``curves.LineCount``.
+    ``curves.LineDecider``.
 
     At most SEARCH_BUDGET + want candidates are read, and none after the
     last one needed; a stream that runs out or over budget first raises

@@ -281,6 +281,18 @@ def test_extend_on_curve_rejects_an_off_curve_sampler_point():
         curves.extend_on_curve(NodeSet(), axis, other, 2)
 
 
+def test_extend_on_curve_checks_a_union_line_that_is_not_a_component():
+    # y = 0 is a component of y*(x - 1) and x = 0 is not: (0, 0) lies on
+    # both lines and on the curve, and (0, -1) of x = 0 is refused when
+    # read, as with a sampler of no components
+    union = LineUnion.of([line(0, 1, 0), line(1, 0, 0)])
+    other = Curve(line(0, 1, 0).poly() * line(1, 0, -1).poly())
+    assert curves._component(union.lines[0], other)
+    assert not curves._component(union.lines[1], other)
+    with pytest.raises(ValueError, match="off the curve"):
+        curves.extend_on_curve(NodeSet(), union, other, 2)
+
+
 def test_one_more_on_curve_node_is_dependent():
     axis = line(0, 1, 0)
     full = curves.extend_on_curve(

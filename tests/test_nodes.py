@@ -18,6 +18,12 @@ COLLINEAR3 = NodeSet([(0, 0), (1, 0), (2, 0)])
 def test_nodeset_rejects_duplicates():
     with pytest.raises(ValueError):
         NodeSet([(0, 0), ("0", "0")])
+    # equal coordinates written differently, and a Node of ints
+    with pytest.raises(ValueError, match="duplicate"):
+        NodeSet([("1/2", "-3"), (Fraction(2, 4), "-6/2")])
+    with pytest.raises(ValueError, match="duplicate"):
+        NodeSet([nodes.Node(1, 2), (1, 2)])
+    assert len(NodeSet([("1/2", 0), (0, "1/2"), ("-1/2", 0)])) == 3
 
 
 def test_nodeset_refuses_a_string_as_a_point():

@@ -1,15 +1,18 @@
-"""On-curve searches decide by a count on one or two lines, and by rank on
-the curve's standard monomials on more.
+"""On-curve searches decide by counting, peeling and a small rank on a
+line arrangement, and by rank on the curve's standard monomials
+elsewhere.
 
 For points of a curve q with graded-lex leading monomial x^s y^t, the
 degree-n rows restricted to the monomials x^s y^t does not divide have the
-same dependencies as the full rows.  On one or two lines, the counts of
-``curves.LineCount`` decide n-independence.  The property tests feed one
+same dependencies as the full rows.  On lines in general position,
+``curves.LineDecider`` decides n-independence from the meeting conditions
+(see the ``curves`` module docstring).  The property tests feed one
 candidate stream to a full-row tracker and to a standard-monomial tracker,
-or to a ``LineCount``, and compare every accept and reject.  The reference
-tests copy the search as it was before it read standard monomials or
-counted (full rows, and the defect outlier added to the tracker) and check
-that the generators and ``extend_on_curve`` return the same nodes.
+or to a ``LineDecider``, and compare every accept and reject.  The
+reference tests copy the search as it was before it read standard
+monomials or decided on lines (full rows, and the defect outlier added to
+the tracker) and check that the generators and ``extend_on_curve`` return
+the same nodes.
 """
 
 import itertools
@@ -114,14 +117,17 @@ def test_standard_rows_reach_the_exact_fallback():
     assert tracker._exact is not None and not tracker._certified
 
 
-def compare_count(lines, n, candidates):
-    """Feed the candidates to a full-row tracker and to a ``LineCount`` and
-    assert that they agree on each."""
-    full = IndependenceTracker(poly.space_dim(n))
-    count = curves.LineCount(lines, n)
+def compare_count(lines, n, candidates, decider=None, full=None):
+    """Feed the candidates to a full-row tracker and to a ``LineDecider``,
+    or to the given decider and tracker, and assert that they agree on
+    each; returns the tracker's rank."""
+    if full is None:
+        full = IndependenceTracker(poly.space_dim(n))
+    if decider is None:
+        decider = curves.LineDecider(lines, n)
     for p in candidates:
         grew = full.add(poly.homogeneous_row(p.x, p.y, n))
-        assert count.add(p) == grew, (p, grew)
+        assert decider.add(p) == grew, (p, grew)
     return full.rank
 
 
@@ -213,11 +219,15 @@ def test_line_count_cases():
 
 
 def test_line_count_refuses_a_node_off_its_lines():
-    count = curves.LineCount([line(1, 0, 0)], 2)
+    count = curves.LineDecider([line(1, 0, 0)], 2)
     with pytest.raises(ValueError, match="off the lines"):
         count.add(Node(Fraction(1), ZERO))
     with pytest.raises(ValueError):
-        curves.LineCount([], 2)
+        curves.LineDecider([], 2)
+    # more than n + 2 lines
+    with pytest.raises(ValueError, match="n \\+ 2"):
+        curves.LineDecider([line(1, 0, -t) for t in range(2)]
+                           + [line(0, 1, 0)], 0)
 
 
 def test_extend_on_curve_refuses_a_dependent_start_on_two_lines():
@@ -227,7 +237,109 @@ def test_extend_on_curve_refuses_a_dependent_start_on_two_lines():
         curves.extend_on_curve(five, union, union.curve(), 3)
 
 
-# The search as it was before it read standard monomials or counted.
+@st.composite
+def arrangements(draw):
+    """Three to five rational lines, no three through one point, finite
+    or at infinity, lines 0 and 1 possibly parallel with D_1 = lambda *
+    D_0 for lambda not +-1; a degree n >= m - 1; a start set of distinct
+    nodes and a list of candidates: runs of consecutive points of one
+    line or of the lines' round-robin stream, meeting points and
+    repeats."""
+    m = draw(st.integers(3, 5))
+    lines = draw(st.lists(rational_lines, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        lam = draw(st.sampled_from([Fraction(2), Fraction(-3),
+                                    Fraction(1, 2), Fraction(-2, 3)]))
+        lines[1] = line(lam * lines[0].a, lam * lines[0].b, draw(rational))
+    assume(distinct(lines) and curves._general_position(lines))
+    n = draw(st.integers(m - 1, m + 1))
+    meets = [p for pair in itertools.combinations(lines, 2)
+             if (p := common_point(list(pair))) is not None]
+    streams = [list(itertools.islice(l.points(), n + 3)) for l in lines]
+    runs = st.tuples(st.integers(0, m - 1), st.integers(0, n + 1),
+                     st.integers(1, n + 2))
+    pts = []
+    for pick in draw(st.lists(st.one_of(
+            runs, st.sampled_from(["meet", "again", "sweep"])),
+            max_size=12)):
+        if pick == "meet" and meets:
+            pts.append(draw(st.sampled_from(meets)))
+        elif pick == "again" and pts:
+            pts.append(draw(st.sampled_from(pts)))
+        elif pick == "sweep":  # the round-robin stream of a search
+            pts += itertools.islice(LineUnion.of(lines).points(),
+                                    draw(st.integers(0, m * (n + 2))))
+        elif isinstance(pick, tuple):
+            i, start, length = pick
+            pts += streams[i][start:start + length]
+    firsts = list(dict.fromkeys(pts))
+    start = firsts[:draw(st.integers(0, len(firsts)))]
+    return lines, n, start, [p for p in pts if p not in start]
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrangements())
+def test_line_decider_decides_as_full_rows(drawn):
+    lines, n, start, rest = drawn
+    assert all(any(l.contains(p) for l in lines) for p in start + rest)
+    full = IndependenceTracker(poly.space_dim(n))
+    independent = all([full.add(poly.homogeneous_row(p.x, p.y, n))
+                       for p in start])
+    union = LineUnion.of(lines)
+    if not independent:
+        with pytest.raises(ValueError, match="not independent"):
+            curves._search_decider(NodeSet(start), lines, n, union.lead)
+        return
+    decider = curves._search_decider(NodeSet(start), lines, n, union.lead)
+    assert isinstance(decider, curves.LineDecider) == (len(lines) <= 4)
+    compare_count(lines, n, rest, decider, full)
+    # the decider on its own, from the empty set
+    compare_count(lines, n, start + rest)
+
+
+def grid(ls, ms):
+    """The points where each l meets each m, line by line of ls."""
+    return [common_point([l, m]) for l in ls for m in ms]
+
+
+def test_line_decider_refuses_cayley_bacharach_grids():
+    # the nine points where l_i meets m_j lie on the two cubics
+    # l1*l2*l3 and m1*m2*m3, so they are 3-dependent, with three nodes on
+    # each l_i: the rooms are 1, 1, 1, the three meeting conditions form
+    # the core, and its rank is 2
+    columns = [line(1, 0, -t) for t in (1, 2, 3)]
+    finite = [line(0, 1, 0), line(1, -1, 0), line(1, 1, -10)]
+    # y = 0 and y = 1 written with D_2 = 2 * D_1: [t^3] f_2 = 8 [t^3] f_1
+    parallel = [line(0, 1, 0), line(0, 2, -2), line(1, 1, -10)]
+    for ls in (finite, parallel):
+        pts = grid(ls, columns)
+        assert len(set(pts)) == 9
+        assert all(p not in pts for p in grid(ls, ls) if p is not None)
+        decider = curves.LineDecider(ls, 3)
+        assert compare_count(ls, 3, pts, decider) == 8
+        assert not decider.add(pts[-1])
+
+
+def test_concurrent_and_parallel_triples_take_the_rank_path():
+    concurrent = [line(1, 0, 0), line(0, 1, 0), line(1, -1, 0)]
+    parallel = [line(1, 0, -t) for t in range(3)]
+    for lines in (concurrent, parallel):
+        assert not curves._general_position(lines)
+        union = LineUnion.of(lines)
+        decider = curves._search_decider(NodeSet(), lines, 3, union.lead)
+        assert isinstance(decider, nodes._RankDecider)
+        with pytest.raises(ValueError, match="one point"):
+            curves.LineDecider(lines, 3)
+    # five lines in general position take it too, by cost
+    five = [line(1, 0, 0), line(0, 1, 0), line(1, 1, -1), line(1, -1, 2),
+            line(1, 2, 3)]
+    assert curves._general_position(five)
+    decider = curves._search_decider(NodeSet(), five, 5,
+                                     LineUnion.of(five).lead)
+    assert isinstance(decider, nodes._RankDecider)
+
+
+# The search as it was before it read standard monomials or decided on lines.
 
 def reference_grow(tracker, n, candidates, want):
     found = []
