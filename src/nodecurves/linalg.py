@@ -146,6 +146,54 @@ rule it bounds every numerator and the denominator, so by then each entry
 rebuilds uniquely on its own.  When A is singular mod ``P``, or no
 candidate passes the check by the cap, the exact ``solve_columns``
 answers, so ``solve`` always returns what ``solve_columns`` would.
+``_neg_inverse_columns`` reads the inverse off ``_ModEchelon.cleared``,
+the back-substitution that also gives ``unit_pivots`` its RREF mod ``P``.
+
+``nullspace`` lifts too, on the shapes where that is cheaper than the
+elimination.  One ``_ModEchelon`` pass over the rows finds the pivot
+columns S mod ``P`` and the rows B that grew the echelon form, so B_S,
+B's entries at S, is invertible mod ``P``, and is inverted once.  For
+each free column f mod ``P``, ``_lift`` solves B_S x = -B_f, and v is x
+at S, 1 at f and 0 at the other free columns.  v is kept only when it is
+0 at every pivot after f and ``A·v = 0`` holds exactly for every row,
+the rows the prime rejected included (``_lift`` has checked B's).  That
+is a certificate.  v's last nonzero entry is at f, so column f is a
+combination of the columns before it over Q: f is a free column of the
+exact RREF.  There are no more free columns over Q than mod ``P``,
+because the rank mod ``P`` never exceeds the rank over Q, so once every
+free column mod ``P`` is certified the two sets are equal.  v is then in
+the kernel with 1 at f and 0 at every other free column: it is the
+canonical vector, the same bytes as the elimination's.  Any failure,
+including a lift that verifies no candidate, sends the whole input to
+``RankTracker``.
+
+Whether ``nullspace`` lifts is read off the shape alone, before any
+mod-``P`` work (``_lifts``): from ``_LIFT_COLUMNS`` = 21 columns on, and
+with at most one free column per ``_LIFT_ROWS_PER_FREE`` = 16 rows,
+where ncols - nrows counts the free columns of independent rows.  Each
+free column is one lift, so the lifted cost grows with the nullity and
+the elimination's does not; a bound on the column count alone admits
+losing shapes.  Lifted time over eliminated time, on random poised sets
+(large entries, dense elimination) and on Berzolari-Radon sets, BR
+(small entries, sparse rows), each with its first nodes removed (Python
+3.11, 2 vCPU, process time, best of 5, one session):
+
+* admitted: one free column at 21, 28, 36, 45, 66 and 91 columns, 0.63,
+  0.45, 0.32, 0.21, 0.13 and 0.07 (random) and 0.94, 0.72, 0.68, 0.54,
+  0.36 and 0.29 (BR); 2 free at 36 and 45 columns, 0.49 and 0.35
+  (random), 1.00 and 0.82 (BR); 3 free at 66, 0.29 and 0.77; 4 to 7
+  free at 91 and 120, 0.10 to 0.20 (random) and 0.56 to 1.23 (BR);
+* refused by the nullity bound: 2 to 8 free at 21 to 45 columns, 0.47 to
+  2.31 (random) and 1.06 to 2.74 (BR); 4 to 12 free at 66 to 120
+  columns, 0.26 to 0.64 (random) and 0.92 to 1.98 (BR).  Random sets
+  would still gain there and BR sets would lose; the shape cannot tell
+  them apart;
+* refused below 21 columns: 1 to 3 free at 10 and 15 columns, 0.98 to
+  2.70 (random) and 1.33 to 2.44 (BR).
+
+``unit_pivots`` serves the defect split of ``nodes._outlier_curves``:
+the pivots of the rows' RREF mod ``P``, and the pivots whose RREF row is
+0 at every free column, or None when the rows are dependent mod ``P``.
 """
 
 from __future__ import annotations
@@ -161,6 +209,11 @@ from typing import Iterable, Optional, Sequence
 ZERO = Fraction(0)
 
 P = 67108859  # the largest prime below 2**26
+
+# ``nullspace`` lifts from this many columns on, with at most one free
+# column per this many rows (see the module docstring)
+_LIFT_COLUMNS = 21
+_LIFT_ROWS_PER_FREE = 16
 
 _WORD = 2**64 - 1
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -377,6 +430,30 @@ class _ModEchelon:
                           self._pack_residues(residues)))
         return col
 
+    def cleared(self, start: int = 0) -> list[int]:
+        """The kept rows, in insertion order, each with every later pivot
+        cleared and then times its scale: -1 at its own pivot and 0 at
+        every other, the RREF mod ``P`` negated.  Only the slots from
+        ``start`` on are kept, packed.
+
+        A kept row is already 0 at every earlier pivot.  Rows are cleared
+        from the last: a later row, once cleared, is 0 at every pivot but
+        its own, so adding it clears that pivot and leaves the others."""
+        words, nslots, pivots = self.words, self.nslots, self.pivots
+        shift = 64 * words * start
+        out = [0] * len(self.kept)
+        for k in reversed(range(len(out))):
+            _, scale, row = self.kept[k]
+            entries = _unpack(row, nslots, words)
+            acc = row >> shift
+            for m in range(k + 1, len(out)):
+                f = entries[pivots[m]]
+                if f:
+                    acc += f * out[m]
+            out[k] = self._pack_residues(
+                [v * scale % P for v in _unpack(acc, nslots - start, words)])
+        return out
+
 
 class IndependenceTracker:
     """Rank of a growing set of integer rows of length ``ncols``, decided
@@ -438,7 +515,17 @@ def nullspace(rows: Iterable[Sequence[int]],
     """Canonical basis of the vectors orthogonal to every row: the vector
     for free column f has 1 at f, 0 at the other free columns and
     -R_i[f]/d_i at each kept row's pivot; free columns in increasing order.
+
+    Shapes the rule ``_lifts`` admits are first tried by lifting each
+    free column over one mod-``P`` inverse, and kept only when certified
+    (see the module docstring); every other input, and any lift that
+    fails its certificate, takes the exact ``RankTracker``.
     """
+    rows = list(rows)
+    if _lifts(len(rows), ncols):
+        basis = _lifted_nullspace(rows, ncols)
+        if basis is not None:
+            return basis
     tracker = RankTracker(ncols)
     for row in rows:
         tracker.add(row)
@@ -446,6 +533,78 @@ def nullspace(rows: Iterable[Sequence[int]],
     dens = [den for _, den in coords]
     return [tuple(Fraction(v, den) if v else ZERO for v, den in zip(vec, dens))
             for vec in zip(*[nums for nums, _ in coords])]
+
+
+def _lifts(nrows: int, ncols: int) -> bool:
+    """Whether ``nullspace`` lifts: from ``_LIFT_COLUMNS`` columns on, and
+    while the free columns the shape leaves, ncols - nrows, are at most
+    one per ``_LIFT_ROWS_PER_FREE`` rows (see the module docstring)."""
+    return (ncols >= _LIFT_COLUMNS
+            and _LIFT_ROWS_PER_FREE * (ncols - nrows) <= nrows)
+
+
+def _lifted_nullspace(rows: list[list[int]],
+                      ncols: int) -> Optional[list[tuple[Fraction, ...]]]:
+    """``nullspace``'s basis, certified: None when the certificate fails.
+
+    One ``_ModEchelon`` pass picks the pivot columns S and the rows B that
+    grew it, so B_S is invertible mod ``P``.  Free column f's vector is
+    x = -B_S^-1 B_f at S, lifted with ``_lift``, 1 at f and 0 at the other
+    free columns.  It is kept when it is 0 at every pivot after f and
+    orthogonal to the rows the prime rejected; ``_lift`` has already
+    checked B exactly."""
+    echelon = _ModEchelon(ncols)
+    block, rejected = [], []
+    for row in rows:
+        if len(block) == ncols:
+            return []  # full column rank mod P, so over Q too
+        (rejected if echelon.add(row) is None else block).append(row)
+    pivots = sorted(echelon.pivots)
+    if not pivots:
+        return None
+    columns = list(zip(*block))
+    square = [columns[p] for p in pivots]
+    neg_inverse = _neg_inverse_columns(square)
+    if neg_inverse is None:
+        return None
+    at_pivots = [[row[p] for p in pivots] for row in block]
+    basis = []
+    for f in sorted(set(range(ncols)).difference(pivots)):
+        b = [-v for v in columns[f]]
+        system = [row + [v] for row, v in zip(at_pivots, b)]
+        found = _lift(system, square + [b], neg_inverse)
+        if found is None:
+            return None
+        nums, den = found
+        if any(v for p, v in zip(pivots, nums) if p > f) or any(
+                sum(row[p] * v for p, v in zip(pivots, nums)) + row[f] * den
+                for row in rejected):
+            return None
+        vec = [ZERO] * ncols
+        vec[f] = Fraction(1)
+        for p, v in zip(pivots, nums):
+            if v:
+                vec[p] = Fraction(v, den)
+        basis.append(tuple(vec))
+    return basis
+
+
+def unit_pivots(rows: Iterable[Sequence[int]],
+                ncols: int) -> Optional[tuple[list[int], list[int]]]:
+    """The pivot columns of the rows' RREF mod ``P``, and those among them
+    whose RREF row is a unit vector, 0 at every free column, each list in
+    increasing order; None when the rows are dependent mod ``P``.
+
+    Read as columns, the rows' dependencies mod ``P`` are the vectors
+    orthogonal to them: a unit pivot c is 0 in every one, and any other
+    column is not."""
+    echelon = _ModEchelon(ncols)
+    if any(echelon.add(row) is None for row in rows):
+        return None
+    units = [c for (shift, _, _), c, row in zip(echelon.kept, echelon.pivots,
+                                                 echelon.cleared())
+             if row == (P - 1) << shift]
+    return sorted(echelon.pivots), sorted(units)
 
 
 def solve_columns(rows: Iterable[Sequence[int]],
@@ -488,9 +647,10 @@ def solve(rows: Iterable[Sequence[int]],
         columns = list(zip(*rows))
         neg_inverse = _neg_inverse_columns(columns[:size])
         if neg_inverse is not None:
-            x = _lift(rows, columns, neg_inverse)
-            if x is not None:
-                return x
+            found = _lift(rows, columns, neg_inverse)
+            if found is not None:
+                nums, den = found
+                return tuple(Fraction(v, den) for v in nums)
     return solve_columns(rows, ncols)
 
 
@@ -499,10 +659,10 @@ def _neg_inverse_columns(columns: Sequence[Sequence[int]]) -> Optional[list[int]
     A is singular mod ``P``.
 
     Row j of [A^T | I] is A's column j followed by the unit vector e_j.
-    Once every row has a pivot among the first len(columns) columns,
-    clearing the later pivots from a kept row and multiplying it by its
-    scale leaves the row with pivot c as [-e_c | -(row c of A^-T)], and
-    row c of A^-T is column c of A^-1.
+    Once every row has a pivot among the first len(columns) columns, the
+    cleared row with pivot c (``_ModEchelon.cleared``) is
+    [-e_c | -(row c of A^-T)], and row c of A^-T is column c of A^-1; only
+    the right halves are cleared.
     """
     size = len(columns)
     echelon = _ModEchelon(2 * size)
@@ -512,24 +672,8 @@ def _neg_inverse_columns(columns: Sequence[Sequence[int]]) -> Optional[list[int]
         pivot = echelon.add(list(column) + unit)
         if pivot is None or pivot >= size:
             return None
-    words, pivots = echelon.words, echelon.pivots
-    shift = 64 * words * size
-    low = (1 << shift) - 1
-    # a scaled row's left half is -e_c once cleared, so only the right
-    # halves are kept; row m > k is already 0 at every pivot but its own,
-    # and is scaled and cleared before row k reads it
-    right = [row >> shift for _, _, row in echelon.kept]
-    for k in reversed(range(size)):
-        _, scale, row = echelon.kept[k]
-        left = _unpack(row & low, size, words)
-        acc = right[k]
-        for m in range(k + 1, size):
-            f = left[pivots[m]]
-            if f:
-                acc += f * right[m]
-        right[k] = echelon.pack([v * scale for v in _unpack(acc, size, words)])
     out = [0] * size
-    for pivot, half in zip(pivots, right):
+    for pivot, half in zip(echelon.pivots, echelon.cleared(size)):
         out[pivot] = half
     return out
 
@@ -546,9 +690,11 @@ def _step_cap(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _lift(rows: list[list[int]], columns: Sequence[Sequence[int]],
-          neg_inverse: list[int]) -> Optional[tuple[Fraction, ...]]:
+          neg_inverse: list[int]) -> Optional[tuple[list[int], int]]:
     """Dixon lifting: x = sum(x_k * P**k) with x_k = A^-1 r_k mod P and
-    r_(k+1) = (r_k - A x_k) / P, starting at r_0 = b.
+    r_(k+1) = (r_k - A x_k) / P, starting at r_0 = b.  Returns x as its
+    numerators over one positive denominator, once ``A·num == b·den``
+    holds exactly, or None.
 
     The residual r and A's columns are packed, each entry in a signed
     slot: |r_k| never exceeds the larger of max|b| and the largest row sum
@@ -585,8 +731,7 @@ def _lift(rows: list[list[int]], columns: Sequence[Sequence[int]],
             # at the cap each entry alone rebuilds uniquely, from den 1
             found = _numerators(x, power, guess[1] if held else 1)
             if found is not None and _certified(rows, *found):
-                nums, den = found
-                return tuple(Fraction(v, den) for v in nums)
+                return found
         guess = None
         if step >= attempt:
             # geometric tries (see the module docstring)

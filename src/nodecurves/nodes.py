@@ -31,10 +31,16 @@ rows the prime rejects are decided exactly.  ``fundamental_polynomial`` on
 a set of exactly space_dim(n) nodes solves its square system with
 ``linalg.solve``, lifted P-adically and checked exactly, which falls
 back to the exact kernel only when the set is not poised modulo the prime.
-Vanishing spaces, the dependencies among the rows, each node's curve
-through the other nodes (``_curves_missing_one``) and the fundamental
-polynomial of a set of any other size read the exact ``RankTracker``.
-``fundamental_polynomials`` is one ``fundamental_polynomial`` per node.
+Vanishing spaces are ``linalg.nullspace``, which lifts each free column
+and certifies the basis on the shapes its rule admits (a set one node
+short of poised from degree 5 on, for one) and eliminates exactly on the
+others.  The dependencies among the rows and the fundamental polynomial
+of a set of any other size read the exact ``RankTracker``.  Each node's
+curve through the other nodes, the defect split, is ``_outlier_curves``:
+certified modulo the prime from ``_SPLIT_COLUMNS`` monomials on, and one
+exact elimination (``_curves_missing_one``) below that or when the prime
+falls short.  ``fundamental_polynomials`` is one ``fundamental_polynomial``
+per node.
 
 Every node search in the package runs through ``_grow``: it reads a
 fixed stream of candidates (the integer spiral, a curve sampler, seeded
@@ -84,6 +90,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import linalg
@@ -93,6 +100,13 @@ from .linalg import IndependenceTracker, RankTracker
 from .poly import Poly, frac, space_dim
 
 SEARCH_BUDGET = 10_000
+
+# ``_outlier_curves`` certifies modulo the prime from this many monomials
+# on.  Against ``_curves_missing_one`` on defect sets (seeds 0-3, Python
+# 3.11, 2 vCPU, process time, best of 20): 2.30 of its time at 3 monomials
+# (n, k = 4, 2), 1.39 to 1.42 at 6 ((5, 3), (6, 3)), 0.77 at 10 ((6, 4),
+# (7, 4)), 0.48 at 15 ((8, 5)), 0.24 to 0.29 at 21 ((9, 6), (10, 6)).
+_SPLIT_COLUMNS = 10
 
 
 class Node(NamedTuple):
@@ -280,6 +294,47 @@ def _curves_missing_one(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
         last = next(v for v in reversed(nums) if v)
         curves[i] = Poly(n, tuple(Fraction(v, last) for v in nums))
     return transpose.rank, curves
+
+
+def _outlier_curves(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
+    """``_curves_missing_one(xs, n)``, certified modulo the prime from
+    ``_SPLIT_COLUMNS`` monomials on.
+
+    ``linalg.unit_pivots`` of the transposed rows names the candidates,
+    the nodes whose dependency row is 0 mod P.  When the transposed rows
+    are independent mod P, the rank over Q is space_dim(n) too, and any
+    other node's row lies in the span of the others mod P, so the others
+    keep rank space_dim(n) and carry no curve.  A candidate's curve
+    through the other nodes, if there is one, passes through the other
+    space_dim(n) - 1 pivot nodes, whose rows are independent: it is their
+    one-dimensional nullspace, 1 at its free column and 0 after it, as
+    ``_curves_missing_one`` scales it.  It is a hit iff it also vanishes
+    at every free node; vanishing at the candidate too would drop the
+    rank, which the prime has ruled out, and sends the set to the exact
+    route.  Below ``_SPLIT_COLUMNS``, with fewer nodes than monomials, and
+    when the prime falls short of full rank, ``_curves_missing_one``
+    answers.
+    """
+    size = space_dim(n)
+    if size < _SPLIT_COLUMNS or len(xs) < size:
+        return _curves_missing_one(xs, n)
+    rows = collocation_matrix(xs, n)
+    found = linalg.unit_pivots(zip(*rows), len(xs))
+    if found is None:
+        return _curves_missing_one(xs, n)
+    pivots, units = found
+    free = set(range(len(xs))).difference(pivots)
+    curves = {}
+    for i in units:
+        # independent rows: a one-dimensional nullspace
+        [coeffs] = linalg.nullspace([rows[j] for j in pivots if j != i], size)
+        curve = Poly(n, coeffs)
+        nums, _ = curve._integer_coeffs
+        if not sum(map(mul, nums, rows[i])):
+            return _curves_missing_one(xs, n)
+        if not any(sum(map(mul, nums, rows[j])) for j in free):
+            curves[i] = curve
+    return size, curves
 
 
 def fundamental_polynomial(a, xs: NodeSet, n: int) -> Optional[Poly]:

@@ -29,6 +29,7 @@ bound; ``curves`` decides divisibility by membership in that span.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -38,18 +39,27 @@ from typing import Iterator, Optional
 
 from .linalg import ZERO
 
+# an optional sign, ASCII digits, and an optional "/" and ASCII digits
+_PLAIN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
 
 def frac(value) -> Fraction:
     """Coerce an int, string like "3/4" or "1.5", or Fraction to a Fraction.
 
     A string with a decimal exponent is refused: "1e10000000" would build a
-    ten-million-digit integer."""
+    ten-million-digit integer.  A plain ASCII integer or ratio, the form
+    ``str(Fraction)`` prints, is built from its ints; every other string
+    goes to ``Fraction(str)``, with that Python version's rules for
+    spaces, decimals, underscores and non-ASCII digits."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ValueError(f"decimal exponent in {value!r}")
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
+            if isinstance(value, str) and _PLAIN.fullmatch(value):
+                num, _, den = value.partition("/")
+                return Fraction(int(num), int(den or 1))
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None

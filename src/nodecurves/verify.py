@@ -13,18 +13,21 @@ facts checked:
   single outlier off it, and the curve space has dimension exactly 2.  At
   k = n every such set has a curve space of dimension exactly 2, so the
   surplus says nothing about its shape: a set may split (then into exactly
-  one outlier) or not split at all.  A planted split costs one exact
-  elimination, at degree k-1.  The ``IndependenceTracker`` of the
+  one outlier) or not split at all.  The ``IndependenceTracker`` of the
   n-independence check bounds the curve space at no extra cost: the
   first space_dim(k) entries of a node's degree-n row are e^(n-k) times
   its degree-k row, so the tracker's mod-P pivots below space_dim(k)
   count a rank that the exact degree-k rows reach at least, and
   space_dim(k) minus that count is at least the curve space's dimension.
-  ``nodes._curves_missing_one`` finds the nodes A with a degree-(k-1)
-  curve mu through the other nodes, and each mu, in one elimination.
-  When the bound is 2 and some node has such a mu, mu*(x - a_x) and
-  mu*(y - a_y) are two independent degree-k curves through the set, so
-  the dimension is exactly 2.  Every other input (a dimension below 2,
+  ``nodes._outlier_curves`` finds the nodes A with a degree-(k-1) curve
+  mu through the other nodes, and each mu.  From space_dim(k-1) = 10 on,
+  one RREF modulo the prime names the candidates and rules out every
+  other node, and each candidate's mu is one ``linalg.nullspace``,
+  checked exactly at every node; below that, or when the prime falls
+  short of full rank, one exact elimination does it.  When the bound is
+  2 and some node has such a mu, mu*(x - a_x) and mu*(y - a_y) are two
+  independent degree-k curves through the set, so the dimension is
+  exactly 2.  Every other input (a dimension below 2,
   k = n without a split, or P dividing a minor, which loosens the bound)
   takes its dimension from ``curves_through``;
 * two-curve combination: with at least two degree-k curves available, some
@@ -125,7 +128,7 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
     # collocation matrix drops, i.e. iff node i's row is outside the span
     # of the others; that curve is unique iff the rank is full.  Below a
     # bound of 2 the dimension is below 2 and no split is read.
-    rank, hits = (_nodes._curves_missing_one(xs, k - 1) if bound >= 2
+    rank, hits = (_nodes._outlier_curves(xs, k - 1) if bound >= 2
                   else (0, {}))
     # mu*(x - a_x) and mu*(y - a_y) are two independent curves
     dim = 2 if bound == 2 and hits else curves_through(xs, k).dimension

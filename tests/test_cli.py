@@ -695,3 +695,39 @@ def test_basis_and_defect_output_bytes_are_pinned(capsys):
             digest.update(out.encode())
     assert digest.hexdigest() == (
         "a5f00afe107612516e1293a6140beae37d186d5eea62fa6332cf63d15a556f38")
+
+
+def test_lifted_basis_and_certified_split_bytes_are_pinned(capsys):
+    # the shapes where nullspace lifts and the defect split is certified
+    # mod P print the exact kernel's bytes: basis on a random and a BR set
+    # at n=10 minus one node, and verify defect at (8, 5), (9, 6), (10, 6)
+    def minus(xs, i):
+        return xs.subset(j for j in range(len(xs)) if j != i)
+
+    random10 = generators.random_poised(10, 1)
+    bases = [
+        (minus(random10, len(random10) // 2),
+         "83a472f60e5595065b8e387f9aa0edf112d396d0d716500a5e7d0fede8066592"),
+        (minus(generators.berzolari_radon(10, 1).nodes, 0),
+         "61c87d3a576512d46d873af1ae77a5d98545c047787812de3c433a241db8ed11"),
+    ]
+    for xs, want in bases:
+        code, out, _ = run(capsys, "basis", "-n", "10",
+                           json.dumps(xs.to_json()))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+    defects = [
+        (8, 5,
+         "27b382de0bfca09362fe8b1d3528420fd2c89fd09668685fb8c601cc07f0188c"),
+        (9, 6,
+         "3c533f769a1a885c9765996f5d09803cf23d0af60f45f407eb23485dab0e4cd7"),
+        (10, 6,
+         "7de9f83d9592111e7839cc5fb11d728e9d936fd9d863afb9be5cc7d8f9368ada"),
+    ]
+    for n, k, want in defects:
+        _, doc, _ = run(capsys, "gen", "defect", "-n", str(n), "-k", str(k),
+                        "--seed", "1")
+        code, out, _ = run(capsys, "verify", "defect", "-n", str(n), "-k",
+                           str(k), doc)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (n, k)

@@ -406,6 +406,22 @@ def test_curves_missing_one_are_the_reference_curves(case):
             assert rest.basis == (curve,)
 
 
+@settings(max_examples=60, deadline=None)
+@given(node_sets_with_degree())
+def test_outlier_curves_mod_p_are_the_exact_curves(case):
+    # from any size on, the mod-P route (or the exact one it falls back
+    # to when the transposed rows are dependent mod P) gives the exact
+    # route's rank and curves
+    xs, n = case
+    want = nodes._curves_missing_one(xs, n)
+    original = nodes._SPLIT_COLUMNS
+    nodes._SPLIT_COLUMNS = 0
+    try:
+        assert nodes._outlier_curves(xs, n) == want
+    finally:
+        nodes._SPLIT_COLUMNS = original
+
+
 # Rows where a new pivot meets few kept rows, so most of them are left
 # as they are: collocation rows of Berzolari-Radon sets, and rows that
 # are block-diagonal, each block with its own combinations.
@@ -796,3 +812,111 @@ def test_square_solve_stops_soon_after_the_solution_is_determined(
         # a false candidate of the probe fails the next digit, so it is
         # not tried on the whole solution
         assert len(moduli) == 1
+
+
+# nullspace lifts each free column over one mod-P inverse on the shapes
+# ``_lifts`` admits, and certifies the result; every other shape, and a
+# failed certificate, takes the exact RankTracker.
+
+@st.composite
+def wide_matrices(draw):
+    """Integer rows of 18 to 26 columns, either side of the rule: dense
+    rows, some columns combinations of earlier ones (free columns before
+    pivots) and some rows combinations of earlier rows (rejected by the
+    prime, and checked exactly)."""
+    ncols = draw(st.integers(linalg._LIFT_COLUMNS - 3,
+                             linalg._LIFT_COLUMNS + 5))
+    nrows = draw(st.integers(ncols - 8, ncols + 1))
+    entries = st.integers(-6, 6)
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(1, ncols - 1))
+        i, c = draw(st.integers(0, j - 1)), draw(st.integers(-3, 3))
+        for row in rows:
+            row[j] = c * row[i] + (row[j] if draw(st.booleans()) else 0)
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[draw(st.integers(0, nrows - 1))] = [
+            s * u + t * v for u, v in zip(a, b)]
+    return ncols, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_matrices())
+def test_lifted_nullspace_matches_reference(case):
+    ncols, rows = case
+    want = ref_nullspace(fractions(rows), ncols)
+    assert linalg.nullspace(rows, ncols) == want
+    lifted = linalg._lifted_nullspace(rows, ncols)
+    assert lifted is None or lifted == want
+
+
+class _CountingTracker(RankTracker):
+    made = 0
+
+    def __init__(self, ncols):
+        type(self).made += 1
+        super().__init__(ncols)
+
+
+def _divisible_by_p_cases():
+    """Liftable shapes whose free columns differ mod P and over Q: a
+    column that is an earlier column plus P times a vector (free mod P, a
+    pivot over Q), and a row that is a combination of others plus P times
+    a vector (rejected mod P, independent over Q)."""
+    rng = random.Random(7)
+    ncols = linalg._LIFT_COLUMNS + 3
+    rows = [[rng.randrange(-9, 10) for _ in range(ncols)]
+            for _ in range(ncols - 1)]
+    column = [[row[:] for row in rows]]
+    for row in column[0]:
+        row[5] = row[3] + P * rng.randrange(1, 5)
+    combination = [row[:] for row in rows]
+    combination[-1] = [2 * u - v + P * rng.randrange(-3, 4)
+                       for u, v in zip(rows[0], rows[1])]
+    return ncols, column + [combination]
+
+
+def test_lifted_nullspace_divisible_by_p_reaches_the_rank_tracker(
+        monkeypatch):
+    ncols, cases = _divisible_by_p_cases()
+    monkeypatch.setattr(linalg, "RankTracker", _CountingTracker)
+    for rows in cases:
+        assert linalg._lifts(len(rows), ncols)
+        assert linalg._lifted_nullspace(rows, ncols) is None
+        _CountingTracker.made = 0
+        assert linalg.nullspace(rows, ncols) == ref_nullspace(
+            fractions(rows), ncols)
+        assert _CountingTracker.made == 1
+
+
+def test_lifted_nullspace_answers_without_the_rank_tracker(monkeypatch):
+    # a poised set minus one node, and a liftable set with more rows than
+    # columns whose mod-P rank fills every column
+    xs = generators.random_poised(6, 3)
+    rows = nodes.collocation_matrix(xs.subset(range(1, len(xs))), 6)
+    want = ref_nullspace(fractions(rows), 28)
+    full = nodes.collocation_matrix(generators.random_poised(5, 2), 5)
+    monkeypatch.setattr(linalg, "RankTracker", _CountingTracker)
+    _CountingTracker.made = 0
+    assert linalg.nullspace(rows, 28) == want
+    assert linalg.nullspace(full + full[:3], 21) == []
+    assert _CountingTracker.made == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(wide_matrices())
+def test_nullspace_without_a_lift_gives_the_same_answers(case):
+    # every lift fails: the exact route answers, and the same basis
+    ncols, rows = case
+    want = linalg.nullspace(rows, ncols)
+    original = linalg._lift
+    linalg._lift = lambda *args: None
+    try:
+        assert linalg.nullspace(rows, ncols) == want
+        assert linalg.solve([row + [1] for row in rows[:ncols]], ncols) == (
+            linalg.solve_columns([row + [1] for row in rows[:ncols]], ncols))
+    finally:
+        linalg._lift = original

@@ -25,6 +25,44 @@ def test_frac_refuses_decimal_exponents(text):
         poly.frac(text)
 
 
+def _outcome(parse, text):
+    """The value parsed, or the exception's type and message."""
+    try:
+        return parse(text)
+    except Exception as error:  # compared, not swallowed
+        return type(error), str(error)
+
+
+def _reference_frac(text):
+    """``frac`` as ``Fraction(str)`` with its two documented refusals."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"decimal exponent in {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+# signs, spaces, "/0", decimals, exponents, underscores and Arabic-Indic
+# digits, in order and in any order
+_digits = st.text("0123456789\u0660\u0661\u0669_", min_size=1, max_size=4)
+_grammar = st.tuples(
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "+", "-", "--"]),
+    _digits, st.sampled_from(["", ".", ".5", "._1"]),
+    st.one_of(st.just(""), st.just("/0"), _digits.map("/".__add__),
+              st.just("/-3")),
+    st.sampled_from(["", "e2", "E-1"]), st.sampled_from(["", " ", "\n"]),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_grammar, st.text("0123456789+-/._ e\u0661", max_size=8)))
+def test_frac_matches_fraction_on_strings(text):
+    got, want = _outcome(poly.frac, text), _outcome(_reference_frac, text)
+    assert got == want
+    assert type(got) is type(want)
+
+
 def test_space_dim_values():
     assert poly.space_dim(0) == 1
     assert poly.space_dim(2) == 6

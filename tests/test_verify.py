@@ -111,11 +111,47 @@ def test_denominators_divisible_by_p_take_the_exact_path(monkeypatch, n, k,
     xs = NodeSet((p.x / linalg.P, p.y / linalg.P) for p in cfg.nodes)
     tracker = nodes._independent_tracker(xs, n)
     assert tracker.prefix_rank_bound(poly.space_dim(k)) <= 1
-    counts = _count_calls(monkeypatch, [(verify, "curves_through")])
+    counts = _count_calls(monkeypatch, [(verify, "curves_through"),
+                                        (nodes, "_curves_missing_one")])
     report = verify.characterize_defect(xs, n, k)
     assert counts["curves_through"] == 1
+    # below the crossover, or with the prime short of full rank at (6, 4),
+    # the exact route names the outlier
+    assert counts["_curves_missing_one"] == 1
     assert report.curve_space_dim == 2
     assert report.outlier_index == cfg.outlier_index
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_certified_split_matches_the_exact_route(monkeypatch, n):
+    # every k and seeds 0-3: the mod-P route answers at every size, with
+    # the exact route's rank, outliers and curves
+    exact = nodes._curves_missing_one
+    monkeypatch.setattr(nodes, "_SPLIT_COLUMNS", 0)
+    counts = _count_calls(monkeypatch, [(nodes, "_curves_missing_one")])
+    for k in range(2, n + 1):
+        for seed in range(4):
+            xs = generators.defect_config(n, k, seed).nodes
+            want = exact(xs, k - 1)
+            assert nodes._outlier_curves(xs, k - 1) == want, (k, seed)
+            assert counts["_curves_missing_one"] == 0
+
+
+def test_certified_split_rules_out_false_candidates(monkeypatch):
+    # were every pivot node named a candidate, the exact checks of each
+    # candidate's curve at the other nodes would still leave the planted
+    # outlier alone
+    real = linalg.unit_pivots
+
+    def every_pivot(rows, ncols):
+        pivots, _ = real(rows, ncols)
+        return pivots, pivots
+    monkeypatch.setattr(linalg, "unit_pivots", every_pivot)
+    for n, k, seed in [(6, 4, 1), (8, 5, 2), (9, 6, 3)]:
+        cfg = generators.defect_config(n, k, seed)
+        rank, curves = nodes._outlier_curves(cfg.nodes, k - 1)
+        assert (rank, curves) == nodes._curves_missing_one(cfg.nodes, k - 1)
+        assert list(curves) == [cfg.outlier_index]
 
 
 def test_characterize_defect_generic_set_has_no_defect():
