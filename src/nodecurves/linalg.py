@@ -167,16 +167,21 @@ canonical vector, the same bytes as the elimination's.  Any failure,
 including a lift that verifies no candidate, sends the whole input to
 ``RankTracker``.
 
-Whether ``nullspace`` lifts is read off the shape alone, before any
+Whether ``nullspace`` lifts is decided from the shape first, before any
 mod-``P`` work (``_lifts``): from ``_LIFT_COLUMNS`` = 21 columns on, and
-with at most one free column per ``_LIFT_ROWS_PER_FREE`` = 16 rows,
-where ncols - nrows counts the free columns of independent rows.  Each
-free column is one lift, so the lifted cost grows with the nullity and
-the elimination's does not; a bound on the column count alone admits
-losing shapes.  Lifted time over eliminated time, on random poised sets
-(large entries, dense elimination) and on Berzolari-Radon sets, BR
-(small entries, sparse rows), each with its first nodes removed (Python
-3.11, 2 vCPU, process time, best of 5, one session):
+with rows enough for at most one free column per ``_LIFT_ROWS_PER_FREE``
+= 16 pivots, at least ``_lift_rank(ncols)`` = ceil(16 * ncols / 17).
+Each free column is one lift, so the lifted cost grows with the nullity
+and the elimination's does not; a bound on the column count alone admits
+losing shapes.  With more rows than columns the shape says nothing of
+the nullity, so the mod-``P`` pass of ``_lifted_nullspace`` stops, and
+``RankTracker`` answers, as soon as the prime has rejected so many rows
+that its rank can no longer reach ``_lift_rank``; a rank that fills
+every column returns no vector, with no inverse.  Lifted time over
+eliminated time, on random poised sets (large entries, dense
+elimination) and on Berzolari-Radon sets, BR (small entries, sparse
+rows), each with its first nodes removed (Python 3.11, 2 vCPU, process
+time, best of 5, one session):
 
 * admitted: one free column at 21, 28, 36, 45, 66 and 91 columns, 0.63,
   0.45, 0.32, 0.21, 0.13 and 0.07 (random) and 0.94, 0.72, 0.68, 0.54,
@@ -190,6 +195,18 @@ losing shapes.  Lifted time over eliminated time, on random poised sets
   them apart;
 * refused below 21 columns: 1 to 3 free at 10 and 15 columns, 0.98 to
   2.70 (random) and 1.33 to 2.44 (BR).
+
+More nodes than monomials, measured the same way: nodes on 1 to n lines
+(small and random entries) or on 1 to n/2 circles, at 21 to 91 columns,
+``nullspace`` over the elimination alone (best of 3 to 7):
+
+* lifted, 1 or 3 free columns at 20 to 90 pivots each: 0.17 to 0.76;
+* stopped in the mod-``P`` pass, 3 to 78 free columns at 0.2 to 14.2
+  pivots each: 1.13 to 1.27 at 21 columns, 1.05 to 1.19 at 28 and 0.95
+  to 1.15 at 45 to 91, the pass paid for nothing.  Lifting them would
+  take 0.57 to 3.8, a gain only from about 6 pivots per free column;
+* generic sets of 3 to 6 more nodes than monomials, full column rank mod
+  ``P``: 0.10 at 21 columns, 0.05 at 28, 0.02 at 45 and 0.01 at 66.
 
 ``unit_pivots`` serves the defect split of ``nodes._outlier_curves``:
 the pivots of the rows' RREF mod ``P``, and the pivots whose RREF row is
@@ -518,8 +535,9 @@ def nullspace(rows: Iterable[Sequence[int]],
 
     Shapes the rule ``_lifts`` admits are first tried by lifting each
     free column over one mod-``P`` inverse, and kept only when certified
-    (see the module docstring); every other input, and any lift that
-    fails its certificate, takes the exact ``RankTracker``.
+    (see the module docstring); every other input, one whose rank mod
+    ``P`` falls below ``_lift_rank``, and any lift that fails its
+    certificate take the exact ``RankTracker``.
     """
     rows = list(rows)
     if _lifts(len(rows), ncols):
@@ -535,33 +553,46 @@ def nullspace(rows: Iterable[Sequence[int]],
             for vec in zip(*[nums for nums, _ in coords])]
 
 
+def _lift_rank(ncols: int) -> int:
+    """The least rank r at which ``nullspace`` lifts: the ncols - r free
+    columns are at most one per ``_LIFT_ROWS_PER_FREE`` pivots from this r
+    on (see the module docstring)."""
+    return -(-_LIFT_ROWS_PER_FREE * ncols // (_LIFT_ROWS_PER_FREE + 1))
+
+
 def _lifts(nrows: int, ncols: int) -> bool:
-    """Whether ``nullspace`` lifts: from ``_LIFT_COLUMNS`` columns on, and
-    while the free columns the shape leaves, ncols - nrows, are at most
-    one per ``_LIFT_ROWS_PER_FREE`` rows (see the module docstring)."""
-    return (ncols >= _LIFT_COLUMNS
-            and _LIFT_ROWS_PER_FREE * (ncols - nrows) <= nrows)
+    """Whether ``nullspace`` tries the lift, read off the shape: from
+    ``_LIFT_COLUMNS`` columns on, with rows enough to reach
+    ``_lift_rank``.  Whether the rank does reach it is known only after
+    the mod-``P`` pass of ``_lifted_nullspace``."""
+    return ncols >= _LIFT_COLUMNS and nrows >= _lift_rank(ncols)
 
 
 def _lifted_nullspace(rows: list[list[int]],
                       ncols: int) -> Optional[list[tuple[Fraction, ...]]]:
-    """``nullspace``'s basis, certified: None when the certificate fails.
+    """``nullspace``'s basis, certified: None when the rank mod ``P``
+    falls below ``_lift_rank`` or the certificate fails.
 
     One ``_ModEchelon`` pass picks the pivot columns S and the rows B that
-    grew it, so B_S is invertible mod ``P``.  Free column f's vector is
+    grew it, so B_S is invertible mod ``P``; it stops once the prime has
+    rejected more rows than the rank can spare.  Free column f's vector is
     x = -B_S^-1 B_f at S, lifted with ``_lift``, 1 at f and 0 at the other
     free columns.  It is kept when it is 0 at every pivot after f and
     orthogonal to the rows the prime rejected; ``_lift`` has already
     checked B exactly."""
     echelon = _ModEchelon(ncols)
     block, rejected = [], []
+    spare = len(rows) - _lift_rank(ncols)
     for row in rows:
-        if len(block) == ncols:
-            return []  # full column rank mod P, so over Q too
-        (rejected if echelon.add(row) is None else block).append(row)
+        if echelon.add(row) is not None:
+            block.append(row)
+            if len(block) == ncols:
+                return []  # full column rank mod P, so over Q too
+        elif len(rejected) >= spare:
+            return None
+        else:
+            rejected.append(row)
     pivots = sorted(echelon.pivots)
-    if not pivots:
-        return None
     columns = list(zip(*block))
     square = [columns[p] for p in pivots]
     neg_inverse = _neg_inverse_columns(square)

@@ -820,13 +820,13 @@ def test_square_solve_stops_soon_after_the_solution_is_determined(
 
 @st.composite
 def wide_matrices(draw):
-    """Integer rows of 18 to 26 columns, either side of the rule: dense
-    rows, some columns combinations of earlier ones (free columns before
-    pivots) and some rows combinations of earlier rows (rejected by the
-    prime, and checked exactly)."""
+    """Integer rows of 18 to 26 columns, either side of the rule, up to 6
+    more rows than columns: dense rows, some columns combinations of
+    earlier ones (free columns before pivots) and some rows combinations
+    of earlier rows (rejected by the prime, and checked exactly)."""
     ncols = draw(st.integers(linalg._LIFT_COLUMNS - 3,
                              linalg._LIFT_COLUMNS + 5))
-    nrows = draw(st.integers(ncols - 8, ncols + 1))
+    nrows = draw(st.integers(ncols - 8, ncols + 6))
     entries = st.integers(-6, 6)
     rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
             for _ in range(nrows)]
@@ -865,7 +865,9 @@ def _divisible_by_p_cases():
     """Liftable shapes whose free columns differ mod P and over Q: a
     column that is an earlier column plus P times a vector (free mod P, a
     pivot over Q), and a row that is a combination of others plus P times
-    a vector (rejected mod P, independent over Q)."""
+    a vector (rejected mod P, independent over Q), in place of a row
+    (the rank mod P falls short) and added as one more row (a lifted
+    vector fails the exact check on it)."""
     rng = random.Random(7)
     ncols = linalg._LIFT_COLUMNS + 3
     rows = [[rng.randrange(-9, 10) for _ in range(ncols)]
@@ -876,7 +878,7 @@ def _divisible_by_p_cases():
     combination = [row[:] for row in rows]
     combination[-1] = [2 * u - v + P * rng.randrange(-3, 4)
                        for u, v in zip(rows[0], rows[1])]
-    return ncols, column + [combination]
+    return ncols, column + [combination, rows + combination[-1:]]
 
 
 def test_lifted_nullspace_divisible_by_p_reaches_the_rank_tracker(
@@ -892,9 +894,13 @@ def test_lifted_nullspace_divisible_by_p_reaches_the_rank_tracker(
         assert _CountingTracker.made == 1
 
 
+def _refused(*args):
+    raise AssertionError("lifted")
+
+
 def test_lifted_nullspace_answers_without_the_rank_tracker(monkeypatch):
-    # a poised set minus one node, and a liftable set with more rows than
-    # columns whose mod-P rank fills every column
+    # a poised set minus one node; and a poised set, alone and with more
+    # rows than columns, whose mod-P rank fills every column: no inverse
     xs = generators.random_poised(6, 3)
     rows = nodes.collocation_matrix(xs.subset(range(1, len(xs))), 6)
     want = ref_nullspace(fractions(rows), 28)
@@ -902,8 +908,25 @@ def test_lifted_nullspace_answers_without_the_rank_tracker(monkeypatch):
     monkeypatch.setattr(linalg, "RankTracker", _CountingTracker)
     _CountingTracker.made = 0
     assert linalg.nullspace(rows, 28) == want
+    monkeypatch.setattr(linalg, "_neg_inverse_columns", _refused)
+    assert linalg.nullspace(full, 21) == []
     assert linalg.nullspace(full + full[:3], 21) == []
     assert _CountingTracker.made == 0
+
+
+def test_lifted_nullspace_needs_the_rank_mod_p(monkeypatch):
+    # more nodes than monomials, on a conic: 28 columns, rank 13, so 15
+    # free columns, which the shape cannot tell; the mod-P pass stops and
+    # the RankTracker answers, with no lift
+    circle = [nodes.node(Fraction(1 - t * t, 1 + t * t),
+                         Fraction(2 * t, 1 + t * t)) for t in range(-15, 15)]
+    rows = nodes.collocation_matrix(nodes.NodeSet(circle), 6)
+    assert linalg._lifts(len(rows), 28)
+    monkeypatch.setattr(linalg, "_lift", _refused)
+    monkeypatch.setattr(linalg, "_neg_inverse_columns", _refused)
+    basis = linalg.nullspace(rows, 28)
+    assert len(basis) == 15
+    assert basis == ref_nullspace(fractions(rows), 28)
 
 
 @settings(max_examples=15, deadline=None)
