@@ -147,13 +147,18 @@ rebuilds uniquely on its own.  When A is singular mod ``P``, or no
 candidate passes the check by the cap, the exact ``solve_columns``
 answers, so ``solve`` always returns what ``solve_columns`` would.
 ``_neg_inverse_columns`` reads the inverse off ``_ModEchelon.cleared``,
-the back-substitution that also gives ``unit_pivots`` its RREF mod ``P``.
+the back-substitution that also gives ``column_pass`` its RREF mod ``P``.
+Whatever depends on A alone is made once per A, by ``_lift_block``, and
+shared by every right-hand side lifted over the same inverse: A's packed
+columns, with slots wide enough for all of them, and the product of A's
+squared column norms, which each b multiplies by its own to give H**2.
 
 ``nullspace`` lifts too, on the shapes where that is cheaper than the
 elimination.  One ``_ModEchelon`` pass over the rows finds the pivot
 columns S mod ``P`` and the rows B that grew the echelon form, so B_S,
 B's entries at S, is invertible mod ``P``, and is inverted once.  For
-each free column f mod ``P``, ``_lift`` solves B_S x = -B_f, and v is x
+each free column f mod ``P``, ``_lift`` solves B_S x = -B_f over one
+``_lift_block`` of B_S, and v is x
 at S, 1 at f and 0 at the other free columns.  v is kept only when it is
 0 at every pivot after f and ``A·v = 0`` holds exactly for every row,
 the rows the prime rejected included (``_lift`` has checked B's).  That
@@ -208,9 +213,30 @@ More nodes than monomials, measured the same way: nodes on 1 to n lines
 * generic sets of 3 to 6 more nodes than monomials, full column rank mod
   ``P``: 0.10 at 21 columns, 0.05 at 28, 0.02 at 45 and 0.01 at 66.
 
-``unit_pivots`` serves the defect split of ``nodes._outlier_curves``:
-the pivots of the rows' RREF mod ``P``, and the pivots whose RREF row is
-0 at every free column, or None when the rows are dependent mod ``P``.
+``column_pass`` serves the defect split (``nodes._defect_pass``).  It
+eliminates mod ``P`` the columns of a matrix, each column a packed row of
+one slot per matrix row, the first m of them followed by an m-slot
+identity block, and stops once the rank reaches the number of rows.  A
+rank mod ``P`` never exceeds the rank over Q, so a rank that reaches the
+row count certifies that the rows are independent, and the rank after
+the first q columns bounds the rank of those columns from below, as
+``prefix_rank_bound`` does on the rows.  When the first m columns are
+independent mod ``P``, their pivots S pick B, the rows at S cut to those
+columns, invertible mod ``P``.  With C the first m columns, one per row
+(C_S = B^T), the kept rows are E·[C | I] for some E; cleared, each is -1
+at its own pivot and 0 at the others, so E·C_S = -I and E = -(B^-1)^T:
+the identity block of the cleared row with pivot s is column s of -B^-1,
+packed, ready for ``_lift``.  Cut to the first m columns, the row at a
+pivot s is outside the span of the other rows mod ``P`` iff the cleared
+row with pivot s is 0 at every free slot, a unit vector; a row at a free
+slot never is.  Two traps.  A first-m column whose slots reduce to 0 takes its
+pivot in the identity block; that is a rejection, and it must not be
+kept.  After column m the block is dead weight.  So after column m the
+kept rows with a pivot among the slots are cut to the slots
+(``_ModEchelon.cut``), and the pass goes on without the block.  The
+certificate is unchanged from any other mod-``P`` elimination: a rank
+mod ``P`` is a lower bound over Q, and ``_lift`` checks every solution
+exactly.
 """
 
 from __future__ import annotations
@@ -221,7 +247,7 @@ from array import array
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 ZERO = Fraction(0)
 
@@ -381,6 +407,8 @@ def _from_words(words: array) -> int:
 def _pack(values: Sequence[int], words: int) -> int:
     """One int holding each value, nonnegative and below 2**(64*words), in
     its own slot of that many 64-bit words, the first value lowest."""
+    if words == 1:
+        return _from_words(array("Q", values))
     slots = array("Q", bytes(8 * words * len(values)))
     for j in range(words):
         slots[j::words] = array("Q", [v >> 64 * j & _WORD for v in values])
@@ -409,9 +437,9 @@ class _ModEchelon:
     are reduced once, when the row is unpacked.
     """
 
-    def __init__(self, nslots: int):
+    def __init__(self, nslots: int, words: int = 0):
         self.nslots = nslots
-        self.words = _slot_words(nslots)
+        self.words = words or _slot_words(nslots)
         self._mask = (1 << 64 * self.words) - 1
         self.pivots: list[int] = []
         # (bit offset of the pivot's slot, scale, row), one per kept row
@@ -469,6 +497,17 @@ class _ModEchelon:
                     acc += f * out[m]
             out[k] = self._pack_residues(
                 [v * scale % P for v in _unpack(acc, nslots - start, words)])
+        return out
+
+    def cut(self, nslots: int) -> "_ModEchelon":
+        """The kept rows whose pivot lies in the first nslots slots, cut to
+        those slots: an echelon form of the cut rows, with slots as wide."""
+        out = _ModEchelon(nslots, self.words)
+        mask = (1 << 64 * self.words * nslots) - 1
+        for pivot, (shift, scale, row) in zip(self.pivots, self.kept):
+            if pivot < nslots:
+                out.pivots.append(pivot)
+                out.kept.append((shift, scale, row & mask))
         return out
 
 
@@ -593,17 +632,16 @@ def _lifted_nullspace(rows: list[list[int]],
         else:
             rejected.append(row)
     pivots = sorted(echelon.pivots)
-    columns = list(zip(*block))
-    square = [columns[p] for p in pivots]
-    neg_inverse = _neg_inverse_columns(square)
+    at_pivots = [[row[p] for p in pivots] for row in block]
+    neg_inverse = _neg_inverse_columns(list(zip(*at_pivots)))
     if neg_inverse is None:
         return None
-    at_pivots = [[row[p] for p in pivots] for row in block]
+    free = sorted(set(range(ncols)).difference(pivots))
+    lifter = _lift_block(at_pivots, neg_inverse, _slot_words(2 * len(pivots)),
+                         max(abs(row[f]) for row in block for f in free))
     basis = []
-    for f in sorted(set(range(ncols)).difference(pivots)):
-        b = [-v for v in columns[f]]
-        system = [row + [v] for row, v in zip(at_pivots, b)]
-        found = _lift(system, square + [b], neg_inverse)
+    for f in free:
+        found = _lift(lifter, [-row[f] for row in block])
         if found is None:
             return None
         nums, den = found
@@ -620,22 +658,72 @@ def _lifted_nullspace(rows: list[list[int]],
     return basis
 
 
-def unit_pivots(rows: Iterable[Sequence[int]],
-                ncols: int) -> Optional[tuple[list[int], list[int]]]:
-    """The pivot columns of the rows' RREF mod ``P``, and those among them
-    whose RREF row is a unit vector, 0 at every free column, each list in
-    increasing order; None when the rows are dependent mod ``P``.
+class ColumnPass(NamedTuple):
+    """What ``column_pass`` reads off its one elimination mod ``P``."""
 
-    Read as columns, the rows' dependencies mod ``P`` are the vectors
-    orthogonal to them: a unit pivot c is 0 in every one, and any other
-    column is not."""
-    echelon = _ModEchelon(ncols)
-    if any(echelon.add(row) is None for row in rows):
-        return None
-    units = [c for (shift, _, _), c, row in zip(echelon.kept, echelon.pivots,
-                                                 echelon.cleared())
-             if row == (P - 1) << shift]
-    return sorted(echelon.pivots), sorted(units)
+    rank: int  # mod P, counted until it reaches nslots
+    prefix_rank: int  # mod P, of the first q columns
+    # the pivot slots of the first m columns, in increasing order, and those
+    # whose cleared row is a unit vector; both empty when those columns
+    # are dependent mod P
+    pivots: list[int]
+    candidates: list[int]
+    # B, the first m columns' entries at the pivot slots, one row per pivot,
+    # with -B^-1 mod P; None when those columns are dependent mod P
+    block: Optional["_LiftBlock"]
+
+    def unit_solution(self, slot: int) -> Optional[tuple[list[int], int]]:
+        """x with B x = e at the candidate ``slot``'s row and 0 at the
+        others, lifted over -B^-1 and checked exactly, as numerators over
+        one positive denominator; None when the lift fails."""
+        return _lift(self.block, [int(p == slot) for p in self.pivots])
+
+
+def column_pass(columns: Iterable[Sequence[int]], nslots: int, m: int,
+                q: int) -> ColumnPass:
+    """One elimination mod ``P`` of the columns of rows, each column given
+    as a row of nslots slots, one per row, in order; 0 < m <= q.
+
+    The first m columns carry an m-slot identity block.  When they are
+    independent mod ``P``, the block of each cleared row (RREF mod ``P``,
+    negated) is a column of -B^-1, and the candidates are the pivots whose
+    cleared row is 0 at every free slot (see the module docstring).  A
+    column that reduces to 0 in its slots takes its pivot in the block:
+    that is a rejection, and the kept rows are cut to their slots without
+    it.  After column m the pass goes on without the block until the rank
+    reaches nslots.
+    """
+    columns = iter(columns)
+    first = list(itertools.islice(columns, m))
+    with_block = _ModEchelon(nslots + m)
+    for j, column in enumerate(first):
+        unit = [0] * m
+        unit[j] = 1
+        with_block.add([*column, *unit])
+    # a column 0 mod P past the ones before it has its pivot in the block
+    echelon = with_block.cut(nslots)
+    pivots, candidates, block = [], [], None
+    if len(echelon.pivots) == m:
+        pivots = sorted(echelon.pivots)
+        words = with_block.words
+        node_bits = 64 * words * nslots
+        cleared = dict(zip(with_block.pivots, with_block.cleared()))
+        candidates = [p for p in pivots
+                      if cleared[p] & (1 << node_bits) - 1
+                      == (P - 1) << 64 * words * p]
+        square = [[column[p] for column in first] for p in pivots]
+        block = _lift_block(square, [cleared[p] >> node_bits
+                                     for p in pivots], words, 1)
+    prefix = None
+    for j, column in enumerate(columns, m):
+        if j == q:
+            prefix = len(echelon.pivots)
+        if len(echelon.pivots) == nslots:
+            break
+        echelon.add(column)
+    rank = len(echelon.pivots)
+    return ColumnPass(rank, rank if prefix is None else prefix, pivots,
+                      candidates, block)
 
 
 def solve_columns(rows: Iterable[Sequence[int]],
@@ -675,10 +763,13 @@ def solve(rows: Iterable[Sequence[int]],
     rows = [list(row) for row in rows]
     size = len(rows)
     if size == ncols and size:
-        columns = list(zip(*rows))
-        neg_inverse = _neg_inverse_columns(columns[:size])
+        square = [row[:size] for row in rows]
+        neg_inverse = _neg_inverse_columns(list(zip(*square)))
         if neg_inverse is not None:
-            found = _lift(rows, columns, neg_inverse)
+            b = [row[size] for row in rows]
+            block = _lift_block(square, neg_inverse, _slot_words(2 * size),
+                                max(map(abs, b)))
+            found = _lift(block, b)
             if found is not None:
                 nums, den = found
                 return tuple(Fraction(v, den) for v in nums)
@@ -709,51 +800,76 @@ def _neg_inverse_columns(columns: Sequence[Sequence[int]]) -> Optional[list[int]
     return out
 
 
-def _step_cap(rows: Sequence[Sequence[int]]) -> int:
-    """Lifting steps k with P**k > 2*H**2, where H is the Hadamard bound of
-    [A | b]: every numerator and denominator of the solution (Cramer's rule)
-    is at most H, so rational reconstruction is unique from then on."""
-    bound = 2 * prod(max(1, sum(v * v for v in col)) for col in zip(*rows))
+class _LiftBlock(NamedTuple):
+    """A square A made ready for ``_lift`` once, for every right-hand side
+    within the bound it was made for (``_lift_block``)."""
+
+    rows: list[list[int]]  # A, for the exact check
+    columns: list[int]  # A's columns, packed in signed slots
+    words: int  # per signed slot, enough for every residual
+    bias: int  # half the slot range in every slot
+    neg_inverse: list[int]  # the columns of -A^-1 mod P, packed
+    inverse_words: int  # per slot of neg_inverse
+    squares: int  # the product of max(1, |c|**2) over A's columns c
+
+
+def _lift_block(rows: list[list[int]], neg_inverse: list[int],
+                inverse_words: int, bound: int) -> _LiftBlock:
+    """A's columns packed, and their part of the Hadamard bound, for
+    right-hand sides with entries at most bound: a residual never exceeds
+    the larger of bound and the largest row sum of |A|."""
+    size = len(rows)
+    bound = max(bound, max(sum(map(abs, row)) for row in rows))
+    words = (bound.bit_length() + 64) // 64
+    half = 1 << 64 * words - 1
+    bias = _pack([half] * size, words)
+    columns = list(zip(*rows))
+    return _LiftBlock(
+        rows, [_pack([v + half for v in col], words) - bias
+               for col in columns],
+        words, bias, neg_inverse, inverse_words,
+        prod(max(1, sum(map(mul, col, col))) for col in columns))
+
+
+def _step_cap(squares: int) -> int:
+    """Lifting steps k with P**k > 2*H**2, given H**2 = squares, the
+    product of max(1, |c|**2) over the columns c of [A | b]: H is their
+    Hadamard bound, and every numerator and denominator of the solution
+    (Cramer's rule) is at most H, so rational reconstruction is unique
+    from then on."""
+    bound = 2 * squares
     steps, modulus = 0, 1
     while modulus <= bound:
         steps, modulus = steps + 1, modulus * P
     return steps
 
 
-def _lift(rows: list[list[int]], columns: Sequence[Sequence[int]],
-          neg_inverse: list[int]) -> Optional[tuple[list[int], int]]:
+def _lift(block: _LiftBlock,
+          b: Sequence[int]) -> Optional[tuple[list[int], int]]:
     """Dixon lifting: x = sum(x_k * P**k) with x_k = A^-1 r_k mod P and
     r_(k+1) = (r_k - A x_k) / P, starting at r_0 = b.  Returns x as its
     numerators over one positive denominator, once ``A·num == b·den``
     holds exactly, or None.
 
-    The residual r and A's columns are packed, each entry in a signed
-    slot: |r_k| never exceeds the larger of max|b| and the largest row sum
-    of |A|.  A probe, a fixed combination of the entries, is rebuilt by
-    ``_rational`` each time the step count has grown by an eighth; only a
-    candidate that still holds with the next digit has its denominator
-    tried on the whole solution, which is then checked.
+    The residual r is packed like A's columns, each entry in a signed slot
+    (see ``_lift_block``).  A probe, a fixed combination of the entries, is
+    rebuilt by ``_rational`` each time the step count has grown by an
+    eighth; only a candidate that still holds with the next digit has its
+    denominator tried on the whole solution, which is then checked.
     """
-    size = len(rows)
-    b = columns[size]
-    bound = max(max(map(abs, b)),
-                max(sum(map(abs, row[:size])) for row in rows))
-    words = (bound.bit_length() + 64) // 64
+    size, words = len(b), block.words
     half = 1 << 64 * words - 1
-    bias = _pack([half] * size, words)
-    a_columns = [_pack([v + half for v in col], words) - bias
-                 for col in columns[:size]]
-    residual = _pack([v + half for v in b], words) - bias
-    inverse_words = _slot_words(2 * size)
+    residual = _pack([v + half for v in b], words) - block.bias
     weights = range(1, size + 1)
     x, probe, power = [0] * size, 0, 1
     guess, attempt = None, 1
-    cap = _step_cap(rows)
+    cap = _step_cap(block.squares * max(1, sum(map(mul, b, b))))
     for step in range(1, cap + 1):
-        r = [(v - half) % P for v in _unpack(residual + bias, size, words)]
-        acc = sum(map(mul, r, neg_inverse))
-        digits = [-v % P for v in _unpack(acc, size, inverse_words)]
-        residual = (residual - sum(map(mul, digits, a_columns))) // P
+        r = [(v - half) % P
+             for v in _unpack(residual + block.bias, size, words)]
+        acc = sum(map(mul, r, block.neg_inverse))
+        digits = [-v % P for v in _unpack(acc, size, block.inverse_words)]
+        residual = (residual - sum(map(mul, digits, block.columns))) // P
         x = [v + d * power for v, d in zip(x, digits)]
         probe += sum(map(mul, weights, digits)) * power
         power *= P
@@ -761,7 +877,7 @@ def _lift(rows: list[list[int]], columns: Sequence[Sequence[int]],
         if held or step == cap:
             # at the cap each entry alone rebuilds uniquely, from den 1
             found = _numerators(x, power, guess[1] if held else 1)
-            if found is not None and _certified(rows, *found):
+            if found is not None and _certified(block.rows, b, *found):
                 return found
         guess = None
         if step >= attempt:
@@ -812,8 +928,7 @@ def _numerators(x: list[int], modulus: int,
     return (nums, den) if den <= bound else None
 
 
-def _certified(rows: Sequence[Sequence[int]], nums: list[int],
-               den: int) -> bool:
-    """True iff A·nums == b·den exactly."""
-    size = len(nums)
-    return all(sum(map(mul, row, nums)) == den * row[size] for row in rows)
+def _certified(rows: Sequence[Sequence[int]], b: Sequence[int],
+               nums: list[int], den: int) -> bool:
+    """True iff A·nums == b·den exactly, given A's rows."""
+    return all(sum(map(mul, row, nums)) == den * v for row, v in zip(rows, b))

@@ -35,12 +35,16 @@ Vanishing spaces are ``linalg.nullspace``, which lifts each free column
 and certifies the basis on the shapes its rule admits (a set one node
 short of poised from degree 5 on, for one) and eliminates exactly on the
 others.  The dependencies among the rows and the fundamental polynomial
-of a set of any other size read the exact ``RankTracker``.  Each node's
-curve through the other nodes, the defect split, is ``_outlier_curves``:
-certified modulo the prime from ``_SPLIT_COLUMNS`` monomials on, and one
-exact elimination (``_curves_missing_one``) below that or when the prime
-falls short.  ``fundamental_polynomials`` is one ``fundamental_polynomial``
-per node.
+of a set of any other size read the exact ``RankTracker``.  The defect
+check of a set at degrees n and k, from ``_SPLIT_COLUMNS`` degree-(k-1)
+monomials on, is one ``linalg.column_pass`` over the transposed degree-n
+rows (``_defect_pass``): it certifies n-independence, bounds the rank of
+the degree-k rows, and names the nodes that may carry a degree-(k-1)
+curve through the others, each curve lifted over the pass's inverse and
+checked exactly (``_outlier_curves``).  Below that, or when the prime
+falls short, an ``IndependenceTracker`` decides independence and one
+exact elimination (``_curves_missing_one``) finds the curves.
+``fundamental_polynomials`` is one ``fundamental_polynomial`` per node.
 
 Every node search in the package runs through ``_grow``: it reads a
 fixed stream of candidates (the integer spiral, a curve sampler, seeded
@@ -101,11 +105,14 @@ from .poly import Poly, frac, space_dim
 
 SEARCH_BUDGET = 10_000
 
-# ``_outlier_curves`` certifies modulo the prime from this many monomials
-# on.  Against ``_curves_missing_one`` on defect sets (seeds 0-3, Python
-# 3.11, 2 vCPU, process time, best of 20): 2.30 of its time at 3 monomials
-# (n, k = 4, 2), 1.39 to 1.42 at 6 ((5, 3), (6, 3)), 0.77 at 10 ((6, 4),
-# (7, 4)), 0.48 at 15 ((8, 5)), 0.24 to 0.29 at 21 ((9, 6), (10, 6)).
+# ``_defect_pass`` takes one column pass from this many degree-(k-1)
+# monomials on.  ``characterize_defect`` on defect sets, with the pass
+# against the exact route (``IndependenceTracker`` and
+# ``_curves_missing_one``), both forced (seeds 0-3, Python 3.11, 2 vCPU,
+# process time, best of 60, interleaved): 1.32 of its time at 3 monomials
+# (n, k = 4, 2), 1.05 to 1.06 at 6 ((5, 3), (6, 3)), 0.72 to 0.75 at 10
+# ((6, 4), (7, 4)), 0.45 at 15 ((8, 5)), 0.28 to 0.30 at 21 ((9, 6),
+# (10, 6)).
 _SPLIT_COLUMNS = 10
 
 
@@ -296,44 +303,68 @@ def _curves_missing_one(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
     return transpose.rank, curves
 
 
-def _outlier_curves(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
-    """``_curves_missing_one(xs, n)``, certified modulo the prime from
-    ``_SPLIT_COLUMNS`` monomials on.
+def _defect_pass(xs: NodeSet, n: int, k: int
+                 ) -> tuple[int, Optional[tuple[list[list[int]],
+                                                linalg.ColumnPass]]]:
+    """Check that the set is n-independent, raising ValueError if not, and
+    bound the rank of its degree-k rows from below; from ``_SPLIT_COLUMNS``
+    degree-(k-1) monomials on, also hand ``_outlier_curves`` the degree-n
+    rows and their ``linalg.column_pass``, None below.
 
-    ``linalg.unit_pivots`` of the transposed rows names the candidates,
-    the nodes whose dependency row is 0 mod P.  When the transposed rows
-    are independent mod P, the rank over Q is space_dim(n) too, and any
-    other node's row lies in the span of the others mod P, so the others
-    keep rank space_dim(n) and carry no curve.  A candidate's curve
-    through the other nodes, if there is one, passes through the other
-    space_dim(n) - 1 pivot nodes, whose rows are independent: it is their
-    one-dimensional nullspace, 1 at its free column and 0 after it, as
-    ``_curves_missing_one`` scales it.  It is a hit iff it also vanishes
-    at every free node; vanishing at the candidate too would drop the
-    rank, which the prime has ruled out, and sends the set to the exact
-    route.  Below ``_SPLIT_COLUMNS``, with fewer nodes than monomials, and
-    when the prime falls short of full rank, ``_curves_missing_one``
+    In graded-lex order the first space_dim(k-1) and space_dim(k) columns
+    of the degree-n rows are the degree-(k-1) and degree-k rows, each row
+    times its node's scale, so one pass over the transposed rows serves
+    all three: a rank mod P that reaches the node count certifies
+    independence, and the rank after space_dim(k) columns is a rank mod P
+    of the degree-k rows, at most their rank over Q.  A pass that falls
+    short, and a set below ``_SPLIT_COLUMNS``, take an
+    ``IndependenceTracker``, which decides exactly.
+    """
+    m, q = space_dim(k - 1), space_dim(k)
+    split = None
+    if m >= _SPLIT_COLUMNS:
+        rows = collocation_matrix(xs, n)
+        found = linalg.column_pass(zip(*rows), len(xs), m, q)
+        if found.rank == len(xs):
+            return found.prefix_rank, (rows, found)
+        split = rows, found
+    return _independent_tracker(xs, n).prefix_rank_bound(q), split
+
+
+def _outlier_curves(xs: NodeSet, n: int,
+                    split: Optional[tuple[list[list[int]], linalg.ColumnPass]]
+                    ) -> tuple[int, dict[int, Poly]]:
+    """``_curves_missing_one(xs, n)``, read off a column pass (see
+    ``_defect_pass``) over rows whose first space_dim(n) entries are the
+    degree-n rows, each times its own scale.
+
+    The pass names the candidates, the nodes whose dependency row is 0 mod
+    P.  When its first space_dim(n) columns are independent mod P, the rank
+    over Q is space_dim(n) too, and any other node's row lies in the span
+    of the others mod P, so the others keep rank space_dim(n) and carry no
+    curve.  A candidate i's curve through the other nodes, if there is one,
+    passes through the other pivot nodes, whose rows are independent: it
+    is mu with B mu = e_i, for B the pivot nodes' rows, unique up to scale
+    and not 0 at node i.  It is a hit iff it also vanishes at every free
+    node.  Scaled to 1 at its last nonzero coefficient, it is the curve
+    ``_curves_missing_one`` gives.  Without a pass, with the pass's first
+    columns dependent mod P, or when a lift fails, ``_curves_missing_one``
     answers.
     """
+    if split is None or not split[1].pivots:
+        return _curves_missing_one(xs, n)
+    rows, found = split
     size = space_dim(n)
-    if size < _SPLIT_COLUMNS or len(xs) < size:
-        return _curves_missing_one(xs, n)
-    rows = collocation_matrix(xs, n)
-    found = linalg.unit_pivots(zip(*rows), len(xs))
-    if found is None:
-        return _curves_missing_one(xs, n)
-    pivots, units = found
-    free = set(range(len(xs))).difference(pivots)
+    free = set(range(len(xs))).difference(found.pivots)
     curves = {}
-    for i in units:
-        # independent rows: a one-dimensional nullspace
-        [coeffs] = linalg.nullspace([rows[j] for j in pivots if j != i], size)
-        curve = Poly(n, coeffs)
-        nums, _ = curve._integer_coeffs
-        if not sum(map(mul, nums, rows[i])):
+    for i in found.candidates:
+        solved = found.unit_solution(i)
+        if solved is None:
             return _curves_missing_one(xs, n)
-        if not any(sum(map(mul, nums, rows[j])) for j in free):
-            curves[i] = curve
+        nums, _ = solved
+        if not any(sum(map(mul, nums, rows[j][:size])) for j in free):
+            last = next(v for v in reversed(nums) if v)
+            curves[i] = Poly(n, tuple(Fraction(v, last) for v in nums))
     return size, curves
 
 

@@ -13,18 +13,23 @@ facts checked:
   single outlier off it, and the curve space has dimension exactly 2.  At
   k = n every such set has a curve space of dimension exactly 2, so the
   surplus says nothing about its shape: a set may split (then into exactly
-  one outlier) or not split at all.  The ``IndependenceTracker`` of the
-  n-independence check bounds the curve space at no extra cost: the
+  one outlier) or not split at all.  The n-independence check
+  (``nodes._defect_pass``) bounds the curve space at no extra cost: the
   first space_dim(k) entries of a node's degree-n row are e^(n-k) times
-  its degree-k row, so the tracker's mod-P pivots below space_dim(k)
-  count a rank that the exact degree-k rows reach at least, and
-  space_dim(k) minus that count is at least the curve space's dimension.
-  ``nodes._outlier_curves`` finds the nodes A with a degree-(k-1) curve
-  mu through the other nodes, and each mu.  From space_dim(k-1) = 10 on,
-  one RREF modulo the prime names the candidates and rules out every
-  other node, and each candidate's mu is one ``linalg.nullspace``,
-  checked exactly at every node; below that, or when the prime falls
-  short of full rank, one exact elimination does it.  When the bound is
+  its degree-k row, so a rank modulo the prime of those columns is a rank
+  that the exact degree-k rows reach at least, and space_dim(k) minus it
+  is at least the curve space's dimension.  From space_dim(k-1) = 10 on,
+  the check is one elimination modulo the prime of the transposed
+  degree-n rows, one monomial column at a time, and the rank is read off
+  it after space_dim(k) columns; below that, or when it falls short of
+  the node count, it is the mod-P pivots of an ``IndependenceTracker``
+  below space_dim(k).  ``nodes._outlier_curves`` finds the nodes A with a
+  degree-(k-1) curve mu through the other nodes, and each mu.  From
+  space_dim(k-1) = 10 on, the same elimination names the candidates and
+  rules out every other node, and each candidate's mu is lifted over its
+  inverse modulo the prime, checked exactly at every node; below that,
+  or when the prime falls short of rank space_dim(k-1), one exact
+  elimination does it.  When the bound is
   2 and some node has such a mu, mu*(x - a_x) and mu*(y - a_y) are two
   independent degree-k curves through the set, so the dimension is
   exactly 2.  Every other input (a dimension below 2,
@@ -121,14 +126,14 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
         raise ValueError("need 2 <= k <= n")
     if len(xs) != _curves.max_nodes_on_curve(n, k - 1) + 1:
         raise ValueError("set size must be max_nodes_on_curve(n, k-1) + 1")
-    tracker = _nodes._independent_tracker(xs, n)
+    prefix, split = _nodes._defect_pass(xs, n, k)
     # at least the dimension of the curve space
-    bound = space_dim(k) - tracker.prefix_rank_bound(space_dim(k))
+    bound = space_dim(k) - prefix
     # Removing node i frees a degree-(k-1) curve iff the rank of the
     # collocation matrix drops, i.e. iff node i's row is outside the span
     # of the others; that curve is unique iff the rank is full.  Below a
     # bound of 2 the dimension is below 2 and no split is read.
-    rank, hits = (_nodes._outlier_curves(xs, k - 1) if bound >= 2
+    rank, hits = (_nodes._outlier_curves(xs, k - 1, split) if bound >= 2
                   else (0, {}))
     # mu*(x - a_x) and mu*(y - a_y) are two independent curves
     dim = 2 if bound == 2 and hits else curves_through(xs, k).dimension

@@ -731,3 +731,24 @@ def test_lifted_basis_and_certified_split_bytes_are_pinned(capsys):
                            str(k), doc)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want, (n, k)
+
+
+def test_column_pass_split_bytes_are_pinned(capsys):
+    # verify defect where one column pass gives independence, the curve
+    # space bound and the split: the ops of the benchmark at (6, 4) and
+    # (7, 4), and (12, 11), where mu is lifted over 66 columns
+    defects = [
+        (6, 4,
+         "b06204ac55461bf74759216011b90aeccff6f3167d132a2966034a5c4eeb9299"),
+        (7, 4,
+         "e9454db46981ce351ca2be90b750ea14ada77d2aef45a89101ad22d1b71bb894"),
+        (12, 11,
+         "55ffa32dcaf294c66b23cb36e123469eb28ce41ecca361550103646f38330044"),
+    ]
+    for n, k, want in defects:
+        _, doc, _ = run(capsys, "gen", "defect", "-n", str(n), "-k", str(k),
+                        "--seed", "1")
+        code, out, _ = run(capsys, "verify", "defect", "-n", str(n), "-k",
+                           str(k), doc)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (n, k)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -409,17 +410,67 @@ def test_curves_missing_one_are_the_reference_curves(case):
 @settings(max_examples=60, deadline=None)
 @given(node_sets_with_degree())
 def test_outlier_curves_mod_p_are_the_exact_curves(case):
-    # from any size on, the mod-P route (or the exact one it falls back
-    # to when the transposed rows are dependent mod P) gives the exact
-    # route's rank and curves
+    # from any size on, the column pass over the transposed rows (or the
+    # exact route it falls back to when they are dependent mod P) gives the
+    # exact route's rank and curves
     xs, n = case
     want = nodes._curves_missing_one(xs, n)
-    original = nodes._SPLIT_COLUMNS
-    nodes._SPLIT_COLUMNS = 0
-    try:
-        assert nodes._outlier_curves(xs, n) == want
-    finally:
-        nodes._SPLIT_COLUMNS = original
+    rows = nodes.collocation_matrix(xs, n)
+    size = poly.space_dim(n)
+    found = linalg.column_pass(zip(*rows), len(xs), size, size)
+    assert found.rank <= want[0]
+    assert nodes._outlier_curves(xs, n, (rows, found)) == want
+
+
+@st.composite
+def column_pass_cases(draw):
+    """Rows of small entries, some multiples of P, and 0 < m <= q columns;
+    a first-m column may repeat an earlier one, so that it reduces to 0."""
+    nslots = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 8))
+    m = draw(st.integers(1, ncols))
+    q = draw(st.integers(m, ncols))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(
+        lambda v: v * P))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nslots, max_size=nslots))
+    if m > 1 and draw(st.booleans()):
+        j = draw(st.integers(1, m - 1))
+        rows = [row[:j] + [row[j - 1]] + row[j + 1:] for row in rows]
+    return rows, m, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_pass_cases())
+def test_column_pass_reads_the_ranks_and_the_inverse_mod_p(case):
+    # the ranks mod P of the rows and of their first q columns; with the
+    # first m columns independent mod P, the pivots' rows B there, -B^-1
+    # mod P, the candidates (rows outside the others' span mod P) and a
+    # certified B x = e for each pivot
+    rows, m, q = case
+    found = linalg.column_pass(zip(*rows), len(rows), m, q)
+    assert found.rank == _rank_mod_p(rows)
+    assert found.prefix_rank == _rank_mod_p([row[:q] for row in rows])
+    first = [row[:m] for row in rows]
+    if _rank_mod_p(first) < m:
+        assert (found.pivots, found.candidates, found.block) == ([], [], None)
+        return
+    assert len(found.pivots) == m
+    square = [first[i] for i in found.pivots]
+    assert found.block.rows == square
+    inverse = [linalg._unpack(col, m, found.block.inverse_words)
+               for col in found.block.neg_inverse]
+    for i, row in enumerate(square):
+        for j, col in enumerate(inverse):
+            assert sum(map(operator.mul, row, col)) % P == (P - 1) * (i == j)
+    assert found.candidates == [
+        i for i in found.pivots
+        if _rank_mod_p(first[:i] + first[i + 1:]) < m]
+    for i in found.pivots:
+        nums, den = found.unit_solution(i)
+        assert den > 0
+        assert [sum(map(operator.mul, row, nums)) for row in square] == [
+            den * (j == i) for j in found.pivots]
 
 
 # Rows where a new pivot meets few kept rows, so most of them are left
@@ -750,6 +801,13 @@ def test_square_solve_refuses_a_candidate_the_exact_check_fails(
         assert spoiled
 
 
+def _step_cap(rows):
+    """The least k with P**k > 2*H**2, H the Hadamard bound of [A | b]."""
+    bound = 2 * math.prod(max(1, sum(v * v for v in col))
+                          for col in zip(*rows))
+    return next(k for k in itertools.count() if P ** k > bound)
+
+
 def test_square_solve_stops_at_the_step_cap(monkeypatch):
     # a reconstruction that never verifies lifts up to the cap derived
     # from the Hadamard bound, then the exact elimination answers
@@ -769,11 +827,9 @@ def test_square_solve_stops_at_the_step_cap(monkeypatch):
         return exact(*args)
     monkeypatch.setattr(linalg, "solve_columns", spy)
     assert linalg.solve(rows, len(rows)) == want
-    # the last rebuild is at the cap, past the Hadamard bound
-    cap = linalg._step_cap(rows)
-    assert moduli[-1] == P ** cap
-    assert P ** cap > 2 * math.prod(
-        sum(v * v for v in col) for col in zip(*rows))
+    # the last rebuild is at the cap, the first power of P past twice the
+    # squared Hadamard bound
+    assert moduli[-1] == P ** _step_cap(rows)
     assert len(calls) == 1
 
 
@@ -808,7 +864,7 @@ def test_square_solve_stops_soon_after_the_solution_is_determined(
         steps = 0
         while P ** steps < moduli[-1]:
             steps += 1
-        assert steps <= needed + needed // 8 + 2 < linalg._step_cap(rows)
+        assert steps <= needed + needed // 8 + 2 < _step_cap(rows)
         # a false candidate of the probe fails the next digit, so it is
         # not tried on the whole solution
         assert len(moduli) == 1

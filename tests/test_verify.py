@@ -112,46 +112,87 @@ def test_denominators_divisible_by_p_take_the_exact_path(monkeypatch, n, k,
     tracker = nodes._independent_tracker(xs, n)
     assert tracker.prefix_rank_bound(poly.space_dim(k)) <= 1
     counts = _count_calls(monkeypatch, [(verify, "curves_through"),
-                                        (nodes, "_curves_missing_one")])
+                                        (nodes, "_curves_missing_one"),
+                                        (nodes, "_independent_tracker")])
     report = verify.characterize_defect(xs, n, k)
     assert counts["curves_through"] == 1
-    # below the crossover, or with the prime short of full rank at (6, 4),
-    # the exact route names the outlier
+    # below the crossover, or with the column pass short of full rank at
+    # (6, 4), the exact tracker bounds the curve space and the exact route
+    # names the outlier
+    assert counts["_independent_tracker"] == 1
     assert counts["_curves_missing_one"] == 1
     assert report.curve_space_dim == 2
     assert report.outlier_index == cfg.outlier_index
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(3, 11))
 def test_certified_split_matches_the_exact_route(monkeypatch, n):
-    # every k and seeds 0-3: the mod-P route answers at every size, with
-    # the exact route's rank, outliers and curves
-    exact = nodes._curves_missing_one
+    # every k and seeds 0-3: one column pass answers at every size, with
+    # the exact route's rank bound, rank, outliers and curves
+    sets = [(k, seed, generators.defect_config(n, k, seed).nodes)
+            for k in range(2, n + 1) for seed in range(4)]
+    exact, tracker = nodes._curves_missing_one, nodes._independent_tracker
     monkeypatch.setattr(nodes, "_SPLIT_COLUMNS", 0)
-    counts = _count_calls(monkeypatch, [(nodes, "_curves_missing_one")])
-    for k in range(2, n + 1):
-        for seed in range(4):
-            xs = generators.defect_config(n, k, seed).nodes
-            want = exact(xs, k - 1)
-            assert nodes._outlier_curves(xs, k - 1) == want, (k, seed)
-            assert counts["_curves_missing_one"] == 0
+    counts = _count_calls(monkeypatch, [(nodes, "_curves_missing_one"),
+                                        (nodes, "_independent_tracker")])
+    for k, seed, xs in sets:
+        want = tracker(xs, n).prefix_rank_bound(poly.space_dim(k))
+        prefix, split = nodes._defect_pass(xs, n, k)
+        assert prefix == want, (k, seed)
+        assert nodes._outlier_curves(xs, k - 1, split) == exact(xs, k - 1)
+    assert counts == dict.fromkeys(counts, 0)
 
 
 def test_certified_split_rules_out_false_candidates(monkeypatch):
     # were every pivot node named a candidate, the exact checks of each
-    # candidate's curve at the other nodes would still leave the planted
+    # candidate's curve at the free nodes would still leave the planted
     # outlier alone
-    real = linalg.unit_pivots
+    real = linalg.column_pass
 
-    def every_pivot(rows, ncols):
-        pivots, _ = real(rows, ncols)
-        return pivots, pivots
-    monkeypatch.setattr(linalg, "unit_pivots", every_pivot)
+    def every_pivot(*args):
+        found = real(*args)
+        return found._replace(candidates=found.pivots)
+    monkeypatch.setattr(linalg, "column_pass", every_pivot)
     for n, k, seed in [(6, 4, 1), (8, 5, 2), (9, 6, 3)]:
         cfg = generators.defect_config(n, k, seed)
-        rank, curves = nodes._outlier_curves(cfg.nodes, k - 1)
+        _, split = nodes._defect_pass(cfg.nodes, n, k)
+        assert len(split[1].candidates) == poly.space_dim(k - 1)
+        rank, curves = nodes._outlier_curves(cfg.nodes, k - 1, split)
         assert (rank, curves) == nodes._curves_missing_one(cfg.nodes, k - 1)
         assert list(curves) == [cfg.outlier_index]
+
+
+def test_failed_lift_takes_the_exact_split(monkeypatch):
+    # a lift that verifies nothing sends the split to the exact route,
+    # which gives the same report
+    cfg = generators.defect_config(6, 4, 1)
+    want = verify.characterize_defect(cfg.nodes, 6, 4)
+    monkeypatch.setattr(linalg, "_lift", lambda *args: None)
+    counts = _count_calls(monkeypatch, [(nodes, "_curves_missing_one"),
+                                        (nodes, "_independent_tracker")])
+    assert verify.characterize_defect(cfg.nodes, 6, 4) == want
+    assert counts == {"_curves_missing_one": 1, "_independent_tracker": 0}
+    assert want.outlier_index == cfg.outlier_index
+
+
+def test_pass_short_of_full_rank_decides_exactly(monkeypatch):
+    # 8 nodes on a line are dependent at degree 6: the column pass stops
+    # short of the node count, and the exact tracker raises
+    xs = NodeSet([(i, 0) for i in range(8)]
+                 + [(i, 1 + i * i) for i in range(11)])
+    assert len(xs) == curves.max_nodes_on_curve(6, 3) + 1
+    real, ranks = linalg.column_pass, []
+
+    def recording(*args):
+        found = real(*args)
+        ranks.append(found.rank)
+        return found
+    monkeypatch.setattr(linalg, "column_pass", recording)
+    counts = _count_calls(monkeypatch, [(nodes, "_independent_tracker")])
+    with pytest.raises(ValueError, match="not independent"):
+        verify.characterize_defect(xs, 6, 4)
+    assert len(ranks) == 1 and ranks[0] < len(xs)
+    assert counts["_independent_tracker"] == 1
 
 
 def test_characterize_defect_generic_set_has_no_defect():
