@@ -669,7 +669,7 @@ class ColumnPass(NamedTuple):
     pivots: list[int]
     candidates: list[int]
     # B, the first m columns' entries at the pivot slots, one row per pivot,
-    # with -B^-1 mod P; None when those columns are dependent mod P
+    # with -B^-1 mod P; None when there is no candidate
     block: Optional["_LiftBlock"]
 
     def unit_solution(self, slot: int) -> Optional[tuple[list[int], int]]:
@@ -711,9 +711,10 @@ def column_pass(columns: Iterable[Sequence[int]], nslots: int, m: int,
         candidates = [p for p in pivots
                       if cleared[p] & (1 << node_bits) - 1
                       == (P - 1) << 64 * words * p]
-        square = [[column[p] for column in first] for p in pivots]
-        block = _lift_block(square, [cleared[p] >> node_bits
-                                     for p in pivots], words, 1)
+        if candidates:
+            square = [[column[p] for column in first] for p in pivots]
+            block = _lift_block(square, [cleared[p] >> node_bits
+                                         for p in pivots], words, 1)
     prefix = None
     for j, column in enumerate(columns, m):
         if j == q:

@@ -444,9 +444,9 @@ def column_pass_cases(draw):
 @given(column_pass_cases())
 def test_column_pass_reads_the_ranks_and_the_inverse_mod_p(case):
     # the ranks mod P of the rows and of their first q columns; with the
-    # first m columns independent mod P, the pivots' rows B there, -B^-1
-    # mod P, the candidates (rows outside the others' span mod P) and a
-    # certified B x = e for each pivot
+    # first m columns independent mod P, the candidates (rows outside the
+    # others' span mod P) and, when there is one, the pivots' rows B there,
+    # -B^-1 mod P and a certified B x = e for each pivot
     rows, m, q = case
     found = linalg.column_pass(zip(*rows), len(rows), m, q)
     assert found.rank == _rank_mod_p(rows)
@@ -456,6 +456,12 @@ def test_column_pass_reads_the_ranks_and_the_inverse_mod_p(case):
         assert (found.pivots, found.candidates, found.block) == ([], [], None)
         return
     assert len(found.pivots) == m
+    assert found.candidates == [
+        i for i in found.pivots
+        if _rank_mod_p(first[:i] + first[i + 1:]) < m]
+    if not found.candidates:
+        assert found.block is None
+        return
     square = [first[i] for i in found.pivots]
     assert found.block.rows == square
     inverse = [linalg._unpack(col, m, found.block.inverse_words)
@@ -463,9 +469,6 @@ def test_column_pass_reads_the_ranks_and_the_inverse_mod_p(case):
     for i, row in enumerate(square):
         for j, col in enumerate(inverse):
             assert sum(map(operator.mul, row, col)) % P == (P - 1) * (i == j)
-    assert found.candidates == [
-        i for i in found.pivots
-        if _rank_mod_p(first[:i] + first[i + 1:]) < m]
     for i in found.pivots:
         nums, den = found.unit_solution(i)
         assert den > 0
