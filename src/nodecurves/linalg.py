@@ -34,8 +34,8 @@ from ``d_i``: it never grows past ``d_i``, and once it reaches 1 the rest
 of the row costs nothing.  ``RankTracker.coordinates`` hands the RREF
 out: each column's entries in the canonical nullspace basis, over 1 for
 a free column and over ``d_i`` for kept row i's pivot, so every pair is
-in lowest terms.  ``nullspace`` and the dependency rows of ``nodes``
-read it.  ``solve_columns`` eliminates [A | b] as ``ncols + 1`` ordinary
+in lowest terms.  ``nullspace`` reads it.
+``solve_columns`` eliminates [A | b] as ``ncols + 1`` ordinary
 columns and reads b's column alone, by ``RankTracker.free_column``: the
 system is inconsistent iff that column is a pivot, and otherwise it is
 the last free one, whose basis vector is (-x, 1) for the canonical
@@ -152,6 +152,12 @@ Whatever depends on A alone is made once per A, by ``_lift_block``, and
 shared by every right-hand side lifted over the same inverse: A's packed
 columns, with slots wide enough for all of them, and the product of A's
 squared column norms, which each b multiplies by its own to give H**2.
+Line usage (``nodes._Fundamentals``) lifts node fundamentals over one
+inverse of the collocation matrix this way.  ``_orthogonal_probe`` gives
+it one vector mod ``P`` orthogonal to a few rows: every row in their
+span mod ``P`` has product 0 with it, so a nonzero product puts a row
+outside the span; a row outside it may still give 0, which costs only
+an exact check.
 
 ``nullspace`` lifts too, on the shapes where that is cheaper than the
 elimination.  One ``_ModEchelon`` pass over the rows finds the pivot
@@ -799,6 +805,35 @@ def _neg_inverse_columns(columns: Sequence[Sequence[int]]) -> Optional[list[int]
     for pivot, half in zip(echelon.pivots, echelon.cleared(size)):
         out[pivot] = half
     return out
+
+
+def _orthogonal_probe(rows: Sequence[Sequence[int]],
+                      ncols: int) -> Optional[list[int]]:
+    """A vector mod ``P`` orthogonal to every row, given as residues mod
+    ``P``, ncols each; None when the rows are dependent mod ``P``.
+
+    It is the sum of the canonical basis of the vectors orthogonal to the
+    rows mod ``P``, the vector of free column f weighted by f + 1: that
+    vector is 1 at f and 0 at the other free columns, so the probe is
+    f + 1 at each free column f, and not 0 when there are fewer rows than
+    columns.  The rows are reduced in turn, each to 0 at the pivots of
+    those before it; then, from the last row back, each row fixes the
+    probe at its own pivot, since it is 0 at the pivots not yet fixed."""
+    kept: list[tuple[int, list[int]]] = []
+    for row in rows:
+        for p, base in kept:
+            if row[p]:
+                f, g = row[p], base[p]
+                row = [(g * v - f * b) % P for v, b in zip(row, base)]
+        pivot = next((j for j, v in enumerate(row) if v), None)
+        if pivot is None:
+            return None
+        kept.append((pivot, row))
+    pivots = {p for p, _ in kept}
+    probe = [0 if j in pivots else j + 1 for j in range(ncols)]
+    for p, row in reversed(kept):
+        probe[p] = -sum(map(mul, probe, row)) * pow(row[p], -1, P) % P
+    return probe
 
 
 class _LiftBlock(NamedTuple):

@@ -34,11 +34,17 @@ back to the exact kernel only when the set is not poised modulo the prime.
 Vanishing spaces are ``linalg.nullspace``, which lifts each free column
 and certifies the basis on the shapes its rule admits (a set one node
 short of poised from degree 5 on, for one) and eliminates exactly on the
-others.  The dependencies among the rows and the fundamental polynomial
-of a set of any other size read the exact ``RankTracker``.  The defect
-check of a set at degrees n and k, from ``_SPLIT_COLUMNS`` degree-(k-1)
-monomials on, is one ``linalg.column_pass`` over the transposed degree-n
-rows (``_defect_pass``): it certifies n-independence, bounds the rank of
+others.  The fundamental polynomial of a set of any other size reads
+the exact ``RankTracker``.  ``_Fundamentals`` serves line usage: it
+inverts the collocation matrix V of an n-poised set once modulo the
+prime, reads each node's degree-n coefficients mod P off the last n + 1
+rows of -V^-1, and lifts a node's fundamental polynomial over that
+inverse only when asked, checked exactly; when V is singular mod P, or
+a lift fails, one exact elimination (``_curves_missing_one``) decides
+poisedness and gives every fundamental.  The defect check of a set at
+degrees n and k, from ``_SPLIT_COLUMNS`` degree-(k-1) monomials on, is
+one ``linalg.column_pass`` over the transposed degree-n rows
+(``_defect_pass``): it certifies n-independence, bounds the rank of
 the degree-k rows, and names the nodes that may carry a degree-(k-1)
 curve through the others, each curve lifted over the pass's inverse and
 checked exactly (``_outlier_curves``).  Below that, or when the prime
@@ -95,7 +101,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
 from . import poly as _poly
@@ -254,25 +260,6 @@ def vanishing_basis(xs: NodeSet, n: int) -> VanishingSpace:
     return VanishingSpace(n, tuple(Poly(n, v) for v in basis))
 
 
-def _dependency_rows(xs: NodeSet, n: int) -> list[list[int]]:
-    """Each node's coordinates in the canonical basis of the dependencies
-    among the set's degree-n rows, as integers over that node's own
-    denominator.
-
-    The dependencies are the vectors c with sum(c_i * row_i) = 0, one basis
-    vector per free column of the transposed rows: node i's row is the
-    numerators of ``RankTracker.coordinates`` at column i, one row per
-    node even when there is no dependency, so a free node gets 1 in its
-    own basis vector and 0 in the others.  Dropping the denominators
-    scales each row on its own, which changes no zero pattern and no span:
-    node i's row is 0 iff every dependency has coefficient 0 at i.
-    """
-    transpose = RankTracker(len(xs))
-    for column in zip(*collocation_matrix(xs, n)):
-        transpose.add(column)
-    return [nums for nums, _ in transpose.coordinates()]
-
-
 def _curves_missing_one(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
     """The rank of the set's degree-n rows and, by node index, each node
     whose row is outside the span of the others, with a degree-n
@@ -281,8 +268,10 @@ def _curves_missing_one(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
 
     One elimination does it: the transposed rows, each followed by its
     unit vector as right-hand sides.  Node i's row is outside the span of
-    the others iff its dependency row is 0 (see ``_dependency_rows``),
-    i.e. iff its kept row is 0 at every free column, which
+    the others iff every dependency among the rows, a vector c with
+    sum(c_j * row_j) = 0, is 0 at i.  A free column's canonical dependency
+    is 1 there, so i must be a pivot, and at pivot i they are all 0 iff
+    its kept row is 0 at every free column, which
     ``RankTracker.unit_rows`` reads.  That row's right-hand sides c then
     give sum(c_j * column_j) = d * e_i: c is column i of the inverse of
     the pivot block, a polynomial that vanishes at every other node and
@@ -317,18 +306,18 @@ def _defect_pass(xs: NodeSet, n: int, k: int
     all three: a rank mod P that reaches the node count certifies
     independence, and the rank after space_dim(k) columns is a rank mod P
     of the degree-k rows, at most their rank over Q.  A pass that falls
-    short, and a set below ``_SPLIT_COLUMNS``, take an
+    short, and a set below ``_SPLIT_COLUMNS``, hand the same rows to an
     ``IndependenceTracker``, which decides exactly.
     """
     m, q = space_dim(k - 1), space_dim(k)
-    split = None
+    rows, split = collocation_matrix(xs, n), None
     if m >= _SPLIT_COLUMNS:
-        rows = collocation_matrix(xs, n)
         found = linalg.column_pass(zip(*rows), len(xs), m, q)
         if found.rank == len(xs):
             return found.prefix_rank, (rows, found)
         split = rows, found
-    return _independent_tracker(xs, n).prefix_rank_bound(q), split
+    tracker = _independent_tracker(xs, n, rows=rows)
+    return tracker.prefix_rank_bound(q), split
 
 
 def _outlier_curves(xs: NodeSet, n: int,
@@ -385,6 +374,91 @@ def fundamental_polynomials(xs: NodeSet, n: int) -> list[Optional[Poly]]:
     return [fundamental_polynomial(p, xs, n) for p in xs]
 
 
+class _Fundamentals:
+    """The fundamental polynomials of an n-poised set, from one inverse of
+    its collocation matrix V modulo the prime (see the module docstring);
+    ValueError when the set is not n-poised.
+
+    ``rows`` are V's rows.  ``tops[i]``, for node i, is the last n + 1
+    entries of column i of -V^-1 mod P: the degree-n part of p_i over -s_i,
+    for s_i the scale of node i's row.  ``tops`` is None when V is
+    singular mod P.
+    """
+
+    def __init__(self, xs: NodeSet, n: int):
+        size = space_dim(n)
+        if len(xs) != size:
+            raise ValueError("set is not poised at this degree")
+        self.xs, self.n = xs, n
+        self.rows = collocation_matrix(xs, n)
+        self._neg_inverse = linalg._neg_inverse_columns(list(zip(*self.rows)))
+        self._words = linalg._slot_words(2 * size)  # of the inverse's slots
+        self._block: Optional[linalg._LiftBlock] = None
+        self._known: dict[int, list[int]] = {}
+        self.tops: Optional[list[list[int]]] = None
+        if self._neg_inverse is None:
+            self._solve_all()
+            return
+        shift = 64 * self._words * (size - n - 1)
+        self.tops = [linalg._unpack(column >> shift, n + 1, self._words)
+                     for column in self._neg_inverse]
+        # row t of the tops, packed over the nodes
+        self._top_rows = [linalg._pack(row, linalg._slot_words(n + 1))
+                          for row in zip(*self.tops)]
+
+    def _solve_all(self) -> None:
+        """Every node's fundamental polynomial, from one exact elimination
+        (``_curves_missing_one``) that also decides poisedness."""
+        rank, curves = _curves_missing_one(self.xs, self.n)
+        if rank < len(self.rows):
+            raise ValueError("set is not poised at this degree")
+        self._known = {i: curve._integer_coeffs[0]
+                       for i, curve in curves.items()}
+
+    def span_candidates(self, indices: Sequence[int]) -> Optional[list[int]]:
+        """The nodes whose top may lie in the span of the tops of the nodes
+        at ``indices``, those nodes included; every other node's top is
+        outside it mod P.  None when V is singular mod P or those tops are
+        dependent mod P.
+
+        One probe, a vector orthogonal to those tops
+        (``linalg._orthogonal_probe``), is dotted with every node's top at
+        once, through the packed rows of the tops: a node is kept iff the
+        product is 0 mod P."""
+        if self.tops is None:
+            return None
+        size = self.n + 1
+        probe = linalg._orthogonal_probe([self.tops[i] for i in indices],
+                                         size)
+        if probe is None:
+            return None
+        products = linalg._unpack(sum(map(mul, probe, self._top_rows)),
+                                  len(self.rows), linalg._slot_words(size))
+        return [i for i, v in enumerate(products) if not v % linalg.P]
+
+    def numerators(self, i: int) -> list[int]:
+        """p_i's coefficients times a positive integer, exactly: lifted over
+        the inverse and checked (``linalg._lift``), or, when V is singular
+        mod P or the lift fails, read off one exact elimination for every
+        node (``_solve_all``).  One ``linalg._LiftBlock`` serves every
+        node, and each node's answer is kept."""
+        found = self._known.get(i)
+        if found is not None:
+            return found
+        if self._block is None:
+            # s_i is at most its row's sum, which the block allows for
+            self._block = linalg._lift_block(self.rows, self._neg_inverse,
+                                             self._words, 1)
+        # the value s_i at node i, the entry 0 of its row
+        b = [row[0] if j == i else 0 for j, row in enumerate(self.rows)]
+        lifted = linalg._lift(self._block, b)
+        if lifted is None:
+            self._solve_all()
+            return self._known[i]
+        self._known[i] = lifted[0]
+        return lifted[0]
+
+
 def integer_spiral() -> Iterator[Node]:
     """All integer points, ordered (0,0), (1,0), (0,1), (-1,0), (0,-1),
     (1,1), ...
@@ -413,12 +487,16 @@ def _spiral_pairs() -> Iterator[tuple[int, int]]:
 
 
 def _independent_tracker(xs: NodeSet, n: int,
-                         lead: Optional[tuple[int, int]] = None
+                         lead: Optional[tuple[int, int]] = None,
+                         rows: Optional[Iterable[list[int]]] = None
                          ) -> IndependenceTracker:
     """A tracker holding the set's degree-n rows, or, with ``lead``, their
-    standard-monomial rows; every node must then lie on the curve."""
+    standard-monomial rows; every node must then lie on the curve.
+    ``rows`` are those rows, when the caller has built them."""
+    if rows is None:
+        rows = (_monomial_row(p, n, lead) for p in xs)
     tracker = IndependenceTracker(len(_poly.row_exponents(n, lead)))
-    if not all(tracker.add(_monomial_row(p, n, lead)) for p in xs):
+    if not all(map(tracker.add, rows)):
         raise ValueError("set is not independent at this degree")
     return tracker
 

@@ -14,8 +14,10 @@ polynomial has no degree (reported as None).
 Evaluation is integer arithmetic.  ``homogeneous_row`` writes a point as
 (A/e, C/e) over a common denominator e and returns the monomials at it as
 the integers A^i C^j e^(n-i-j); the scale e^n they were multiplied by is
-entry 0, the constant monomial's.  Each entry is one product of powers
-read off a cached exponent table, ``row_exponents``; the row restricted
+entry 0, the constant monomial's.  ``integer_row`` takes the homogeneous
+coordinates [e, A, C] themselves, any integers not all 0.  Each entry is
+one product of powers read off a cached exponent table,
+``row_exponents``; the row restricted
 to the standard monomials of a curve's leading monomial (those it does
 not divide) is the same product over a filtered copy of that table.  The
 same rows feed the elimination kernel (see ``linalg``); a ``Poly`` keeps
@@ -127,8 +129,16 @@ def homogeneous_row(x, y, n: int,
     entries, and entry 0 is still the scale.
     """
     e = lcm(x.denominator, y.denominator)
-    a = x.numerator * (e // x.denominator)
-    c = y.numerator * (e // y.denominator)
+    return integer_row(e, x.numerator * (e // x.denominator),
+                       y.numerator * (e // y.denominator), n, lead)
+
+
+def integer_row(e: int, a: int, c: int, n: int,
+                lead: Optional[tuple[int, int]] = None) -> list[int]:
+    """The entries a^i c^j e^(n-i-j) over ``row_exponents(n, lead)``: the
+    degree-n row of the point with homogeneous coordinates [e, a, c], up
+    to the scale.  At e = 0, a point at infinity, only the degree-n
+    entries are nonzero."""
     a_pows, c_pows, e_pows = _powers(a, n), _powers(c, n), _powers(e, n)
     return [a_pows[i] * c_pows[j] * e_pows[k]
             for i, j, k in row_exponents(n, lead)]

@@ -366,6 +366,17 @@ def node_sets_with_degree(draw):
     return nodes.NodeSet(xs), draw(st.integers(0, 3))
 
 
+def _dependency_rows(xs, n):
+    """Each node's coordinates in the canonical basis of the dependencies
+    among the set's degree-n rows, as integers over that node's own
+    denominator: node i's row is the numerators of
+    ``RankTracker.coordinates`` at column i of the transposed rows."""
+    transpose = linalg.RankTracker(len(xs))
+    for column in zip(*nodes.collocation_matrix(xs, n)):
+        transpose.add(column)
+    return [nums for nums, _ in transpose.coordinates()]
+
+
 @settings(max_examples=60, deadline=None)
 @given(node_sets_with_degree())
 def test_dependency_rows_are_scaled_reference_coordinates(case):
@@ -375,7 +386,7 @@ def test_dependency_rows_are_scaled_reference_coordinates(case):
     rows = nodes.collocation_matrix(xs, n)
     transpose = [list(map(F, column)) for column in zip(*rows)]
     ref = ref_nullspace(transpose, len(xs))
-    deps = nodes._dependency_rows(xs, n)
+    deps = _dependency_rows(xs, n)
     assert len(deps) == len(xs)
     for i, dep in enumerate(deps):
         want = [vec[i] for vec in ref]
@@ -397,7 +408,7 @@ def test_curves_missing_one_are_the_reference_curves(case):
     rank, found = nodes._curves_missing_one(xs, n)
     _, pivots = ref_rref(fractions(nodes.collocation_matrix(xs, n)))
     assert rank == len(pivots)
-    deps = nodes._dependency_rows(xs, n)
+    deps = _dependency_rows(xs, n)
     assert list(found) == [i for i, dep in enumerate(deps) if not any(dep)]
     for i, curve in found.items():
         assert [curve.eval(p.x, p.y) != 0 for p in xs] == [
@@ -1002,3 +1013,38 @@ def test_nullspace_without_a_lift_gives_the_same_answers(case):
             linalg.solve_columns([row + [1] for row in rows[:ncols]], ncols))
     finally:
         linalg._lift = original
+
+
+@st.composite
+def residue_rows(draw):
+    """Fewer rows than columns, of residues mod P: small values, so that
+    zeros and repeats are common, or any residue; the last row is at times
+    a combination of the others mod P."""
+    ncols = draw(st.integers(2, 7))
+    nrows = draw(st.integers(1, ncols - 1))
+    entry = st.one_of(st.integers(0, 2), st.just(P - 1),
+                      st.integers(0, P - 1))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, P - 1), min_size=nrows - 1,
+                                max_size=nrows - 1))
+        rows[-1] = [sum(w * row[j] for w, row in zip(weights, rows)) % P
+                    for j in range(ncols)]
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_rows())
+def test_orthogonal_probe_is_orthogonal_and_not_zero(case):
+    # None exactly when the rows are dependent mod P; otherwise a vector
+    # orthogonal to every row mod P, with f + 1 at each free column f, so
+    # not 0
+    rows, ncols = case
+    probe = linalg._orthogonal_probe(rows, ncols)
+    if _rank_mod_p(rows) < len(rows):
+        assert probe is None
+        return
+    assert all(0 <= v < P for v in probe)
+    assert all(sum(map(operator.mul, probe, row)) % P == 0 for row in rows)
+    assert sum(v == f + 1 for f, v in enumerate(probe)) >= ncols - len(rows)

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,8 +16,7 @@ from nodecurves.poly import Poly
 FOUR = NodeSet([(0, 0), (1, 0), (2, 0), (0, 1)])
 
 # the exact curve-space computations that the mod-P bound can spare
-EXACT = [(verify, "curves_through"), (nodes, "vanishing_basis"),
-         (nodes, "_dependency_rows")]
+EXACT = [(verify, "curves_through"), (nodes, "vanishing_basis")]
 
 
 def _count_calls(monkeypatch, names) -> dict:
@@ -25,9 +25,9 @@ def _count_calls(monkeypatch, names) -> dict:
         real = getattr(owner, attr)
         counts[attr] = 0
 
-        def wrapper(*args, real=real, attr=attr):
+        def wrapper(*args, real=real, attr=attr, **kwargs):
             counts[attr] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(owner, attr, wrapper)
     return counts
 
@@ -114,13 +114,21 @@ def test_denominators_divisible_by_p_take_the_exact_path(monkeypatch, n, k,
     counts = _count_calls(monkeypatch, [(verify, "curves_through"),
                                         (nodes, "_curves_missing_one"),
                                         (nodes, "_independent_tracker")])
+    real, degrees = nodes.collocation_matrix, []
+
+    def recording(ys, m, *args):
+        degrees.append(m)
+        return real(ys, m, *args)
+    monkeypatch.setattr(nodes, "collocation_matrix", recording)
     report = verify.characterize_defect(xs, n, k)
     assert counts["curves_through"] == 1
     # below the crossover, or with the column pass short of full rank at
     # (6, 4), the exact tracker bounds the curve space and the exact route
-    # names the outlier
+    # names the outlier; the degree-n rows are built once, for both the
+    # pass and the tracker
     assert counts["_independent_tracker"] == 1
     assert counts["_curves_missing_one"] == 1
+    assert degrees.count(n) == 1
     assert report.curve_space_dim == 2
     assert report.outlier_index == cfg.outlier_index
 
@@ -300,39 +308,51 @@ def test_line_usage_on_engineered_set():
 
 
 def test_line_usage_collinear_users_is_violation(monkeypatch):
-    # fake dependency rows under which the first 3-node line, y = x, is used
-    # by exactly three collinear nodes (on y = 0): their rows lie in the span
-    # of the on-line rows, every other row lies outside it
+    # fake fundamentals under which the first 3-node line, y = x, is used
+    # by exactly three collinear nodes (on y = 0): theirs are multiples of
+    # y - x, every other off-line node's is 1, and the prime rules out no
+    # node, so every off-line node is a candidate
     xs = nodes.extend_to_poised(NodeSet(), 3)
-    on_line = [p for p in xs if p.x == p.y]
-    fake_users = [nodes.node(x, 0) for x in (-1, 1, 2)]
+    on_line = {xs.index(p) for p in xs if p.x == p.y}
+    fake_users = {xs.index(nodes.node(x, 0)) for x in (-1, 1, 2)}
+    along = poly.linear(-1, 1, 0) * Poly.from_terms({(2, 0): 1}, 2)
+    real = nodes._Fundamentals.numerators
 
-    def dependency_rows(_xs, _n):
-        rows = {p: [0, 0, 0, 1] for p in xs}
-        for i, p in enumerate(on_line):
-            rows[p] = [int(i == j) for j in range(4)]
-        for p in fake_users:
-            rows[p] = [1, 1, 1, 0]
-        return [rows[p] for p in xs]
+    def numerators(self, i):
+        if i in on_line:
+            return real(self, i)
+        if i in fake_users:
+            return along._integer_coeffs[0]
+        return [1] + [0] * 9
 
-    monkeypatch.setattr(nodes, "_dependency_rows", dependency_rows)
+    monkeypatch.setattr(nodes._Fundamentals, "span_candidates",
+                        lambda self, indices: None)
+    monkeypatch.setattr(nodes._Fundamentals, "numerators", numerators)
     with pytest.raises(TheoremViolation, match="collinear"):
         verify.line_usage_reports(xs, 3)
 
 
 def test_line_usage_dependent_on_line_rows_is_violation(monkeypatch):
-    # poisedness makes the dependency rows of a 3-node line independent;
-    # make the third row of y = x the sum of the other two
+    # poisedness makes the degree-n parts of the fundamentals of a 3-node
+    # line independent; make the third one of y = x the sum of the other
+    # two, mod P and exactly
     xs = nodes.extend_to_poised(NodeSet(), 3)
     a, b, c = (xs.index(p) for p in xs if p.x == p.y)
-    real = nodes._dependency_rows
+    real_init = nodes._Fundamentals.__init__
+    real = nodes._Fundamentals.numerators
 
-    def dependency_rows(ys, n):
-        rows = real(ys, n)
-        rows[c] = [u + v for u, v in zip(rows[a], rows[b])]
-        return rows
+    def init(self, ys, n):
+        real_init(self, ys, n)
+        self.tops[c] = [(u + v) % linalg.P
+                        for u, v in zip(self.tops[a], self.tops[b])]
 
-    monkeypatch.setattr(nodes, "_dependency_rows", dependency_rows)
+    def numerators(self, i):
+        if i == c:
+            return [u + v for u, v in zip(real(self, a), real(self, b))]
+        return real(self, i)
+
+    monkeypatch.setattr(nodes._Fundamentals, "__init__", init)
+    monkeypatch.setattr(nodes._Fundamentals, "numerators", numerators)
     with pytest.raises(TheoremViolation, match="rank 2"):
         verify.line_usage_reports(xs, 3)
 
@@ -363,13 +383,14 @@ def test_line_usage_no_three_node_lines_is_empty():
 
 def test_line_usage_without_three_node_lines_skips_dependency_rows(
         monkeypatch):
-    # no line through 3 nodes of this set: nothing to audit, nothing to solve
+    # no line through 3 nodes of this set: nothing to audit, nothing to lift
     xs = generators.random_poised(4, 1)
 
-    def dependency_rows(_xs, _n):
-        raise AssertionError("dependency rows were computed")
+    def audited(*_args):
+        raise AssertionError("a line was audited")
 
-    monkeypatch.setattr(nodes, "_dependency_rows", dependency_rows)
+    monkeypatch.setattr(nodes._Fundamentals, "span_candidates", audited)
+    monkeypatch.setattr(nodes._Fundamentals, "numerators", audited)
     assert verify.line_usage_reports(xs, 4) == []
 
 
@@ -461,3 +482,142 @@ def test_line_usage_moves_with_affine_maps_and_permutations(
     want = usage(verify.line_usage_reports(xs, n), xs.index)
     got = usage(verify.line_usage_reports(ys, n), origin.__getitem__)
     assert got == want
+
+
+def _exact_line_usage(xs, n):
+    """The users of every 3-node line by one exact route: the dependencies
+    among the degree-(n-1) rows, from one elimination of the transposed
+    rows, and a span test of each off-line node's dependency row against
+    the 3 on-line nodes' rows."""
+    transpose = linalg.RankTracker(len(xs))
+    for column in zip(*nodes.collocation_matrix(xs, n - 1)):
+        transpose.add(column)
+    deps = [nums for nums, _ in transpose.coordinates()]
+    reports = []
+    for line, on_line in _three_node_lines(xs):
+        indices = sorted(map(xs.index, on_line))
+        span = linalg.RankTracker(n + 1)
+        for i in indices:
+            span.add(deps[i])
+        assert span.rank == 3
+        users = [i for i in range(len(xs))
+                 if i not in indices and not span.would_grow(deps[i])]
+        if users:
+            reports.append(verify.UsageReport(line, xs.subset(indices),
+                                              xs.subset(users)))
+    return reports
+
+
+def _usage_base(kind, n, seed):
+    if kind == "br":
+        return generators.berzolari_radon(n, seed).nodes
+    if kind == "spiral":
+        return nodes.extend_to_poised(NodeSet(), n)
+    return generators.random_poised(n, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["br", "spiral", "random"]),
+       n=st.integers(3, 6), seed=st.integers(0, 99),
+       matrix=st.tuples(*[_small_rationals] * 4),
+       shift=st.tuples(_small_rationals, _small_rationals),
+       moved=st.booleans())
+def test_line_usage_matches_the_exact_route(kind, n, seed, matrix, shift,
+                                            moved):
+    # the mod-P filter and the lifts give the reports of the exact
+    # dependency rows, on each set as built or moved by an affine map
+    n = min(n, 5) if kind == "random" else n
+    xs = _usage_base(kind, n, seed)
+    a, b, c, d = matrix
+    if moved and a * d != b * c:
+        xs = NodeSet((a * p.x + b * p.y + shift[0],
+                      c * p.x + d * p.y + shift[1]) for p in xs)
+    assert verify.line_usage_reports(xs, n) == _exact_line_usage(xs, n)
+
+
+def test_line_usage_invertible_mod_p_takes_no_exact_rank(monkeypatch):
+    # with V invertible mod P, neither poisedness nor any user is decided
+    # by an exact rank; the lifts confirm the users
+    xs = nodes.extend_to_poised(NodeSet(), 5)
+    want = _exact_line_usage(xs, 5)
+    counts = _count_calls(monkeypatch, [(nodes, "is_poised"),
+                                        (linalg.RankTracker, "would_grow"),
+                                        (nodes, "_curves_missing_one"),
+                                        (linalg, "_lift")])
+    assert verify.line_usage_reports(xs, 5) == want
+    users = {u for rep in want for u in rep.users}
+    assert counts == {"is_poised": 0, "would_grow": 0,
+                      "_curves_missing_one": 0, "_lift": len(users)}
+
+
+@pytest.mark.parametrize("n, seed", [(3, 1), (4, 2), (5, 3)])
+def test_line_usage_singular_mod_p_takes_the_exact_route(monkeypatch, n,
+                                                         seed):
+    # coordinates over P: every row but the origin's is 0 mod P below
+    # degree n, so V is singular mod P; one exact elimination decides
+    # poisedness and gives every fundamental.  Scaling is an affine map,
+    # so the lines and users are those of the set scaled
+    br = generators.berzolari_radon(n, seed).nodes
+    xs = NodeSet((p.x / linalg.P, p.y / linalg.P) for p in br)
+    rows = nodes.collocation_matrix(xs, n)
+    assert linalg._neg_inverse_columns(list(zip(*rows))) is None
+    want = _exact_line_usage(xs, n)
+    counts = _count_calls(monkeypatch, [(nodes, "_curves_missing_one"),
+                                        (linalg, "_lift")])
+    got = verify.line_usage_reports(xs, n)
+    assert got == want
+    assert counts == {"_curves_missing_one": 1, "_lift": 0}
+    scaled = [(set(rep.nodes_on_line), set(rep.users))
+              for rep in verify.line_usage_reports(br, n)]
+    assert [({xs[br.index(p)] for p in on}, {xs[br.index(p)] for p in users})
+            for on, users in scaled] == [
+        (set(rep.nodes_on_line), set(rep.users)) for rep in got]
+
+
+def test_line_usage_singular_mod_p_not_poised_is_refused():
+    # 10 nodes with 5 on a line, over P: singular mod P and over Q
+    grid = [(i, 0) for i in range(5)] + [(i, j) for j in (1, 2)
+                                         for i in range(3)][:5]
+    xs = NodeSet((Fraction(x, linalg.P), Fraction(y, linalg.P))
+                 for x, y in grid)
+    with pytest.raises(ValueError, match="not poised"):
+        verify.line_usage_reports(xs, 3)
+
+
+def test_line_usage_failed_lifts_and_short_lines_decide_exactly(
+        monkeypatch):
+    # a lift that fails takes one exact elimination for every node, and a
+    # line whose on-line tops the prime cannot separate takes every
+    # off-line node as a candidate: the reports are the same
+    sets = [(nodes.extend_to_poised(NodeSet(), n), n) for n in (3, 4, 5)]
+    sets += [(generators.berzolari_radon(n, 7).nodes, n) for n in (4, 6)]
+    wants = [verify.line_usage_reports(xs, n) for xs, n in sets]
+    monkeypatch.setattr(linalg, "_lift", lambda *args: None)
+    monkeypatch.setattr(nodes._Fundamentals, "span_candidates",
+                        lambda self, indices: None)
+    counts = _count_calls(monkeypatch, [(nodes, "_curves_missing_one")])
+    assert [verify.line_usage_reports(xs, n) for xs, n in sets] == wants
+    assert counts["_curves_missing_one"] == len(sets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["br", "spiral", "random", "grid"]),
+       n=st.integers(3, 7), seed=st.integers(0, 99),
+       matrix=st.tuples(*[_small_rationals] * 4),
+       shift=st.tuples(_small_rationals, _small_rationals))
+def test_three_node_lines_match_the_pair_grouping(kind, n, seed, matrix,
+                                                  shift):
+    # the anchors' buckets find the lines of exactly 3 nodes that grouping
+    # every pair by its line finds, in the order pairs first reach them;
+    # grids carry lines of 4 or more nodes in many directions
+    if kind == "grid":
+        xs = NodeSet((i, j) for i in range(n) for j in range(n - 1))
+    else:
+        xs = _usage_base(kind, min(n, 5) if kind == "random" else n, seed)
+    a, b, c, d = matrix
+    if a * d != b * c:
+        xs = NodeSet((a * p.x + b * p.y + shift[0],
+                      c * p.x + d * p.y + shift[1]) for p in xs)
+    want = [tuple(sorted(map(xs.index, on)))
+            for _, on in _three_node_lines(xs)]
+    assert verify._three_node_lines(nodes.collocation_matrix(xs, n)) == want
