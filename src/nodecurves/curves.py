@@ -33,6 +33,11 @@ A line has one integer parametrization, ``LineForm._point``: the point at
 t = p/q is computed from p, q and the numerators and denominators of the
 line's coefficients, and each coordinate is reduced by one ``Fraction``.
 ``point_at``, ``points`` and every generator read line points through it.
+The parameters p/q come from ``_rational_pairs``, cached ring by ring
+once per process and shared by every search, so its memory grows only
+with the furthest ring read (``nodes.SEARCH_BUDGET`` bounds it); a
+``LineUnion`` reads one such stream and takes each line's ``_point`` at
+each parameter.
 Membership reads one integer form too, ``LineForm._coefficients``: a
 node (x/dx, y/dy) lies on A*x + B*y + C = 0 iff A*x*dy + B*y*dx + C*dx*dy
 is 0, with no ``Fraction`` arithmetic (``LineForm.contains``,
@@ -136,7 +141,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
@@ -203,10 +208,18 @@ def same_curve(a: Curve, b: Curve) -> bool:
 
 def _rational_pairs() -> Iterator[tuple[int, int]]:
     """Every rational p/q exactly once, as the pair (p, q): integer spiral
-    points with q > 0 and gcd(p, q) = 1, so 0, 1, -1, 2, 1/2, -1/2, -2, ..."""
-    for p, q in _nodes._spiral_pairs():
-        if q > 0 and gcd(p, q) == 1:
-            yield p, q
+    points with q > 0 and gcd(p, q) = 1, so 0, 1, -1, 2, 1/2, -1/2, -2, ...,
+    read ring by ring from ``_rational_ring``."""
+    for radius in itertools.count():
+        yield from _rational_ring(radius)
+
+
+@cache
+def _rational_ring(radius: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of ``nodes._ring(radius)`` that ``_rational_pairs`` keeps,
+    filtered once."""
+    return tuple((p, q) for p, q in _nodes._ring(radius)
+                 if q > 0 and gcd(p, q) == 1)
 
 
 @dataclass(frozen=True)
@@ -361,10 +374,13 @@ class LineUnion:
         return any(line._meets(x, dx, y, dy) for line in self.lines)
 
     def points(self) -> Iterator[Node]:
-        """Round-robin over the component lines' samplers."""
-        streams = [line.points() for line in self.lines]
-        for batch in zip(*streams):
-            yield from batch
+        """Round-robin over the lines: for each parameter of one
+        ``_rational_pairs`` stream, each line's point there, in line
+        order, as the lines' own ``points`` would give them."""
+        lines = self.lines
+        for p, q in _rational_pairs():
+            for line in lines:
+                yield line._point(p, q)
 
 
 def _general_position(lines: Sequence[LineForm]) -> bool:

@@ -56,7 +56,12 @@ Every node search in the package runs through ``_grow``: it reads a
 fixed stream of candidates (the integer spiral, a curve sampler, seeded
 draws), so its output is reproducible everywhere, and keeps each one that
 one decider accepts, in a single pass: a node that would make the set
-dependent still would once the set has grown.  The decider says whether
+dependent still would once the set has grown.  The integer spiral
+(``integer_spiral``, ``_spiral_pairs``) and the rational line parameters
+(``curves._rational_pairs``) are built once per process, ring by ring as
+a search first reads them, and every later search reads the cached
+rings; their memory grows only with the furthest ring read, which
+SEARCH_BUDGET bounds.  The decider says whether
 the set stays n-independent with the node, and keeps it if so.  Which one
 a search takes is read off its input:
 
@@ -97,6 +102,7 @@ draw from q's own points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -464,26 +470,46 @@ def integer_spiral() -> Iterator[Node]:
     (1,1), ...
 
     Points are grouped by max(|x|,|y|), then by |x|+|y|, then swept
-    counterclockwise from the positive x-axis.
+    counterclockwise from the positive x-axis.  Each ring's ``Node``s are
+    built once per process, on first read (``_node_ring``), and every
+    stream shares them, so memory grows only with the furthest ring read.
     """
-    for x, y in _spiral_pairs():
-        yield Node(Fraction(x), Fraction(y))
+    for radius in itertools.count():
+        yield from _node_ring(radius)
 
 
 def _spiral_pairs() -> Iterator[tuple[int, int]]:
-    """The integer spiral's points as pairs of ints, built in order: on
-    ring r, |x|+|y| = r+t gives (r, t) and (t, r) in the first quadrant,
-    and three quarter turns (x, y) -> (-y, x) sweep the others."""
-    yield 0, 0
-    for radius in itertools.count(1):
-        for t in range(radius + 1):
-            quarter = [(radius, t)]
-            if 0 < t < radius:
-                quarter.append((t, radius))
-            yield from quarter
-            for _ in range(3):
-                quarter = [(-y, x) for x, y in quarter]
-                yield from quarter
+    """The integer spiral's points as pairs of ints, read ring by ring
+    from ``_ring``: each ring is built once per process, on first read,
+    and every stream shares it, so memory grows only with the furthest
+    ring read."""
+    for radius in itertools.count():
+        yield from _ring(radius)
+
+
+@functools.cache
+def _ring(radius: int) -> tuple[tuple[int, int], ...]:
+    """Ring ``radius`` of the integer spiral, built once: |x|+|y| =
+    radius+t gives (radius, t) and (t, radius) in the first quadrant, and
+    three quarter turns (x, y) -> (-y, x) sweep the others."""
+    if radius == 0:
+        return ((0, 0),)
+    ring: list[tuple[int, int]] = []
+    for t in range(radius + 1):
+        quarter = [(radius, t)]
+        if 0 < t < radius:
+            quarter.append((t, radius))
+        ring += quarter
+        for _ in range(3):
+            quarter = [(-y, x) for x, y in quarter]
+            ring += quarter
+    return tuple(ring)
+
+
+@functools.cache
+def _node_ring(radius: int) -> tuple[Node, ...]:
+    """``_ring(radius)`` as ``Node``s, built once."""
+    return tuple(Node(Fraction(x), Fraction(y)) for x, y in _ring(radius))
 
 
 def _independent_tracker(xs: NodeSet, n: int,

@@ -628,6 +628,15 @@ def test_gen_and_extend_output_bytes_are_pinned(capsys):
          + [["extend", "-n", str(n), "--on-curve", lines, '{"nodes": []}']
             for n in (3, 5)],
          "e075fe6999f193bf7abf6ca6f40114eaeae0a71e25673e66e52fa646817b938c"),
+        # deeper into the shared streams: BR at n = 10 and 12, defect sets
+        # on 5 to 7 lines, whose rank decider reads a union stream, and
+        # spiral rings past those n <= 5 reaches
+        ([["gen", "br", "-n", str(n), "--seed", str(seed)]
+          for n in (10, 12) for seed in (1, 2)]
+         + [["gen", "defect", "-n", "8", "-k", str(k), "--seed", "1"]
+            for k in (6, 7, 8)]
+         + [["extend", "-n", str(n), '{"nodes": []}'] for n in (8, 10)],
+         "5a6a8084b8ad51ad5cf5ff60366f26a26be0777d88133e5c4f78457eb1cd9a9e"),
     ]
     for calls, want in groups:
         digest = hashlib.sha256()
