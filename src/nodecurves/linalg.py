@@ -86,14 +86,7 @@ the prime rejects may still be independent over Q (``P`` can divide a
 minor), so it goes to an exact ``RankTracker``, built
 on first need from the accepted rows.  Once that tracker accepts a row the
 prime rejected, the mod-``P`` form no longer certifies anything, and every
-later row is decided exactly.  ``IndependenceTracker.prefix_rank_bound``
-counts the mod-``P`` pivots below a column q.  Cut to their first q
-columns, the kept mod-``P`` rows span the rows they came from, cut the
-same way, mod ``P``; those with a pivot at or past q are 0, and the rest
-stay in echelon form, so the count is a rank mod ``P``, at most the exact
-rank of the accepted rows' first q columns.  Rows accepted exactly are
-missing from the mod-``P`` form and are not counted, so the bound stays
-valid after the fallback.  Two rejections need no elimination at all:
+later row is decided exactly.  Two rejections need no elimination at all:
 a row equal to an accepted row, and any row once the rank equals the
 column count.  ``P`` is the largest prime below 2**26, small enough that a
 packed slot (below) is one 64-bit word for every row of fewer than 4096
@@ -146,27 +139,28 @@ rule it bounds every numerator and the denominator, so by then each entry
 rebuilds uniquely on its own.  When A is singular mod ``P``, or no
 candidate passes the check by the cap, the exact ``solve_columns``
 answers, so ``solve`` always returns what ``solve_columns`` would.
-``_neg_inverse_columns`` reads the inverse off ``_ModEchelon.cleared``,
-the back-substitution that also gives ``column_pass`` its RREF mod ``P``.
-Whatever depends on A alone is made once per A, by ``_lift_block``, and
+``_inverse`` makes the inverse of every lift but ``column_pass``'s: it
+reads -A^-1 off ``_ModEchelon.cleared``, the back-substitution that also
+gives ``column_pass`` its RREF mod ``P``, and hands it to
+``_lift_block``, which makes whatever depends on A alone once per A,
 shared by every right-hand side lifted over the same inverse: A's packed
 columns, with slots wide enough for all of them, and the product of A's
 squared column norms, which each b multiplies by its own to give H**2.
-Line usage (``nodes._Fundamentals``) lifts node fundamentals over one
-inverse of the collocation matrix this way.  ``_orthogonal_probe`` gives
-it one vector mod ``P`` orthogonal to a few rows: every row in their
-span mod ``P`` has product 0 with it, so a nonzero product puts a row
-outside the span; a row outside it may still give 0, which costs only
-an exact check.
+``solve``, ``nullspace`` and line usage (``nodes._Fundamentals``, which
+lifts node fundamentals over one inverse of the collocation matrix) call
+it.  ``_orthogonal_probe`` gives line usage one vector mod ``P``
+orthogonal to a few rows: every row in their span mod ``P`` has product
+0 with it, so a nonzero product puts a row outside the span; a row
+outside it may still give 0, which costs only an exact check.
 
 ``nullspace`` lifts too, on the shapes where that is cheaper than the
 elimination.  One ``_ModEchelon`` pass over the rows finds the pivot
 columns S mod ``P`` and the rows B that grew the echelon form, so B_S,
-B's entries at S, is invertible mod ``P``, and is inverted once.  For
-each free column f mod ``P``, ``_lift`` solves B_S x = -B_f over one
-``_lift_block`` of B_S, and v is x
-at S, 1 at f and 0 at the other free columns.  v is kept only when it is
-0 at every pivot after f and ``A·v = 0`` holds exactly for every row,
+B's entries at S, is invertible mod ``P``, and is inverted once
+(``_inverse``).  For each free column f mod ``P``, ``_lift`` solves
+B_S x = -B_f over that one inverse, and v is x at S, 1 at f and 0 at the
+other free columns.  v is kept only when it is 0 at every pivot after f
+and ``A·v = 0`` holds exactly for every row,
 the rows the prime rejected included (``_lift`` has checked B's).  That
 is a certificate.  v's last nonzero entry is at f, so column f is a
 combination of the columns before it over Q: f is a free column of the
@@ -219,30 +213,33 @@ More nodes than monomials, measured the same way: nodes on 1 to n lines
 * generic sets of 3 to 6 more nodes than monomials, full column rank mod
   ``P``: 0.10 at 21 columns, 0.05 at 28, 0.02 at 45 and 0.01 at 66.
 
-``column_pass`` serves the defect split (``nodes._defect_pass``).  It
-eliminates mod ``P`` the columns of a matrix, each column a packed row of
-one slot per matrix row, the first m of them followed by an m-slot
-identity block, and stops once the rank reaches the number of rows.  A
-rank mod ``P`` never exceeds the rank over Q, so a rank that reaches the
-row count certifies that the rows are independent, and the rank after
-the first q columns bounds the rank of those columns from below, as
-``prefix_rank_bound`` does on the rows.  When the first m columns are
-independent mod ``P``, their pivots S pick B, the rows at S cut to those
-columns, invertible mod ``P``.  With C the first m columns, one per row
-(C_S = B^T), the kept rows are E·[C | I] for some E; cleared, each is -1
-at its own pivot and 0 at the others, so E·C_S = -I and E = -(B^-1)^T:
-the identity block of the cleared row with pivot s is column s of -B^-1,
-packed, ready for ``_lift``.  Cut to the first m columns, the row at a
-pivot s is outside the span of the other rows mod ``P`` iff the cleared
-row with pivot s is 0 at every free slot, a unit vector; a row at a free
-slot never is.  Two traps.  A first-m column whose slots reduce to 0 takes its
-pivot in the identity block; that is a rejection, and it must not be
-kept.  After column m the block is dead weight.  So after column m the
-kept rows with a pivot among the slots are cut to the slots
-(``_ModEchelon.cut``), and the pass goes on without the block.  The
-certificate is unchanged from any other mod-``P`` elimination: a rank
-mod ``P`` is a lower bound over Q, and ``_lift`` checks every solution
-exactly.
+``column_pass`` serves the defect split (``nodes._defect_pass``) at
+every size.  It eliminates mod ``P`` the columns of a matrix, each
+column a packed row of one slot per matrix row, the first m of them
+followed by an m-slot identity block, and stops once the rank reaches
+the number of rows.  A rank mod ``P`` never exceeds the rank over Q, so
+a rank that reaches the row count certifies that the rows are
+independent, and the rank after the first q columns bounds the rank of
+those columns from below, also when the pass falls short of the row
+count.  When the first m columns are independent mod ``P``, their
+pivots S pick B, the rows at S cut to those columns, invertible mod
+``P``.  With C the first m columns, one per row (C_S = B^T), the kept
+rows are E·[C | I] for some E; cleared, each is -1 at its own pivot and
+0 at the others, so E·C_S = -I and E = -(B^-1)^T: the identity block of
+the cleared row with pivot s is column s of -B^-1, packed, ready for
+``_lift``.  The pass keeps the block rather than inverting B afterwards
+with ``_inverse``, which measured 8-15% slower on ``verify defect`` at
+(6, 4) and (8, 5) (Python 3.11, 2 vCPU).  Cut to the first m columns,
+the row at a pivot s is outside the span of the other rows mod ``P`` iff
+the cleared row with pivot s is 0 at every free slot, a unit vector; a
+row at a free slot never is.  Two traps.  A first-m column whose slots
+reduce to 0 takes its pivot in the identity block; that is a rejection,
+and it must not be kept.  After column m the block is dead weight.  So
+after column m the kept rows with a pivot among the slots are cut to the
+slots (``_ModEchelon.cut``), and the pass goes on without the block.
+The certificate is unchanged from any other mod-``P`` elimination: a
+rank mod ``P`` is a lower bound over Q, and ``_lift`` checks every
+solution exactly.
 """
 
 from __future__ import annotations
@@ -534,12 +531,6 @@ class IndependenceTracker:
     def rank(self) -> int:
         return len(self._accepted)
 
-    def prefix_rank_bound(self, q: int) -> int:
-        """A lower bound on the exact rank of the accepted rows' first q
-        columns: the number of mod-``P`` pivots below q.  Rows accepted
-        exactly, after the prime stopped certifying, are not counted."""
-        return sum(p < q for p in self._mod.pivots)
-
     def _grows_exact(self, row: Sequence[int]) -> bool:
         if self._exact is None:
             self._exact = RankTracker(self.ncols)
@@ -638,13 +629,11 @@ def _lifted_nullspace(rows: list[list[int]],
         else:
             rejected.append(row)
     pivots = sorted(echelon.pivots)
-    at_pivots = [[row[p] for p in pivots] for row in block]
-    neg_inverse = _neg_inverse_columns(list(zip(*at_pivots)))
-    if neg_inverse is None:
-        return None
     free = sorted(set(range(ncols)).difference(pivots))
-    lifter = _lift_block(at_pivots, neg_inverse, _slot_words(2 * len(pivots)),
-                         max(abs(row[f]) for row in block for f in free))
+    lifter = _inverse([[row[p] for p in pivots] for row in block],
+                      max(abs(row[f]) for row in block for f in free))
+    if lifter is None:
+        return None
     basis = []
     for f in free:
         found = _lift(lifter, [-row[f] for row in block])
@@ -761,8 +750,9 @@ def solve(rows: Iterable[Sequence[int]],
     """Solve A x = b; the answer is ``solve_columns(rows, ncols)``.
 
     Each row is an integer row of A followed by that row's entry of b.  A
-    square A is lifted P-adically, and the solution, rebuilt over one
-    common denominator, is returned only once ``A·num == b·den`` holds
+    square A is inverted once mod ``P`` (``_inverse``) and the solution
+    lifted P-adically over that inverse; rebuilt over one common
+    denominator, it is returned only once ``A·num == b·den`` holds
     exactly.  Any other shape, an A singular mod ``P``, or no candidate
     verified within the step cap takes ``solve_columns`` instead (see the
     module docstring).
@@ -770,41 +760,38 @@ def solve(rows: Iterable[Sequence[int]],
     rows = [list(row) for row in rows]
     size = len(rows)
     if size == ncols and size:
-        square = [row[:size] for row in rows]
-        neg_inverse = _neg_inverse_columns(list(zip(*square)))
-        if neg_inverse is not None:
-            b = [row[size] for row in rows]
-            block = _lift_block(square, neg_inverse, _slot_words(2 * size),
-                                max(map(abs, b)))
-            found = _lift(block, b)
-            if found is not None:
-                nums, den = found
-                return tuple(Fraction(v, den) for v in nums)
+        b = [row[size] for row in rows]
+        block = _inverse([row[:size] for row in rows], max(map(abs, b)))
+        found = None if block is None else _lift(block, b)
+        if found is not None:
+            nums, den = found
+            return tuple(Fraction(v, den) for v in nums)
     return solve_columns(rows, ncols)
 
 
-def _neg_inverse_columns(columns: Sequence[Sequence[int]]) -> Optional[list[int]]:
-    """The columns of -A^-1 mod ``P``, packed, given A's columns; None when
-    A is singular mod ``P``.
+def _inverse(rows: list[list[int]], bound: int) -> Optional["_LiftBlock"]:
+    """A square A, given by its rows, inverted mod ``P`` and made ready by
+    ``_lift_block`` for right-hand sides with entries at most bound; None
+    when A is singular mod ``P``.
 
     Row j of [A^T | I] is A's column j followed by the unit vector e_j.
-    Once every row has a pivot among the first len(columns) columns, the
+    Once every row has a pivot among the first len(rows) columns, the
     cleared row with pivot c (``_ModEchelon.cleared``) is
     [-e_c | -(row c of A^-T)], and row c of A^-T is column c of A^-1; only
     the right halves are cleared.
     """
-    size = len(columns)
+    size = len(rows)
     echelon = _ModEchelon(2 * size)
-    for j, column in enumerate(columns):
+    for j, column in enumerate(zip(*rows)):
         unit = [0] * size
         unit[j] = 1
-        pivot = echelon.add(list(column) + unit)
+        pivot = echelon.add([*column, *unit])
         if pivot is None or pivot >= size:
             return None
-    out = [0] * size
+    neg_inverse = [0] * size
     for pivot, half in zip(echelon.pivots, echelon.cleared(size)):
-        out[pivot] = half
-    return out
+        neg_inverse[pivot] = half
+    return _lift_block(rows, neg_inverse, echelon.words, bound)
 
 
 def _orthogonal_probe(rows: Sequence[Sequence[int]],

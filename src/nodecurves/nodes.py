@@ -40,16 +40,18 @@ inverts the collocation matrix V of an n-poised set once modulo the
 prime, reads each node's degree-n coefficients mod P off the last n + 1
 rows of -V^-1, and lifts a node's fundamental polynomial over that
 inverse only when asked, checked exactly; when V is singular mod P, or
-a lift fails, one exact elimination (``_curves_missing_one``) decides
-poisedness and gives every fundamental.  The defect check of a set at
-degrees n and k, from ``_SPLIT_COLUMNS`` degree-(k-1) monomials on, is
-one ``linalg.column_pass`` over the transposed degree-n rows
-(``_defect_pass``): it certifies n-independence, bounds the rank of
-the degree-k rows, and names the nodes that may carry a degree-(k-1)
-curve through the others, each curve lifted over the pass's inverse and
-checked exactly (``_outlier_curves``).  Below that, or when the prime
-falls short, an ``IndependenceTracker`` decides independence and one
-exact elimination (``_curves_missing_one``) finds the curves.
+a lift fails, one exact elimination of V's rows (``_curves_missing_one``)
+decides poisedness and gives every fundamental.  The defect check of a
+set at degrees n and k is, at every size, one ``linalg.column_pass``
+over the transposed degree-n rows (``_defect_pass``): it certifies
+n-independence, bounds the rank of the degree-k rows, and names the
+nodes that may carry a degree-(k-1) curve through the others, each curve
+lifted over the pass's inverse and checked exactly
+(``_outlier_curves``).  Exact work runs only where the prime falls
+short: an ``IndependenceTracker`` decides independence when the pass
+stops below the node count, and one exact elimination of the same rows
+(``_curves_missing_one``) finds the curves when the degree-(k-1)
+columns are dependent mod P or a lift fails.
 ``fundamental_polynomials`` is one ``fundamental_polynomial`` per node.
 
 Every node search in the package runs through ``_grow``: it reads a
@@ -116,17 +118,6 @@ from .linalg import IndependenceTracker, RankTracker
 from .poly import Poly, frac, space_dim
 
 SEARCH_BUDGET = 10_000
-
-# ``_defect_pass`` takes one column pass from this many degree-(k-1)
-# monomials on.  ``characterize_defect`` on defect sets, with the pass
-# against the exact route (``IndependenceTracker`` and
-# ``_curves_missing_one``), both forced (seeds 0-3, Python 3.11, 2 vCPU,
-# process time, best of 60, interleaved): 1.32 of its time at 3 monomials
-# (n, k = 4, 2), 1.05 to 1.06 at 6 ((5, 3), (6, 3)), 0.72 to 0.75 at 10
-# ((6, 4), (7, 4)), 0.45 at 15 ((8, 5)), 0.28 to 0.30 at 21 ((9, 6),
-# (10, 6)).
-_SPLIT_COLUMNS = 10
-
 
 class Node(NamedTuple):
     x: Fraction
@@ -266,11 +257,15 @@ def vanishing_basis(xs: NodeSet, n: int) -> VanishingSpace:
     return VanishingSpace(n, tuple(Poly(n, v) for v in basis))
 
 
-def _curves_missing_one(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
-    """The rank of the set's degree-n rows and, by node index, each node
+def _curves_missing_one(rows: Sequence[Sequence[int]], n: int
+                        ) -> tuple[int, dict[int, Poly]]:
+    """The rank of the nodes' degree-n rows and, by node index, each node
     whose row is outside the span of the others, with a degree-n
     polynomial that vanishes at every other node and not at it, scaled to
-    1 at its last nonzero coefficient.
+    1 at its last nonzero coefficient.  The first space_dim(n) entries of
+    ``rows`` are the degree-n rows, each times a positive scale: scaling a
+    row changes neither which rows lie outside the others' span nor the
+    polynomials, only the values at their own nodes.
 
     One elimination does it: the transposed rows, each followed by its
     unit vector as right-hand sides.  Node i's row is outside the span of
@@ -286,8 +281,8 @@ def _curves_missing_one(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
     1 at its free column and 0 after it, so the scaled c is that vector.
     """
     size = space_dim(n)
-    transpose = RankTracker(len(xs))
-    for j, column in enumerate(zip(*collocation_matrix(xs, n))):
+    transpose = RankTracker(len(rows))
+    for j, column in enumerate(itertools.islice(zip(*rows), size)):
         unit = [0] * size
         unit[j] = 1
         transpose.add([*column, *unit])
@@ -299,37 +294,32 @@ def _curves_missing_one(xs: NodeSet, n: int) -> tuple[int, dict[int, Poly]]:
 
 
 def _defect_pass(xs: NodeSet, n: int, k: int
-                 ) -> tuple[int, Optional[tuple[list[list[int]],
-                                                linalg.ColumnPass]]]:
-    """Check that the set is n-independent, raising ValueError if not, and
-    bound the rank of its degree-k rows from below; from ``_SPLIT_COLUMNS``
-    degree-(k-1) monomials on, also hand ``_outlier_curves`` the degree-n
-    rows and their ``linalg.column_pass``, None below.
+                 ) -> tuple[list[list[int]], linalg.ColumnPass]:
+    """The set's degree-n rows and one ``linalg.column_pass`` over them,
+    transposed, for ``characterize_defect``: ValueError when the set is
+    not n-independent.
 
     In graded-lex order the first space_dim(k-1) and space_dim(k) columns
     of the degree-n rows are the degree-(k-1) and degree-k rows, each row
-    times its node's scale, so one pass over the transposed rows serves
-    all three: a rank mod P that reaches the node count certifies
-    independence, and the rank after space_dim(k) columns is a rank mod P
-    of the degree-k rows, at most their rank over Q.  A pass that falls
-    short, and a set below ``_SPLIT_COLUMNS``, hand the same rows to an
-    ``IndependenceTracker``, which decides exactly.
+    times its node's scale, so one pass serves all three questions.  A
+    rank mod P that reaches the node count certifies independence, and
+    the pass's ``prefix_rank``, a rank mod P of the degree-k rows, is at
+    most their rank over Q, whether or not the pass reaches the node
+    count.  Only a pass that falls short hands the rows to an
+    ``IndependenceTracker``, which decides exactly.  ``_outlier_curves``
+    reads the split off the same pass.
     """
-    m, q = space_dim(k - 1), space_dim(k)
-    rows, split = collocation_matrix(xs, n), None
-    if m >= _SPLIT_COLUMNS:
-        found = linalg.column_pass(zip(*rows), len(xs), m, q)
-        if found.rank == len(xs):
-            return found.prefix_rank, (rows, found)
-        split = rows, found
-    tracker = _independent_tracker(xs, n, rows=rows)
-    return tracker.prefix_rank_bound(q), split
+    rows = collocation_matrix(xs, n)
+    found = linalg.column_pass(zip(*rows), len(xs), space_dim(k - 1),
+                               space_dim(k))
+    if found.rank < len(xs):
+        _independent_tracker(xs, n, rows=rows)
+    return rows, found
 
 
-def _outlier_curves(xs: NodeSet, n: int,
-                    split: Optional[tuple[list[list[int]], linalg.ColumnPass]]
-                    ) -> tuple[int, dict[int, Poly]]:
-    """``_curves_missing_one(xs, n)``, read off a column pass (see
+def _outlier_curves(rows: list[list[int]], found: linalg.ColumnPass,
+                    n: int) -> tuple[int, dict[int, Poly]]:
+    """``_curves_missing_one(rows, n)``, read off a column pass (see
     ``_defect_pass``) over rows whose first space_dim(n) entries are the
     degree-n rows, each times its own scale.
 
@@ -342,20 +332,19 @@ def _outlier_curves(xs: NodeSet, n: int,
     is mu with B mu = e_i, for B the pivot nodes' rows, unique up to scale
     and not 0 at node i.  It is a hit iff it also vanishes at every free
     node.  Scaled to 1 at its last nonzero coefficient, it is the curve
-    ``_curves_missing_one`` gives.  Without a pass, with the pass's first
-    columns dependent mod P, or when a lift fails, ``_curves_missing_one``
-    answers.
+    ``_curves_missing_one`` gives.  When the pass's first columns are
+    dependent mod P, or a lift fails, the prime has fallen short, and
+    ``_curves_missing_one`` answers on the same rows.
     """
-    if split is None or not split[1].pivots:
-        return _curves_missing_one(xs, n)
-    rows, found = split
+    if not found.pivots:
+        return _curves_missing_one(rows, n)
     size = space_dim(n)
-    free = set(range(len(xs))).difference(found.pivots)
+    free = set(range(len(rows))).difference(found.pivots)
     curves = {}
     for i in found.candidates:
         solved = found.unit_solution(i)
         if solved is None:
-            return _curves_missing_one(xs, n)
+            return _curves_missing_one(rows, n)
         nums, _ = solved
         if not any(sum(map(mul, nums, rows[j][:size])) for j in free):
             last = next(v for v in reversed(nums) if v)
@@ -382,40 +371,42 @@ def fundamental_polynomials(xs: NodeSet, n: int) -> list[Optional[Poly]]:
 
 class _Fundamentals:
     """The fundamental polynomials of an n-poised set, from one inverse of
-    its collocation matrix V modulo the prime (see the module docstring);
-    ValueError when the set is not n-poised.
+    its collocation matrix V modulo the prime, ``linalg._inverse`` (see
+    the module docstring); ValueError when the set is not n-poised.
 
     ``rows`` are V's rows.  ``tops[i]``, for node i, is the last n + 1
     entries of column i of -V^-1 mod P: the degree-n part of p_i over -s_i,
     for s_i the scale of node i's row.  ``tops`` is None when V is
-    singular mod P.
+    singular mod P; the exact elimination of ``rows`` then gives every
+    fundamental at once.
     """
 
     def __init__(self, xs: NodeSet, n: int):
         size = space_dim(n)
         if len(xs) != size:
             raise ValueError("set is not poised at this degree")
-        self.xs, self.n = xs, n
+        self.n = n
         self.rows = collocation_matrix(xs, n)
-        self._neg_inverse = linalg._neg_inverse_columns(list(zip(*self.rows)))
-        self._words = linalg._slot_words(2 * size)  # of the inverse's slots
-        self._block: Optional[linalg._LiftBlock] = None
+        # s_i is at most its row's sum, which the block allows for
+        self._block = linalg._inverse(self.rows, 1)
         self._known: dict[int, list[int]] = {}
         self.tops: Optional[list[list[int]]] = None
-        if self._neg_inverse is None:
+        if self._block is None:
             self._solve_all()
             return
-        shift = 64 * self._words * (size - n - 1)
-        self.tops = [linalg._unpack(column >> shift, n + 1, self._words)
-                     for column in self._neg_inverse]
+        words = self._block.inverse_words
+        shift = 64 * words * (size - n - 1)
+        self.tops = [linalg._unpack(column >> shift, n + 1, words)
+                     for column in self._block.neg_inverse]
         # row t of the tops, packed over the nodes
         self._top_rows = [linalg._pack(row, linalg._slot_words(n + 1))
                           for row in zip(*self.tops)]
 
     def _solve_all(self) -> None:
         """Every node's fundamental polynomial, from one exact elimination
-        (``_curves_missing_one``) that also decides poisedness."""
-        rank, curves = _curves_missing_one(self.xs, self.n)
+        of V's rows (``_curves_missing_one``) that also decides
+        poisedness."""
+        rank, curves = _curves_missing_one(self.rows, self.n)
         if rank < len(self.rows):
             raise ValueError("set is not poised at this degree")
         self._known = {i: curve._integer_coeffs[0]
@@ -446,15 +437,11 @@ class _Fundamentals:
         """p_i's coefficients times a positive integer, exactly: lifted over
         the inverse and checked (``linalg._lift``), or, when V is singular
         mod P or the lift fails, read off one exact elimination for every
-        node (``_solve_all``).  One ``linalg._LiftBlock`` serves every
-        node, and each node's answer is kept."""
+        node (``_solve_all``).  The ``linalg._LiftBlock`` made with the
+        inverse serves every node, and each node's answer is kept."""
         found = self._known.get(i)
         if found is not None:
             return found
-        if self._block is None:
-            # s_i is at most its row's sum, which the block allows for
-            self._block = linalg._lift_block(self.rows, self._neg_inverse,
-                                             self._words, 1)
         # the value s_i at node i, the entry 0 of its row
         b = [row[0] if j == i else 0 for j, row in enumerate(self.rows)]
         lifted = linalg._lift(self._block, b)

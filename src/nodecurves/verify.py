@@ -18,18 +18,19 @@ facts checked:
   first space_dim(k) entries of a node's degree-n row are e^(n-k) times
   its degree-k row, so a rank modulo the prime of those columns is a rank
   that the exact degree-k rows reach at least, and space_dim(k) minus it
-  is at least the curve space's dimension.  From space_dim(k-1) = 10 on,
-  the check is one elimination modulo the prime of the transposed
-  degree-n rows, one monomial column at a time, and the rank is read off
-  it after space_dim(k) columns; below that, or when it falls short of
-  the node count, it is the mod-P pivots of an ``IndependenceTracker``
-  below space_dim(k).  ``nodes._outlier_curves`` finds the nodes A with a
-  degree-(k-1) curve mu through the other nodes, and each mu.  From
-  space_dim(k-1) = 10 on, the same elimination names the candidates and
-  rules out every other node, and each candidate's mu is lifted over its
-  inverse modulo the prime, checked exactly at every node; below that,
-  or when the prime falls short of rank space_dim(k-1), one exact
-  elimination does it.  When the bound is
+  is at least the curve space's dimension.  At every size the check is
+  one elimination modulo the prime of the transposed degree-n rows, one
+  monomial column at a time (``linalg.column_pass``), and the rank is
+  read off it after space_dim(k) columns, whether or not it reaches the
+  node count; only when it falls short does an ``IndependenceTracker``
+  decide independence exactly.  ``nodes._outlier_curves`` finds the
+  nodes A with a degree-(k-1) curve mu through the other nodes, and each
+  mu.  The same elimination names the candidates and rules out every
+  other node, and each candidate's mu is lifted over its inverse modulo
+  the prime, checked exactly at every node; only when the prime falls
+  short of rank space_dim(k-1), or a lift fails, does one exact
+  elimination of the first space_dim(k-1) columns of the same rows do
+  it.  When the bound is
   2 and some node has such a mu, mu*(x - a_x) and mu*(y - a_y) are two
   independent degree-k curves through the set, so the dimension is
   exactly 2.  Every other input (a dimension below 2,
@@ -149,14 +150,14 @@ def characterize_defect(xs: NodeSet, n: int, k: int) -> DefectReport:
         raise ValueError("need 2 <= k <= n")
     if len(xs) != _curves.max_nodes_on_curve(n, k - 1) + 1:
         raise ValueError("set size must be max_nodes_on_curve(n, k-1) + 1")
-    prefix, split = _nodes._defect_pass(xs, n, k)
+    rows, found = _nodes._defect_pass(xs, n, k)
     # at least the dimension of the curve space
-    bound = space_dim(k) - prefix
+    bound = space_dim(k) - found.prefix_rank
     # Removing node i frees a degree-(k-1) curve iff the rank of the
     # collocation matrix drops, i.e. iff node i's row is outside the span
     # of the others; that curve is unique iff the rank is full.  Below a
     # bound of 2 the dimension is below 2 and no split is read.
-    rank, hits = (_nodes._outlier_curves(xs, k - 1, split) if bound >= 2
+    rank, hits = (_nodes._outlier_curves(rows, found, k - 1) if bound >= 2
                   else (0, {}))
     # mu*(x - a_x) and mu*(y - a_y) are two independent curves
     dim = 2 if bound == 2 and hits else curves_through(xs, k).dimension

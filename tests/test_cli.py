@@ -706,6 +706,24 @@ def test_basis_and_defect_output_bytes_are_pinned(capsys):
         "a5f00afe107612516e1293a6140beae37d186d5eea62fa6332cf63d15a556f38")
 
 
+def test_verify_defect_from_k_two_to_k_n_bytes_are_pinned(capsys):
+    # 63 reports, gen defect then verify defect at every 2 <= k <= n <= 7
+    # and seeds 1-3: the sha256 of their concatenated stdout, with k = 2
+    # and k = n, the split's fewest and most columns at each n
+    digest = hashlib.sha256()
+    for n in range(2, 8):
+        for k in range(2, n + 1):
+            for seed in (1, 2, 3):
+                _, doc, _ = run(capsys, "gen", "defect", "-n", str(n), "-k",
+                                str(k), "--seed", str(seed))
+                code, out, _ = run(capsys, "verify", "defect", "-n", str(n),
+                                   "-k", str(k), doc)
+                assert code == 0
+                digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "cd20c22f9dc10509db87f75813ca88f7d69b5409c1e3813278099493fa71e15b")
+
+
 def test_lifted_basis_and_certified_split_bytes_are_pinned(capsys):
     # the shapes where nullspace lifts and the defect split is certified
     # mod P print the exact kernel's bytes: basis on a random and a BR set

@@ -47,3 +47,10 @@ def test_defect_sweep_at_k_equal_n():
 def test_defect_sweep_below_k_equal_n():
     # each of the 120 sets with a surplus conic splits at exactly one node
     assert sweep(3, 2) == {"dim 2, split": 120, "dim 1, no split": 4248}
+
+
+def test_defect_sweep_of_cubics_at_k_equal_n():
+    # all 12 870 eight-point subsets at (3, 3), whose split reads six
+    # degree-2 monomial columns, as every k = 3 input does
+    assert sweep(3, 3) == {"precondition": 14, "dim 2, split": 1292,
+                           "dim 2, no split": 11564}

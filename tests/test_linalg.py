@@ -403,10 +403,14 @@ def test_dependency_rows_are_scaled_reference_coordinates(case):
 def test_curves_missing_one_are_the_reference_curves(case):
     # the nodes found are those with a zero dependency row; each curve
     # misses its node alone, and at full rank it is the canonical curve
-    # through the other nodes
+    # through the other nodes.  Rows of a higher degree, whose first
+    # entries are the degree-n rows times positive scales, give the same
     xs, n = case
-    rank, found = nodes._curves_missing_one(xs, n)
-    _, pivots = ref_rref(fractions(nodes.collocation_matrix(xs, n)))
+    rows = nodes.collocation_matrix(xs, n)
+    rank, found = nodes._curves_missing_one(rows, n)
+    assert nodes._curves_missing_one(
+        nodes.collocation_matrix(xs, n + 2), n) == (rank, found)
+    _, pivots = ref_rref(fractions(rows))
     assert rank == len(pivots)
     deps = _dependency_rows(xs, n)
     assert list(found) == [i for i, dep in enumerate(deps) if not any(dep)]
@@ -425,12 +429,12 @@ def test_outlier_curves_mod_p_are_the_exact_curves(case):
     # exact route it falls back to when they are dependent mod P) gives the
     # exact route's rank and curves
     xs, n = case
-    want = nodes._curves_missing_one(xs, n)
     rows = nodes.collocation_matrix(xs, n)
+    want = nodes._curves_missing_one(rows, n)
     size = poly.space_dim(n)
     found = linalg.column_pass(zip(*rows), len(xs), size, size)
     assert found.rank <= want[0]
-    assert nodes._outlier_curves(xs, n, (rows, found)) == want
+    assert nodes._outlier_curves(rows, found, n) == want
 
 
 @st.composite
@@ -593,18 +597,21 @@ def test_independence_tracker_matches_rank_tracker(stream):
 
 
 @settings(max_examples=300, deadline=None)
-@given(int_row_streams(), st.integers(0, 5))
+@given(int_row_streams(), st.integers(1, 5), st.integers(1, 5))
 # every entry of the first two columns is 0 mod P, so the prime sees no
 # rank there while the exact prefix has rank 2
-@example((3, [[P, 2 * P, 1], [3 * P, P, 5]]), 2)
-def test_prefix_rank_bound_never_exceeds_the_exact_prefix_rank(stream, q):
+@example((3, [[P, 2 * P, 1], [3 * P, P, 5]]), 2, 1)
+def test_prefix_rank_bound_never_exceeds_the_exact_prefix_rank(stream, q, m):
+    # the column pass's prefix rank, on the first rows of the stream, also
+    # when it stops short of their count
     ncols, rows = stream
     q = min(q, ncols)
-    tracker, prefix = IndependenceTracker(ncols), RankTracker(q)
-    for row in rows:
-        tracker.add(row)
+    m = min(m, q)
+    prefix = RankTracker(q)
+    for count, row in enumerate(rows, 1):
         prefix.add(row[:q])
-        assert tracker.prefix_rank_bound(q) <= prefix.rank
+        found = linalg.column_pass(zip(*rows[:count]), count, m, q)
+        assert found.prefix_rank <= prefix.rank
 
 
 def test_independence_tracker_drops_certificate_after_exact_accept():
@@ -774,7 +781,7 @@ def test_square_solve_matches_solve_columns(rows):
 @given(st.one_of(singular_mod_p_systems(), singular_systems()))
 def test_square_solve_falls_back_when_singular_mod_p(rows):
     want = linalg.solve_columns(rows, len(rows))
-    assert linalg._neg_inverse_columns(list(zip(*rows))[:len(rows)]) is None
+    assert linalg._inverse([row[:-1] for row in rows], 1) is None
     assert linalg.solve(rows, len(rows)) == want
 
 
@@ -978,7 +985,7 @@ def test_lifted_nullspace_answers_without_the_rank_tracker(monkeypatch):
     monkeypatch.setattr(linalg, "RankTracker", _CountingTracker)
     _CountingTracker.made = 0
     assert linalg.nullspace(rows, 28) == want
-    monkeypatch.setattr(linalg, "_neg_inverse_columns", _refused)
+    monkeypatch.setattr(linalg, "_inverse", _refused)
     assert linalg.nullspace(full, 21) == []
     assert linalg.nullspace(full + full[:3], 21) == []
     assert _CountingTracker.made == 0
@@ -993,7 +1000,7 @@ def test_lifted_nullspace_needs_the_rank_mod_p(monkeypatch):
     rows = nodes.collocation_matrix(nodes.NodeSet(circle), 6)
     assert linalg._lifts(len(rows), 28)
     monkeypatch.setattr(linalg, "_lift", _refused)
-    monkeypatch.setattr(linalg, "_neg_inverse_columns", _refused)
+    monkeypatch.setattr(linalg, "_inverse", _refused)
     basis = linalg.nullspace(rows, 28)
     assert len(basis) == 15
     assert basis == ref_nullspace(fractions(rows), 28)

@@ -81,11 +81,20 @@ def test_defect_outlier_moves_with_its_node(cfg, data):
     assert want.outlier_index == cfg.outlier_index
     assert order[got.outlier_index] == want.outlier_index
     assert got.mu.degree == want.mu.degree == k - 1
-    # the mod-P bound on the curve space changes no report
+    # the mod-P bound on the curve space changes no report: with the
+    # column pass's prefix rank at 0, the exact curve space answers
+    real_pass, real_curves = linalg.column_pass, verify.curves_through
+    exact = []
+
+    def curves_through(*args):
+        exact.append(args)
+        return real_curves(*args)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg.IndependenceTracker, "prefix_rank_bound",
-                      lambda self, q: 0)
+        patch.setattr(linalg, "column_pass",
+                      lambda *args: real_pass(*args)._replace(prefix_rank=0))
+        patch.setattr(verify, "curves_through", curves_through)
         assert verify.characterize_defect(ys, n, k) == got
+    assert exact == [(ys, k)]
 
 
 _POISED_BASES = [(generators.random_poised(n, seed), n)

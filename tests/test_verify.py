@@ -19,6 +19,32 @@ FOUR = NodeSet([(0, 0), (1, 0), (2, 0), (0, 1)])
 EXACT = [(verify, "curves_through"), (nodes, "vanishing_basis")]
 
 
+def _unbounded(monkeypatch):
+    """Make every column pass report prefix rank 0: the bound then allows
+    the whole curve space, so nothing is certified and the exact curve
+    space (``verify.curves_through``) must answer."""
+    real = linalg.column_pass
+    monkeypatch.setattr(linalg, "column_pass",
+                        lambda *args: real(*args)._replace(prefix_rank=0))
+
+
+def _rank_mod_p(rows) -> int:
+    rows = [[v % linalg.P for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        inv = pow(rows[rank][col], -1, linalg.P)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            rows[i] = [(a - f * b) % linalg.P
+                       for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def _count_calls(monkeypatch, names) -> dict:
     counts = {}
     for owner, attr in names:
@@ -89,9 +115,7 @@ def test_planted_split_needs_no_exact_curve_space(monkeypatch, seed):
     counts = _count_calls(monkeypatch, EXACT)
     fast = verify.characterize_defect(cfg.nodes, 5, 3)
     assert counts == dict.fromkeys(counts, 0)
-    # the bound then allows the whole space, so nothing is certified
-    monkeypatch.setattr(linalg.IndependenceTracker, "prefix_rank_bound",
-                        lambda self, q: 0)
+    _unbounded(monkeypatch)
     exact = verify.characterize_defect(cfg.nodes, 5, 3)
     assert counts["curves_through"] == 1
     assert exact == fast
@@ -109,8 +133,10 @@ def test_denominators_divisible_by_p_take_the_exact_path(monkeypatch, n, k,
     # row is (1, 0, ..., 0), and the bound stays far above 2
     cfg = generators.defect_config(n, k, seed)
     xs = NodeSet((p.x / linalg.P, p.y / linalg.P) for p in cfg.nodes)
-    tracker = nodes._independent_tracker(xs, n)
-    assert tracker.prefix_rank_bound(poly.space_dim(k)) <= 1
+    rows = nodes.collocation_matrix(xs, n)
+    found = linalg.column_pass(zip(*rows), len(xs), poly.space_dim(k - 1),
+                               poly.space_dim(k))
+    assert found.prefix_rank <= 1 and found.pivots == []
     counts = _count_calls(monkeypatch, [(verify, "curves_through"),
                                         (nodes, "_curves_missing_one"),
                                         (nodes, "_independent_tracker")])
@@ -122,13 +148,14 @@ def test_denominators_divisible_by_p_take_the_exact_path(monkeypatch, n, k,
     monkeypatch.setattr(nodes, "collocation_matrix", recording)
     report = verify.characterize_defect(xs, n, k)
     assert counts["curves_through"] == 1
-    # below the crossover, or with the column pass short of full rank at
-    # (6, 4), the exact tracker bounds the curve space and the exact route
-    # names the outlier; the degree-n rows are built once, for both the
-    # pass and the tracker
-    assert counts["_independent_tracker"] == 1
+    # the first degree-(k-1) columns are dependent mod P, so the exact
+    # route names the outlier; the pass reaches the node count at (3, 2)
+    # only, and elsewhere the exact tracker decides independence.  The
+    # degree-n rows are built once, for the pass, the tracker and the
+    # exact route, and no degree-(k-1) rows are built
+    assert counts["_independent_tracker"] == int((n, k) != (3, 2))
     assert counts["_curves_missing_one"] == 1
-    assert degrees.count(n) == 1
+    assert degrees.count(n) == 1 and degrees.count(k - 1) == 0
     assert report.curve_space_dim == 2
     assert report.outlier_index == cfg.outlier_index
 
@@ -136,18 +163,20 @@ def test_denominators_divisible_by_p_take_the_exact_path(monkeypatch, n, k,
 @pytest.mark.parametrize("n", range(3, 11))
 def test_certified_split_matches_the_exact_route(monkeypatch, n):
     # every k and seeds 0-3: one column pass answers at every size, with
-    # the exact route's rank bound, rank, outliers and curves
+    # the rank mod P of the degree-k rows as the bound, and the exact
+    # route's rank, outliers and curves on the degree-(k-1) rows
     sets = [(k, seed, generators.defect_config(n, k, seed).nodes)
             for k in range(2, n + 1) for seed in range(4)]
-    exact, tracker = nodes._curves_missing_one, nodes._independent_tracker
-    monkeypatch.setattr(nodes, "_SPLIT_COLUMNS", 0)
+    exact = nodes._curves_missing_one
     counts = _count_calls(monkeypatch, [(nodes, "_curves_missing_one"),
                                         (nodes, "_independent_tracker")])
     for k, seed, xs in sets:
-        want = tracker(xs, n).prefix_rank_bound(poly.space_dim(k))
-        prefix, split = nodes._defect_pass(xs, n, k)
-        assert prefix == want, (k, seed)
-        assert nodes._outlier_curves(xs, k - 1, split) == exact(xs, k - 1)
+        rows, found = nodes._defect_pass(xs, n, k)
+        q = poly.space_dim(k)
+        assert found.prefix_rank == _rank_mod_p([row[:q] for row in rows]), (
+            k, seed)
+        assert nodes._outlier_curves(rows, found, k - 1) == exact(
+            nodes.collocation_matrix(xs, k - 1), k - 1)
     assert counts == dict.fromkeys(counts, 0)
 
 
@@ -163,10 +192,11 @@ def test_certified_split_rules_out_false_candidates(monkeypatch):
     monkeypatch.setattr(linalg, "column_pass", every_pivot)
     for n, k, seed in [(6, 4, 1), (8, 5, 2), (9, 6, 3)]:
         cfg = generators.defect_config(n, k, seed)
-        _, split = nodes._defect_pass(cfg.nodes, n, k)
-        assert len(split[1].candidates) == poly.space_dim(k - 1)
-        rank, curves = nodes._outlier_curves(cfg.nodes, k - 1, split)
-        assert (rank, curves) == nodes._curves_missing_one(cfg.nodes, k - 1)
+        rows, found = nodes._defect_pass(cfg.nodes, n, k)
+        assert len(found.candidates) == poly.space_dim(k - 1)
+        rank, curves = nodes._outlier_curves(rows, found, k - 1)
+        assert (rank, curves) == nodes._curves_missing_one(
+            nodes.collocation_matrix(cfg.nodes, k - 1), k - 1)
         assert list(curves) == [cfg.outlier_index]
 
 
@@ -236,11 +266,12 @@ def test_characterize_defect_above_dimension_two_is_violation(monkeypatch,
     cfg = generators.defect_config(5, 3, 1)
     wide = verify.curves_through(cfg.nodes.subset(range(7)), 3)
     assert wide.dimension == 3
-    monkeypatch.setattr(linalg.IndependenceTracker, "prefix_rank_bound",
-                        lambda self, q: 0)
+    _unbounded(monkeypatch)
     monkeypatch.setattr(verify, "curves_through", lambda xs, k: wide)
+    counts = _count_calls(monkeypatch, [(verify, "curves_through")])
     with pytest.raises(TheoremViolation, match="dimension 3"):
         verify.characterize_defect(cfg.nodes, 5, 3)
+    assert counts["curves_through"] == 1
     code = cli.main(["verify", "defect", "-n", "5", "-k", "3",
                      json.dumps(cfg.nodes.to_json())])
     out, err = capsys.readouterr()
@@ -560,7 +591,7 @@ def test_line_usage_singular_mod_p_takes_the_exact_route(monkeypatch, n,
     br = generators.berzolari_radon(n, seed).nodes
     xs = NodeSet((p.x / linalg.P, p.y / linalg.P) for p in br)
     rows = nodes.collocation_matrix(xs, n)
-    assert linalg._neg_inverse_columns(list(zip(*rows))) is None
+    assert linalg._inverse(rows, 1) is None
     want = _exact_line_usage(xs, n)
     counts = _count_calls(monkeypatch, [(nodes, "_curves_missing_one"),
                                         (linalg, "_lift")])
