@@ -30,18 +30,25 @@ node and candidate is checked to lie on q.  A ``LineUnion`` reads its
 leading monomial off its lines (``LineUnion.lead``), with no ``Poly``.
 
 A line has one integer parametrization, ``LineForm._point``: the point at
-t = p/q is computed from p, q and the numerators and denominators of the
-line's coefficients, and each coordinate is reduced by one ``Fraction``.
-``point_at``, ``points`` and every generator read line points through it.
+t = p/q is computed from p, q, the numerators and denominators of b and
+a, and the integer base point (below), and each coordinate is reduced by
+one ``Fraction``, the only one a point costs.  ``point_at``, ``points``
+and every generator read line points through it.
 The parameters p/q come from ``_rational_pairs``, cached ring by ring
 once per process and shared by every search, so its memory grows only
 with the furthest ring read (``nodes.SEARCH_BUDGET`` bounds it); a
 ``LineUnion`` reads one such stream and takes each line's ``_point`` at
 each parameter.
-Membership reads one integer form too, ``LineForm._coefficients``: a
-node (x/dx, y/dy) lies on A*x + B*y + C = 0 iff A*x*dy + B*y*dx + C*dx*dy
-is 0, with no ``Fraction`` arithmetic (``LineForm.contains``,
-``LineUnion.contains``).
+Membership, sameness and the base point read one integer form,
+``LineForm._coefficients`` (A, B, C), the coefficients times their common
+denominator, with no ``Fraction`` arithmetic.  A node (x/dx, y/dy) lies
+on the line iff A*x*dy + B*y*dx + C*dx*dy is 0 (``LineForm.contains``,
+``LineUnion.contains``).  Two lines are the same iff the 2x2 minors of
+their (A, B, C) are 0 (``proportional``, which ``LineUnion`` and
+``generators.random_lines`` test on every pair).  The base point is
+(0, -C/B), or (-C/A, 0) when B = 0, kept as an integer numerator and
+denominator that need not be reduced and may be negative
+(``LineForm._integer_form``); ``_point`` reduces.
 
 On a few lines, n-independence is a count and, near the end of a
 search, a small rank.  Take m distinct lines, no three through one
@@ -146,7 +153,7 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from . import linalg, nodes as _nodes, poly as _poly
-from .linalg import ZERO, IndependenceTracker, RankTracker
+from .linalg import IndependenceTracker, RankTracker
 from .nodes import Node, NodeSet
 from .poly import Poly, frac, space_dim
 
@@ -263,13 +270,13 @@ class LineForm:
     @cached_property
     def _integer_form(self) -> tuple[int, ...]:
         """The base point (x0/dx0, y0/dy0) and the coefficients b/db and
-        a/da, as integer numerator, denominator pairs."""
-        if self.b != 0:
-            x0, y0 = ZERO, -self.c / self.b
-        else:
-            x0, y0 = -self.c / self.a, ZERO
-        return (x0.numerator, x0.denominator, y0.numerator, y0.denominator,
-                self.b.numerator, self.b.denominator,
+        a/da, as integer numerator, denominator pairs.  The base point is
+        read off ``_coefficients`` (A, B, C) with no division: (0, -C/B),
+        or (-C/A, 0) when B = 0.  Its pairs are not reduced, and the
+        denominator B or A may be negative; ``_point`` reduces."""
+        a, b, c = self._coefficients
+        base = (0, 1, -c, b) if b else (-c, a, 0, 1)
+        return (*base, self.b.numerator, self.b.denominator,
                 self.a.numerator, self.a.denominator)
 
     def _point(self, p: int, q: int) -> Node:
@@ -323,9 +330,10 @@ class LineForm:
 
 
 def proportional(p: LineForm, q: LineForm) -> bool:
-    """Same line: every 2x2 minor of the two coefficient vectors is 0."""
-    return (p.a * q.b == p.b * q.a and p.a * q.c == p.c * q.a
-            and p.b * q.c == p.c * q.b)
+    """Same line: every 2x2 minor of the two coefficient vectors is 0,
+    tested on their integer multiples ``LineForm._coefficients``."""
+    (a1, b1, c1), (a2, b2, c2) = p._coefficients, q._coefficients
+    return a1 * b2 == b1 * a2 and a1 * c2 == c1 * a2 and b1 * c2 == c1 * b2
 
 
 @dataclass(frozen=True)
@@ -675,7 +683,7 @@ def extend_on_curve(xs: NodeSet, sampler, q: Curve, n: int) -> NodeSet:
     if not (lines and all(_component(line, q) for line in lines)):
         points = _checked(points, q)
     found = _nodes._grow(decider, points, want)
-    return NodeSet(list(xs) + found)
+    return NodeSet._distinct(list(xs) + found)
 
 
 def _component(line: LineForm, q: Curve) -> bool:

@@ -148,7 +148,7 @@ def berzolari_radon(n: int, seed: int) -> BRSet:
         off_earlier = (p for p in line.points()
                        if not any(prev.contains(p) for prev in lines[:j]))
         placed.extend(itertools.islice(off_earlier, n + 1 - j))
-    return BRSet(NodeSet(placed), lines)
+    return BRSet(NodeSet._distinct(placed), lines)
 
 
 def random_poised(n: int, seed: int) -> NodeSet:
@@ -157,7 +157,7 @@ def random_poised(n: int, seed: int) -> NodeSet:
     rng = SplitMix64(seed)
     draws = iter(lambda: random_node(rng), None)
     decider = _nodes._RankDecider(IndependenceTracker(space_dim(n)), n)
-    return NodeSet(_nodes._grow(decider, draws, space_dim(n)))
+    return NodeSet._distinct(_nodes._grow(decider, draws, space_dim(n)))
 
 
 @dataclass(frozen=True)
@@ -223,4 +223,4 @@ def defect_config(n: int, k: int, seed: int) -> DefectConfig:
     if off is None:
         raise BudgetExceeded("no point off the curve found within budget")
     outlier = Node(Fraction(off[0]), Fraction(off[1]))
-    return DefectConfig(n, NodeSet(on_curve + [outlier]), lines)
+    return DefectConfig(n, NodeSet._distinct(on_curve + [outlier]), lines)

@@ -139,7 +139,18 @@ def _coerce(value) -> Node:
 
 
 class NodeSet:
-    """Ordered collection of pairwise distinct nodes."""
+    """Ordered collection of pairwise distinct nodes.
+
+    The constructor coerces every value to a ``Node`` and scans for
+    duplicates.  The search outputs skip both through ``_distinct``: they
+    are ``Node``s already, and distinct by construction.  A decider refuses
+    a node it holds (a ``LineDecider`` by its key, a ``_RankDecider``
+    because the node's row repeats a held one), and it holds the start set,
+    so ``random_poised``, ``extend_to_poised``, ``extend_on_curve`` and the
+    on-curve part of ``defect_config`` find no node twice; the outlier of
+    ``defect_config`` lies off the lines that carry the rest; and the nodes
+    of ``berzolari_radon`` are distinct points of one line each, off every
+    earlier line."""
 
     def __init__(self, nodes: Iterable = ()):
         items = tuple(_coerce(v) for v in nodes)
@@ -149,6 +160,14 @@ class NodeSet:
                  p.y.denominator) for p in items}) != len(items):
             raise ValueError("duplicate nodes")
         self._nodes = items
+
+    @classmethod
+    def _distinct(cls, nodes: Sequence[Node]) -> "NodeSet":
+        """The set of ``nodes``, which the caller has proved pairwise
+        distinct ``Node``s, with no coercion and no duplicate scan."""
+        out = cls.__new__(cls)
+        out._nodes = tuple(nodes)
+        return out
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -566,4 +585,4 @@ def extend_to_poised(xs: NodeSet, n: int) -> NodeSet:
         raise ValueError("set larger than the space dimension")
     decider = _RankDecider(_independent_tracker(xs, n), n)
     found = _grow(decider, integer_spiral(), space_dim(n) - len(xs))
-    return NodeSet(list(xs) + found)
+    return NodeSet._distinct(list(xs) + found)

@@ -153,6 +153,14 @@ def reference_point(l, t):
 @example(LineForm(Fraction(0), Fraction(-3, 4), Fraction(7, 5)),
          Fraction(9, 2))
 @example(LineForm(Fraction(0), Fraction(1), Fraction(0)), Fraction(0))
+# the unreduced base denominator B or A of LineForm._coefficients is
+# negative: b < 0 with c != 0, and b = 0 with a < 0
+@example(LineForm(Fraction(2, 3), Fraction(-5, 2), Fraction(7, 4)),
+         Fraction(-3, 5))
+@example(LineForm(Fraction(1), Fraction(-6), Fraction(4)), Fraction(5, 3))
+@example(LineForm(Fraction(-4), Fraction(0), Fraction(-6)), Fraction(2, 7))
+@example(LineForm(Fraction(-3, 2), Fraction(0), Fraction(5, 3)),
+         Fraction(-1))
 def test_point_at_matches_fraction_formula(l, t):
     p = l.point_at(t)
     assert p == reference_point(l, t)
@@ -182,6 +190,21 @@ def lead_one(l):
                  st.integers(1, 6)))
 @example(LineForm(Fraction(0), Fraction(2), Fraction(1)),
          LineForm(Fraction(0), Fraction(3), Fraction(1)), Fraction(-1, 2))
+# proportional only through a negative factor, on the integer forms too
+@example(LineForm(Fraction(1, 2), Fraction(-1, 3), Fraction(5, 4)),
+         LineForm(Fraction(-3), Fraction(2), Fraction(-15, 2)),
+         Fraction(-2, 3))
+# a zero a, b or c, proportional or not
+@example(LineForm(Fraction(0), Fraction(2), Fraction(-4)),
+         LineForm(Fraction(0), Fraction(-1), Fraction(2)), Fraction(3))
+@example(LineForm(Fraction(3), Fraction(0), Fraction(1)),
+         LineForm(Fraction(6), Fraction(0), Fraction(5)), Fraction(-1))
+@example(LineForm(Fraction(1, 2), Fraction(-1, 3), Fraction(0)),
+         LineForm(Fraction(-3), Fraction(2), Fraction(0)), Fraction(5, 6))
+@example(LineForm(Fraction(2), Fraction(3), Fraction(0)),
+         LineForm(Fraction(2), Fraction(3), Fraction(1)), Fraction(-4))
+@example(LineForm(Fraction(0), Fraction(1), Fraction(0)),
+         LineForm(Fraction(1), Fraction(0), Fraction(0)), Fraction(1, 6))
 def test_proportional_is_equal_lead_one_form(p, q, s):
     assert curves.proportional(p, q) == (lead_one(p) == lead_one(q))
     assert curves.proportional(p, LineForm(s * p.a, s * p.b, s * p.c))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodecurves import generators, linalg, nodes, poly
+from nodecurves import curves, generators, linalg, nodes, poly
 from nodecurves.errors import BudgetExceeded
 from nodecurves.nodes import NodeSet, node
 from nodecurves.poly import Poly
@@ -24,6 +24,64 @@ def test_nodeset_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
         NodeSet([nodes.Node(1, 2), (1, 2)])
     assert len(NodeSet([("1/2", 0), (0, "1/2"), ("-1/2", 0)])) == 3
+
+
+class _ParabolaTwice:
+    """A sampler of the parabola y = x^2 that offers each of its points
+    (t, t^2), t = 0, 1, -1, 2, -2, ..., twice in a row."""
+
+    curve = curves.Curve(Poly.from_terms({(0, 1): 1, (2, 0): -1}, 2))
+
+    def points(self):
+        for t in itertools.count():
+            for s in ((t,) if t == 0 else (t, -t)):
+                yield node(s, s * s)
+                yield node(s, s * s)
+
+
+def _on_lines(lines, start, n):
+    """``extend_on_curve`` from ``start`` on the union of ``lines``, with
+    the union as sampler (a ``LineForm`` when there is one line)."""
+    forms = [curves.LineForm.of(*abc) for abc in lines]
+    union = curves.LineUnion.of(forms)
+    sampler = forms[0] if len(forms) == 1 else union
+    return curves.extend_on_curve(NodeSet(start), sampler, union.curve(), n)
+
+
+_HALF_BR = generators.berzolari_radon(5, 3).nodes.subset(range(10))
+
+# every search output that skips the duplicate scan (NodeSet._distinct);
+# the unions through (0, 0) offer it once per line, the parabola every
+# point twice, so each search meets nodes its decider already holds
+_SEARCH_OUTPUTS = {
+    "random_poised n=3": lambda: generators.random_poised(3, 1),
+    "random_poised n=5": lambda: generators.random_poised(5, 2),
+    "berzolari_radon n=4": lambda: generators.berzolari_radon(4, 1).nodes,
+    "berzolari_radon n=6": lambda: generators.berzolari_radon(6, 2).nodes,
+    **{f"defect_config n=7 k={k}":
+       (lambda k=k: generators.defect_config(7, k, k).nodes)
+       for k in range(2, 8)},
+    "extend_to_poised from empty": lambda: nodes.extend_to_poised(
+        NodeSet(), 4),
+    "extend_to_poised from half BR": lambda: nodes.extend_to_poised(
+        _HALF_BR, 5),
+    "extend_on_curve line": lambda: _on_lines([(1, -2, 3)], [(1, 2)], 4),
+    "extend_on_curve two lines": lambda: _on_lines(
+        [(1, 0, 0), (0, 1, 0)], [], 4),
+    "extend_on_curve concurrent lines": lambda: _on_lines(
+        [(1, 0, 0), (0, 1, 0), (1, -1, 0)], [(0, 0)], 4),
+    "extend_on_curve conic": lambda: curves.extend_on_curve(
+        NodeSet([(2, 4)]), _ParabolaTwice(), _ParabolaTwice.curve, 4),
+}
+
+
+@pytest.mark.parametrize("search", _SEARCH_OUTPUTS)
+def test_search_outputs_are_distinct_node_sets(search):
+    out = _SEARCH_OUTPUTS[search]()
+    assert out == NodeSet(list(out))
+    keys = [(p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+            for p in out]
+    assert len(set(keys)) == len(keys)
 
 
 def test_nodeset_refuses_a_string_as_a_point():
