@@ -9,6 +9,8 @@ degree k <= n can pass through at most
 
 n-independent nodes, and an independent set reaching that count forces
 every degree-n polynomial vanishing on it to be divisible by the curve.
+``space_divisible_by`` checks that by division: {q} is a Groebner basis
+of the ideal (q), so q divides p iff dividing p by q leaves remainder 0.
 ``uniqueness_threshold(n, k)`` is the matching size at which at most one
 degree-k curve can pass through an independent set.
 
@@ -153,7 +155,7 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from . import linalg, nodes as _nodes, poly as _poly
-from .linalg import IndependenceTracker, RankTracker
+from .linalg import IndependenceTracker
 from .nodes import Node, NodeSet
 from .poly import Poly, frac, space_dim
 
@@ -702,27 +704,37 @@ def _checked(points: Iterator[Node], q: Curve) -> Iterator[Node]:
         yield p
 
 
-def _multiples(q: Poly, n: int) -> RankTracker:
-    """Tracker spanned by q times every monomial of degree <= n - deg q.
-
-    A polynomial p of bound n is divisible by q iff its coefficient row
-    lies in that span, that is, iff the row does not grow the tracker.
-    """
-    tracker = RankTracker(space_dim(n))
-    for row in _poly.multiplication_matrix(q, n):
-        tracker.add(row)
-    return tracker
-
-
 def space_divisible_by(space: _nodes.VanishingSpace, q: Curve) -> bool:
     """Is every polynomial of the space divisible by q?
 
-    Decided by span membership in q * (polynomials of degree <= n - deg q),
-    one tracker for the whole basis instead of a solve per element.
+    Decided by graded-lex division by q, which leaves remainder 0 iff q
+    divides p (see the module docstring).  Row m of
+    ``poly.multiplication_matrix(q, n)`` is q times the m-th monomial, led
+    by the index of LM(q) times that monomial, and those indices rise with
+    m: they are the monomials of degree <= n that LM(q) divides.  So one
+    pass over the rows from the last clears each such entry of p's
+    integer coefficients for good, as ``a*r - b*row`` with
+    ``g = gcd(r[top], lc)``, ``a = lc/g`` and ``b = r[top]/g``, and leaves
+    a multiple of the remainder.
     """
     n = space.n
     if q.degree > n:
         return all(p.is_zero for p in space.basis)
-    multiples = _multiples(q.poly, n)
-    return all(not multiples.would_grow(p._integer_coeffs[0])
-               for p in space.basis)
+    # each row's nonzero entries, its leading one last, last row first
+    rows = [[(j, c) for j, c in enumerate(row) if c]
+            for row in reversed(_poly.multiplication_matrix(q.poly, n))]
+    for p in space.basis:
+        r = list(p._integer_coeffs[0])
+        for row in rows:
+            top, lc = row[-1]
+            f = r[top]
+            if f:
+                g = gcd(f, lc)
+                a, b = lc // g, f // g
+                if a != 1:
+                    r = [a * v for v in r]
+                for j, c in row:
+                    r[j] -= b * c
+        if any(r):
+            return False
+    return True

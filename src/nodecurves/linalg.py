@@ -50,10 +50,8 @@ reads the right-hand sides of the kept rows that are 0 at every free
 column, ``d_i`` times a unit vector: when each added row carries its
 own unit vector as right-hand sides, those are the combination of the
 added rows that gives ``d_i`` times the unit vector, ``d_i`` times a
-column of the inverse of the pivot block.  Only ``would_grow`` scales
-the kept rows to one denominator, ``D``, the lcm of every ``d_i``: it
-caches ``D`` until the next pivot, because a tracker is often asked about
-many rows after it has stopped growing.
+column of the inverse of the pivot block.  ``would_grow`` reduces a row
+as ``add`` does, and keeps nothing.
 
 Two other forms are not kept.  With one common denominator for all rows,
 every new pivot rescales every kept row by its ``lead``, also the rows
@@ -282,7 +280,6 @@ class RankTracker:
         self.ncols = ncols
         self._rows: list[list[int]] = []
         self._pivots: list[int] = []
-        self._common: Optional[tuple[int, list]] = None
 
     @property
     def rank(self) -> int:
@@ -321,27 +318,11 @@ class RankTracker:
                 rows[i] = [v // g for v in new] if g != 1 else new
         rows.append(w)
         self._pivots.append(col)
-        self._common = None
 
     def would_grow(self, row: Sequence[int]) -> bool:
-        """True iff adding this row would increase the rank.
-
-        Only the free columns are reduced: a reduced row is 0 in every
-        pivot column, and nonzero somewhere iff the row grows the rank.
-        The row is scaled by ``D``, the lcm of every ``d_i``, rather than
-        by the lcm of the ``d_i`` it meets: a tracker is often asked about
-        many rows once it has stopped growing, and ``D`` with each kept
-        row's ``D/d_i`` is then computed once for all of them, and kept
-        until the next pivot."""
-        if self._common is None:
-            kept = list(zip(self._pivots, self._rows))
-            den = lcm(*[base[p] for p, base in kept])
-            self._common = den, [(p, den // base[p], base) for p, base in kept]
-        den, kept = self._common
-        terms = [(row[p] * scale, base) for p, scale, base in kept if row[p]]
-        pivots = set(self._pivots)
-        return any(den * row[j] != sum(f * base[j] for f, base in terms)
-                   for j in range(self.ncols) if j not in pivots)
+        """True iff adding this row would increase the rank: iff the row,
+        reduced, is not 0 in the first ``ncols`` columns."""
+        return any(self._reduce(row)[:self.ncols])
 
     def add(self, row: Sequence[int]) -> bool:
         """Add a row; returns True iff the rank grew."""
@@ -448,22 +429,11 @@ class _ModEchelon:
         # (bit offset of the pivot's slot, scale, row), one per kept row
         self.kept: list[tuple[int, int, int]] = []
 
-    def pack(self, values: Sequence[int]) -> int:
-        """The values' residues, packed."""
-        return self._pack_residues([v % P for v in values])
-
-    def _pack_residues(self, residues: list[int]) -> int:
-        """Residues, packed: each fills only the low word of its slot, so
-        only those words are written."""
-        slots = array("Q", bytes(8 * self.words * len(residues)))
-        slots[::self.words] = array("Q", residues)
-        return _from_words(slots)
-
     def add(self, values: Sequence[int]) -> Optional[int]:
         """Reduce the values mod ``P`` by the kept rows in one pass, and
         keep what is left if it is not 0: return its pivot, or None."""
         mask = self._mask
-        packed = self.pack(values)
+        packed = _pack([v % P for v in values], self.words)
         for shift, scale, base in self.kept:
             f = (packed >> shift & mask) * scale % P
             if f:
@@ -475,7 +445,7 @@ class _ModEchelon:
         col = residues.index(lead)  # every entry before it is 0
         self.pivots.append(col)
         self.kept.append((64 * self.words * col, P - pow(lead, -1, P),
-                          self._pack_residues(residues)))
+                          _pack(residues, self.words)))
         return col
 
     def cleared(self, start: int = 0) -> list[int]:
@@ -498,8 +468,9 @@ class _ModEchelon:
                 f = entries[pivots[m]]
                 if f:
                     acc += f * out[m]
-            out[k] = self._pack_residues(
-                [v * scale % P for v in _unpack(acc, nslots - start, words)])
+            out[k] = _pack(
+                [v * scale % P for v in _unpack(acc, nslots - start, words)],
+                words)
         return out
 
     def cut(self, nslots: int) -> "_ModEchelon":

@@ -25,8 +25,9 @@ its coefficients as integers over one denominator, so ``eval`` is an
 integer dot product and builds a single ``Fraction``, the result.
 
 ``multiplication_matrix`` returns the multiples of q by the monomials as
-integer coefficient rows.  They span everything q divides at a degree
-bound; ``curves`` decides divisibility by membership in that span.
+integer coefficient rows, each led by LM(q) times its monomial;
+``curves`` decides divisibility by dividing by q against those rows, from
+the last row back.
 """
 
 from __future__ import annotations
@@ -206,15 +207,6 @@ class Poly:
         row = homogeneous_row(frac(x), frac(y), self.bound)
         coeffs, den = self._integer_coeffs
         return Fraction(sum(map(mul, coeffs, row)), den * row[0])
-
-    def eval_float(self, x: float, y: float) -> float:
-        # float path for rendering only; decisions always use eval()
-        total = 0.0
-        for idx, c in enumerate(self.coeffs):
-            if c != 0:
-                i, j = monomial_exponents(idx)
-                total += float(c) * x**i * y**j
-        return total
 
     def with_bound(self, bound: int) -> "Poly":
         """Same polynomial re-stored with another degree bound.

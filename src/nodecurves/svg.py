@@ -53,12 +53,19 @@ class _Map:
         return SIZE - MARGIN - (v - self.miny) * self.scale
 
 
+def _eval_float(p: Poly, x: float, y: float) -> float:
+    total = 0.0
+    for i, j, c in p.terms():
+        total += float(c) * x**i * y**j
+    return total
+
+
 def _curve_segments(p: Poly, box) -> list[tuple[float, float, float, float]]:
     # marching squares on the sign grid of p
     minx, miny, maxx, maxy = box
     dx = (maxx - minx) / GRID
     dy = (maxy - miny) / GRID
-    vals = [[p.eval_float(minx + i * dx, miny + j * dy)
+    vals = [[_eval_float(p, minx + i * dx, miny + j * dy)
              for j in range(GRID + 1)] for i in range(GRID + 1)]
     segments = []
     for i in range(GRID):

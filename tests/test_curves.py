@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodecurves import curves, nodes, poly
+from nodecurves import curves, linalg, nodes, poly
 from nodecurves.curves import Curve, LineForm, LineUnion
 from nodecurves.errors import BudgetExceeded
 from nodecurves.nodes import NodeSet, node
@@ -375,11 +375,92 @@ def test_curve_of_degree_above_n():
     assert not curves.space_divisible_by(one, conic)
 
 
+def _span_divisible(space, q):
+    """The span-membership route: q divides every polynomial of the space
+    iff none grows the tracker of q's multiples."""
+    n = space.n
+    if q.degree > n:
+        return all(p.is_zero for p in space.basis)
+    multiples = linalg.RankTracker(poly.space_dim(n))
+    for row in poly.multiplication_matrix(q.poly, n):
+        multiples.add(row)
+    return all(not multiples.would_grow(p._integer_coeffs[0])
+               for p in space.basis)
+
+
+coefficients = st.fractions(-3, 3, max_denominator=3)
+nonzero_coefficients = coefficients.filter(bool)
+
+
+@st.composite
+def divisors(draw):
+    """Vertical lines (leading monomial x), horizontal lines, other lines,
+    conics and products of three lines."""
+    kind = draw(st.sampled_from(
+        ["vertical", "horizontal", "line", "conic", "three lines"]))
+    if kind == "vertical":
+        return line(draw(nonzero_coefficients), 0, draw(coefficients)).poly()
+    if kind == "horizontal":
+        return line(0, draw(nonzero_coefficients), draw(coefficients)).poly()
+    if kind == "conic":
+        top = draw(st.lists(coefficients, min_size=3, max_size=3)
+                   .filter(any))
+        rest = draw(st.lists(coefficients, min_size=3, max_size=3))
+        return Poly.from_coeffs(rest + top, 2)
+    q = Poly.from_terms({(0, 0): 1}, 0)
+    for _ in range(1 if kind == "line" else 3):
+        a, b = draw(st.tuples(coefficients, coefficients).filter(any))
+        q = q * line(a, b, draw(coefficients)).poly()
+    return q
+
+
+def _random_poly(draw, bound):
+    return Poly.from_coeffs(draw(st.lists(
+        coefficients, min_size=poly.space_dim(bound),
+        max_size=poly.space_dim(bound))), bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_division_matches_span_membership(data):
+    draw = data.draw
+    q = Curve(draw(divisors()))
+    n = q.degree + draw(st.integers(-1, 2))  # deg q > n at -1
+    multiples_fit = n >= q.degree
+    kinds = ["zero", "random"] + (["multiple", "multiple plus monomial"]
+                                  if multiples_fit else [])
+    basis = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,
+                              max_size=3)):
+        if kind == "zero":
+            p = Poly.from_terms({}, n)
+        elif kind == "random":
+            p = _random_poly(draw, n)
+        else:
+            p = (q.poly * _random_poly(draw, n - q.degree)).with_bound(n)
+        if kind == "multiple plus monomial":
+            m = draw(st.integers(0, poly.space_dim(n) - 1))
+            p = Poly(n, tuple(c + (i == m) for i, c in enumerate(p.coeffs)))
+        basis.append((kind, p))
+    several_terms = sum(1 for _ in q.poly.terms()) > 1
+    for kind, p in basis:
+        space = nodes.VanishingSpace(n, (p,))
+        got = curves.space_divisible_by(space, q)
+        assert got == _span_divisible(space, q)
+        if kind in ("zero", "multiple"):
+            assert got
+        # a divisor of a monomial is a monomial
+        if kind == "multiple plus monomial" and several_terms:
+            assert not got
+    space = nodes.VanishingSpace(n, tuple(p for _, p in basis))
+    assert curves.space_divisible_by(space, q) == _span_divisible(space, q)
+
+
 def test_multiples_span_has_full_rank():
     # multiplication by a nonzero q is injective, so the multiples of q at
     # bound n span a space of dimension space_dim(n - deg q)
     conic = Poly.from_terms({(2, 0): 1, (0, 2): 1, (0, 0): -1}, 2)
     three = LineUnion.of([line(1, 0, 0), line(0, 1, 0), line(1, 1, -1)])
     for q, n in [(line(1, -2, 3).poly(), 4), (conic, 4), (three.poly(), 5)]:
-        assert curves._multiples(q, n).rank == \
-            poly.space_dim(n - q.degree)
+        assert linalg.rank(poly.multiplication_matrix(q, n),
+                           poly.space_dim(n)) == poly.space_dim(n - q.degree)
